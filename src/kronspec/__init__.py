@@ -5,114 +5,9 @@ matrix family, certifies their spectral radius/abscissa from the extreme
 eigenvalues of small d-by-d Hermitian companion matrices, propagates the
 covariance of the underlying bilinear stochastic systems exactly, and
 validates all of it by Monte Carlo simulation.
+
+Import names from the submodules, e.g.
+``from kronspec.kronsum import classify_stability``.
 """
 
-from .evolution import (
-    CovarianceTrajectory,
-    SecondMomentBounds,
-    matrix_exponential,
-    max_relative_discrepancy,
-    propagate_continuous,
-    propagate_discrete,
-    second_moment_bounds_continuous,
-    second_moment_bounds_discrete,
-    step_discrete,
-)
-from .kronsum import (
-    BoundReport,
-    StabilityStatus,
-    StabilityVerdict,
-    bound_report,
-    build_continuous_gram,
-    build_continuous_sum,
-    build_discrete_gram,
-    build_discrete_sum,
-    classify_stability,
-    stability_threshold,
-    verdict_from_report,
-)
-from .matrices import (
-    ConsistencyError,
-    SystemSpec,
-    adjoint,
-    as_complex_matrix,
-    as_complex_vector,
-    conjugate,
-    is_hermitian,
-    kron,
-    max_system_dim,
-    random_system,
-    transpose,
-    unvec,
-    vec,
-)
-from .montecarlo import (
-    EmpiricalMoments,
-    SimulationConfig,
-    SimulationOverflowError,
-    StabilityTrend,
-    compare_to_exact,
-    simulate_continuous,
-    simulate_discrete,
-    stability_probe,
-)
-from .spectral import (
-    SpectralSummary,
-    eigenvalues,
-    exponential_growth_estimate,
-    hermitian_extremes,
-    power_growth_estimate,
-    summarize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "ConsistencyError",
-    "CovarianceTrajectory",
-    "EmpiricalMoments",
-    "SecondMomentBounds",
-    "SimulationConfig",
-    "SimulationOverflowError",
-    "SpectralSummary",
-    "StabilityStatus",
-    "StabilityTrend",
-    "StabilityVerdict",
-    "SystemSpec",
-    "adjoint",
-    "as_complex_matrix",
-    "as_complex_vector",
-    "bound_report",
-    "build_continuous_gram",
-    "build_continuous_sum",
-    "build_discrete_gram",
-    "build_discrete_sum",
-    "classify_stability",
-    "compare_to_exact",
-    "conjugate",
-    "eigenvalues",
-    "exponential_growth_estimate",
-    "hermitian_extremes",
-    "is_hermitian",
-    "kron",
-    "matrix_exponential",
-    "max_relative_discrepancy",
-    "max_system_dim",
-    "power_growth_estimate",
-    "propagate_continuous",
-    "propagate_discrete",
-    "random_system",
-    "second_moment_bounds_continuous",
-    "second_moment_bounds_discrete",
-    "simulate_continuous",
-    "simulate_discrete",
-    "stability_probe",
-    "stability_threshold",
-    "step_discrete",
-    "summarize",
-    "transpose",
-    "unvec",
-    "vec",
-    "verdict_from_report",
-]

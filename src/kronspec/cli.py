@@ -10,7 +10,7 @@ Subcommands:
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
 indeterminate, 64 malformed input file, 65 bad vectors/dimensions, 70
-numerical overflow.
+numerical overflow or integrator failure.
 """
 
 from __future__ import annotations
@@ -29,19 +29,19 @@ from .evolution import (
     propagate_discrete,
 )
 from .kronsum import (
-    BoundReport,
+    _MODES,
     StabilityStatus,
     UNSTABLE_STATUSES,
+    bound_report,
     build_continuous_gram,
     build_continuous_sum,
     build_discrete_gram,
     build_discrete_sum,
-    check_bound_chain,
-    stability_threshold,
     verdict_from_report,
 )
 from .matrices import SystemSpec, random_system
 from .montecarlo import (
+    _NOISES,
     SimulationConfig,
     SimulationOverflowError,
     compare_to_exact,
@@ -87,25 +87,15 @@ def _quantity_name(mode: str) -> str:
 
 def _cmd_analyze(args, out) -> int:
     spec = load_system(args.file)
-    modes = ["discrete", "continuous"] if args.mode == "both" else [args.mode]
+    modes = _MODES if args.mode == "both" else [args.mode]
     results = []
     for mode in modes:
         t0 = time.perf_counter()
-        if mode == "discrete":
-            lower, upper = hermitian_extremes(build_discrete_gram(spec))
-            summ = summarize(build_discrete_sum(spec)) if args.exact else None
-            exact = summ.radius if summ else None
-        else:
-            lower, upper = hermitian_extremes(build_continuous_gram(spec))
-            summ = summarize(build_continuous_sum(spec)) if args.exact else None
-            exact = summ.abscissa if summ else None
-        report = BoundReport(lower=lower, upper=upper, exact=exact, mode=mode)
-        check_bound_chain(report)
+        report = bound_report(spec, mode, compute_exact=args.exact)
         verdict = verdict_from_report(report, allow_exact_fallback=args.exact)
-        elapsed = time.perf_counter() - t0
-        results.append((mode, report, verdict, summ, elapsed))
+        results.append((report, verdict, time.perf_counter() - t0))
 
-    statuses = [v.status for _, _, v, _, _ in results]
+    statuses = [v.status for _, v, _ in results]
     if any(s in UNSTABLE_STATUSES for s in statuses):
         code = EXIT_UNSTABLE
     elif any(s is StabilityStatus.INDETERMINATE for s in statuses):
@@ -118,26 +108,27 @@ def _cmd_analyze(args, out) -> int:
             "file": str(args.file),
             "results": [
                 {
-                    "mode": mode,
+                    "mode": rep.mode,
                     "lower": rep.lower,
                     "upper": rep.upper,
                     "exact": rep.exact,
                     "threshold": verdict.threshold,
                     "status": verdict.status.value,
                     "eigenvalues": (
-                        [[z.real, z.imag] for z in summ.eigenvalues] if summ else None
+                        [[z.real, z.imag] for z in rep.eigenvalues]
+                        if rep.eigenvalues is not None else None
                     ),
                     "elapsed_s": elapsed,
                 }
-                for mode, rep, verdict, summ, elapsed in results
+                for rep, verdict, elapsed in results
             ],
             "exit_code": code,
         }
         print(json.dumps(doc), file=out)
     else:
-        for mode, rep, verdict, _, elapsed in results:
-            q = _quantity_name(mode)
-            print(f"== {mode} ==", file=out)
+        for rep, verdict, elapsed in results:
+            q = _quantity_name(rep.mode)
+            print(f"== {rep.mode} ==", file=out)
             print(f"  bounds:   {_fmt(rep.lower)} <= {q} <= {_fmt(rep.upper)}", file=out)
             if rep.exact is not None:
                 print(f"  exact:    {q} = {_fmt(rep.exact)}", file=out)
@@ -171,21 +162,17 @@ def _cmd_evolve(args, out) -> int:
             if args.steps is None:
                 raise ValueError("discrete mode requires --steps")
             routes = ["direct", "kronecker"] if args.route == "both" else [args.route]
-            if any(r not in ("direct", "kronecker") for r in routes):
-                raise ValueError("discrete route must be direct|kronecker|both")
             trajs = [propagate_discrete(spec, u, v, args.steps, r) for r in routes]
         else:
             if not args.times:
                 raise ValueError("continuous mode requires --times")
             t_grid = [float(s) for s in args.times.split(",")]
             routes = ["ode", "kronecker"] if args.route == "both" else [args.route]
-            if any(r not in ("ode", "kronecker") for r in routes):
-                raise ValueError("continuous route must be ode|kronecker|both")
             trajs = [propagate_continuous(spec, u, v, t_grid, r) for r in routes]
     except (SystemFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADDATA
-    except OverflowError as exc:
+    except (OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
     _traj_lines(trajs[0], out)
@@ -405,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="bound-based stability certification of a system file")
     p.add_argument("file", help="system JSON file")
-    p.add_argument("--mode", choices=["discrete", "continuous", "both"], default="both")
+    p.add_argument("--mode", choices=[*_MODES, "both"], default="both")
     p.add_argument("--exact", action="store_true", help="also compute the exact d^2 spectrum")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("evolve", help="exact covariance trajectory as JSON lines")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")
+    p.add_argument("--mode", choices=_MODES, default="discrete")
     p.add_argument("--u", required=True, help="initial vector as JSON [[re,im],...]")
     p.add_argument("--v", default=None, help="second initial vector (default: same as --u)")
     p.add_argument("--steps", type=int, default=None, help="step count (discrete mode)")
@@ -426,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo moments checked against exact propagation")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")
+    p.add_argument("--mode", choices=_MODES, default="discrete")
     p.add_argument("--u", required=True)
     p.add_argument("--v", default=None)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", choices=["gaussian", "rademacher"], default="gaussian")
+    p.add_argument("--noise", choices=_NOISES, default="gaussian")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--horizon", type=float, required=True, help="steps (discrete) or time (continuous)")
     p.add_argument("--json", action="store_true")

@@ -27,6 +27,7 @@ from .kronsum import (
     build_continuous_sum,
     build_discrete_gram,
     build_discrete_sum,
+    second_moment_map,
 )
 from .matrices import (
     ConsistencyError,
@@ -44,6 +45,11 @@ from .spectral import hermitian_extremes
 ODE_TARGET = 1e-7
 
 _MAX_HALVINGS = 16
+
+#: Most fourth-order steps one integration pass over the grid may take.  The
+#: initial step scales like 1/|L|, so large-norm systems would otherwise spin
+#: for hours (or, once the state overflows, forever) before failing.
+_MAX_RK4_STEPS = 500_000
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,7 @@ def step_discrete(spec: SystemSpec, v) -> np.ndarray:
     v = as_complex_matrix(v, "covariance matrix")
     if v.shape != (spec.d, spec.d):
         raise ValueError(f"covariance matrix has shape {v.shape}, expected {(spec.d, spec.d)}")
-    out = spec.a @ v @ spec.a.conj().T
-    for b in spec.noise_mats:
-        out += b @ v @ b.conj().T
-    return out
+    return second_moment_map(spec, "discrete")(v)
 
 
 def propagate_discrete(
@@ -116,17 +119,11 @@ def propagate_discrete(
     values = [v0]
     with np.errstate(over="ignore", invalid="ignore"):
         if route == "direct":
-            ah = spec.a.conj().T
-            pairs = [(b, b.conj().T) for b in spec.noise_mats]
-            cur = v0
+            phi = second_moment_map(spec, "discrete")
             for j in range(1, n + 1):
-                nxt = spec.a @ cur @ ah
-                for b, bh in pairs:
-                    nxt += b @ cur @ bh
-                if not np.all(np.isfinite(nxt)):
+                values.append(phi(values[-1]))
+                if not np.all(np.isfinite(values[-1])):
                     raise OverflowError(f"covariance propagation overflowed at step {j}")
-                values.append(nxt)
-                cur = nxt
         else:
             dmat = build_discrete_sum(spec)
             w = vec(v0)
@@ -223,21 +220,14 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def _covariance_rhs(spec: SystemSpec):
-    a = spec.a
-    ah = a.conj().T
-    pairs = [(b, b.conj().T) for b in spec.noise_mats]
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        out = a @ v + v @ ah
-        for b, bh in pairs:
-            out += b @ v @ bh
-        return out
-
-    return rhs
-
-
 def _rk4_on_grid(rhs, v0: np.ndarray, t_grid: np.ndarray, h_max: float) -> list[np.ndarray]:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = float(np.sum(np.ceil(np.diff(t_grid, prepend=0.0) / h_max)))
+    if not total <= _MAX_RK4_STEPS:
+        raise RuntimeError(
+            f"integrator step-size failure: a pass at step {h_max:.3g} needs {total:.3g} "
+            f"steps, over the budget of {_MAX_RK4_STEPS:g}"
+        )
     values = []
     cur = v0
     t_prev = 0.0
@@ -304,7 +294,7 @@ def propagate_continuous(
                 raise OverflowError(f"covariance propagation overflowed at t={t}")
             values.append(unvec(w, spec.d))
     else:
-        rhs = _covariance_rhs(spec)
+        rhs = second_moment_map(spec, "continuous")
         gen_norm = 2.0 * np.linalg.norm(spec.a, 2) + sum(
             np.linalg.norm(b, 2) ** 2 for b in spec.noise_mats
         )

@@ -19,11 +19,18 @@ sandwich those quantities between their extreme eigenvalues:
 
 so a pair of cheap d-by-d Hermitian eigensolves can certify stability or
 instability of the d**2-sized problem outright.
+
+D and C are the matrices of the second-moment maps of the underlying bilinear
+stochastic systems,
+
+    Phi(V) = A V A* + sum_k B_k V B_k*       L(V) = A V + V A* + sum_k B_k V B_k*
+
+(vec(Phi(V)) = D vec(V), vec(L(V)) = C vec(V)), and N = Phi*(I), M = L*(I).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -46,6 +53,26 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def second_moment_map(spec: SystemSpec, mode: str):
+    """The map V -> Phi(V) (discrete) or V -> L(V) (continuous) on d-by-d matrices.
+
+    A* and each B_k* are formed once per map, not once per application.  The
+    returned function allocates its result; the input is left untouched.
+    """
+    discrete = _check_mode(mode) == "discrete"
+    a = spec.a
+    ah = a.conj().T
+    pairs = [(b, b.conj().T) for b in spec.noise_mats]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = a @ v @ ah if discrete else a @ v + v @ ah
+        for b, bh in pairs:
+            out += b @ v @ bh
+        return out
+
+    return apply
+
+
 def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
     """The d**2-by-d**2 matrix D = conj(A) (x) A + sum_k conj(B_k) (x) B_k."""
     out = np.kron(spec.a.conj(), spec.a)
@@ -63,21 +90,36 @@ def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
     return out
 
 
-def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
-    """The d-by-d Hermitian PSD matrix N = A* A + sum_k B_k* B_k."""
-    out = spec.a.conj().T @ spec.a
-    for b in spec.noise_mats:
-        out += b.conj().T @ b
+def _hermitian_part(out: np.ndarray, name: str) -> np.ndarray:
     # symmetrize away matmul roundoff so structural predicates pass exactly
-    return (out + out.conj().T) / 2.0
+    herm = (out + out.conj().T) / 2.0
+    if not np.all(np.isfinite(herm)):
+        raise OverflowError(f"Hermitian companion {name} overflowed")
+    return herm
+
+
+def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
+    """The d-by-d Hermitian PSD matrix N = A* A + sum_k B_k* B_k.
+
+    Raises ``OverflowError`` when N leaves double-precision range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spec.a.conj().T @ spec.a
+        for b in spec.noise_mats:
+            out += b.conj().T @ b
+        return _hermitian_part(out, "N")
 
 
 def build_continuous_gram(spec: SystemSpec) -> np.ndarray:
-    """The d-by-d Hermitian matrix M = A + A* + sum_k B_k* B_k (indefinite in general)."""
-    out = spec.a + spec.a.conj().T
-    for b in spec.noise_mats:
-        out += b.conj().T @ b
-    return (out + out.conj().T) / 2.0
+    """The d-by-d Hermitian matrix M = A + A* + sum_k B_k* B_k (indefinite in general).
+
+    Raises ``OverflowError`` when M leaves double-precision range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spec.a + spec.a.conj().T
+        for b in spec.noise_mats:
+            out += b.conj().T @ b
+        return _hermitian_part(out, "M")
 
 
 @dataclass(frozen=True)
@@ -86,13 +128,15 @@ class BoundReport:
 
     ``lower`` and ``upper`` are the extreme eigenvalues of the Hermitian
     companion; ``exact`` is the bracketed spectral quantity itself when it was
-    computed, else None.
+    computed, else None, and ``eigenvalues`` the full spectrum of D or C
+    behind it, sorted by (real, imaginary) part.
     """
 
     lower: float
     upper: float
     exact: float | None
     mode: str
+    eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def check_bound_chain(report: BoundReport, tol: float = CHAIN_TOL) -> None:
@@ -121,14 +165,18 @@ def bound_report(spec: SystemSpec, mode: str, compute_exact: bool = False) -> Bo
     ``compute_exact`` triggers the full dense d**2-by-d**2 eigensolve; the
     bounds alone need only a d-by-d Hermitian solve.
     """
-    _check_mode(mode)
-    if mode == "discrete":
-        lower, upper = hermitian_extremes(build_discrete_gram(spec))
-        exact = float(summarize(build_discrete_sum(spec)).radius) if compute_exact else None
-    else:
-        lower, upper = hermitian_extremes(build_continuous_gram(spec))
-        exact = float(summarize(build_continuous_sum(spec)).abscissa) if compute_exact else None
-    report = BoundReport(lower=lower, upper=upper, exact=exact, mode=mode)
+    discrete = _check_mode(mode) == "discrete"
+    lower, upper = hermitian_extremes(
+        build_discrete_gram(spec) if discrete else build_continuous_gram(spec)
+    )
+    exact = eigenvalues = None
+    if compute_exact:
+        summary = summarize(build_discrete_sum(spec) if discrete else build_continuous_sum(spec))
+        exact = summary.radius if discrete else summary.abscissa
+        eigenvalues = summary.eigenvalues
+    report = BoundReport(
+        lower=lower, upper=upper, exact=exact, mode=mode, eigenvalues=eigenvalues
+    )
     check_bound_chain(report)
     return report
 

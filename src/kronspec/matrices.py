@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: vec/unvec, Kronecker products, structural checks.
+"""Dense complex matrix primitives: validation, vec/unvec, structural checks, systems.
 
 Everything downstream works on plain ``numpy`` ``complex128`` arrays; the
 helpers here validate shape and finiteness at the boundary so the numerical
@@ -77,7 +77,7 @@ def vec(x) -> np.ndarray:
 
     Entry (i, j) of a d-by-d matrix lands at position j*d + i (0-based):
     columns are concatenated left to right.  This column-major convention is
-    what makes ``vec(B @ X @ A.T) == kron(A, B) @ vec(X)`` hold.
+    what makes ``vec(B @ X @ A.T) == np.kron(A, B) @ vec(X)`` hold.
     """
     x = _require_square(as_complex_matrix(x, "vec input"), "vec input")
     return x.reshape(-1, order="F")
@@ -91,32 +91,6 @@ def unvec(v, d: int) -> np.ndarray:
     if v.shape[0] != d * d:
         raise ValueError(f"unvec input has length {v.shape[0]}, expected {d * d}")
     return v.reshape((d, d), order="F")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: the block matrix whose (i, j) block is ``a[i, j] * b``.
-
-    Factors may be rectangular; a p-by-q ``a`` and r-by-s ``b`` give a
-    pr-by-qs result.
-    """
-    a = as_complex_matrix(a, "kron left factor")
-    b = as_complex_matrix(b, "kron right factor")
-    return np.kron(a, b)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a, "adjoint input").conj().T
-
-
-def conjugate(a) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return as_complex_matrix(a, "conjugate input").conj()
-
-
-def transpose(a) -> np.ndarray:
-    """Plain transpose (no conjugation)."""
-    return as_complex_matrix(a, "transpose input").T
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

@@ -20,9 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import propagate_continuous, propagate_discrete
-from .kronsum import STABLE_STATUSES, StabilityStatus, StabilityVerdict, classify_stability, stability_threshold
-from .matrices import SystemSpec, as_complex_vector
+from .evolution import _initial_outer, propagate_continuous, propagate_discrete
+from .kronsum import (
+    STABLE_STATUSES,
+    StabilityStatus,
+    StabilityVerdict,
+    _check_mode,
+    classify_stability,
+    stability_threshold,
+)
+from .matrices import SystemSpec
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
 BLOCK_PATHS = 16384
@@ -107,6 +114,15 @@ def _draw_noise(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
+def _advance(a_step, noise_mats, zeta, x, nx, tmp) -> None:
+    """One step of one path set: ``nx = a_step x + sum_k (B_k x) * zeta[k]``."""
+    np.matmul(a_step, x, out=nx)
+    for k, b in enumerate(noise_mats):
+        np.matmul(b, x, out=tmp)
+        tmp *= zeta[k]
+        nx += tmp
+
+
 def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale, slot_of, acc):
     """Advance one block of paths through n steps, accumulating at checkpoints.
 
@@ -131,17 +147,9 @@ def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale, slot_o
                 zeta *= noise_scale
             for j in range(chunk):
                 step += 1
-                np.matmul(a_step, x, out=nx)
-                for k, b in enumerate(noise_mats):
-                    np.matmul(b, x, out=tmp)
-                    tmp *= zeta[j, k]
-                    nx += tmp
+                _advance(a_step, noise_mats, zeta[j], x, nx, tmp)
                 if not same:
-                    np.matmul(a_step, y, out=ny)
-                    for k, b in enumerate(noise_mats):
-                        np.matmul(b, y, out=tmp)
-                        tmp *= zeta[j, k]
-                        ny += tmp
+                    _advance(a_step, noise_mats, zeta[j], y, ny, tmp)
                     y, ny = ny, y
                 x, nx = nx, x
                 if step in slot_of:
@@ -195,16 +203,6 @@ class _MomentAccumulator:
         )
 
 
-def _initial_pair(spec: SystemSpec, u, v):
-    u = as_complex_vector(u, "initial vector u")
-    v = as_complex_vector(v, "initial vector v")
-    if u.shape[0] != spec.d or v.shape[0] != spec.d:
-        raise ValueError(
-            f"initial vectors must have dimension {spec.d}, got {u.shape[0]} and {v.shape[0]}"
-        )
-    return u, v, bool(np.array_equal(u, v))
-
-
 def _check_finite(x: np.ndarray, step) -> None:
     good = np.all(np.isfinite(x), axis=0)
     if not good.all():
@@ -219,7 +217,7 @@ def simulate_discrete(
     The same noise draws feed the x and y recursions within each path.
     Deterministic for a fixed config; overflow aborts the estimate.
     """
-    u, v, same = _initial_pair(spec, u, v)
+    u, v, same = _initial_outer(spec, u, v)
     n = int(cfg.horizon)
     if n != cfg.horizon:
         raise ValueError(f"discrete horizon must be an integer step count, got {cfg.horizon}")
@@ -250,7 +248,7 @@ def simulate_continuous(
     O(dt); comparisons against exact propagation should allow max(4*SE, c*dt).
     Checkpoints must sit on the step grid.
     """
-    u, v, same = _initial_pair(spec, u, v)
+    u, v, same = _initial_outer(spec, u, v)
     if cfg.dt is None:
         raise ValueError("continuous simulation requires cfg.dt")
     horizon = float(cfg.horizon)
@@ -366,14 +364,14 @@ def stability_probe(
     """Estimate the decay/growth rate of E|x|^2 and compare with the certified verdict."""
     if u is None:
         u = np.ones(spec.d, dtype=np.complex128) / math.sqrt(spec.d)
-    if mode == "discrete":
+    if _check_mode(mode) == "discrete":
         n = int(cfg.horizon)
         if n < 2:
             raise ValueError("discrete stability probe needs a horizon of at least 2 steps")
         cps = _geometric_checkpoints(n)
         moments = simulate_discrete(spec, u, u, cfg, checkpoints=cps)
         xs = np.asarray(cps, dtype=float)
-    elif mode == "continuous":
+    else:
         horizon = float(cfg.horizon)
         if cfg.dt is None or horizon <= 0:
             raise ValueError("continuous stability probe needs dt and a positive horizon")
@@ -385,8 +383,6 @@ def stability_probe(
         cps = [i * dt for i in idxs]
         moments = simulate_continuous(spec, u, u, cfg, checkpoints=cps)
         xs = np.asarray(cps, dtype=float)
-    else:
-        raise ValueError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
 
     r = np.asarray(moments.second_moment)
     verdict = classify_stability(spec, mode, allow_exact_fallback=True)

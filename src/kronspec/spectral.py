@@ -1,4 +1,4 @@
-"""Eigenvalues and the three spectral scalars: radius, abscissa, minimum real part.
+"""Eigenvalues and the two spectral scalars: radius and abscissa.
 
 The scalars drive everything else: the spectral radius governs the growth of
 matrix powers, the spectral abscissa the growth of the matrix exponential, and
@@ -27,7 +27,6 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # sorted by (Re, Im), length = matrix dimension
     radius: float            # max |lambda|
     abscissa: float          # max Re lambda
-    min_real: float          # min Re lambda
 
 
 def _checked_square(a, name: str) -> np.ndarray:
@@ -67,13 +66,12 @@ def hermitian_extremes(h, tol: float = DEFAULT_TOL) -> tuple[float, float]:
 
 
 def summarize(a) -> SpectralSummary:
-    """Eigenvalues plus spectral radius, abscissa, and minimum real part."""
+    """Eigenvalues plus spectral radius and abscissa."""
     w = eigenvalues(a)
     return SpectralSummary(
         eigenvalues=w,
         radius=float(np.max(np.abs(w))),
         abscissa=float(np.max(w.real)),
-        min_real=float(np.min(w.real)),
     )
 
 

@@ -60,6 +60,20 @@ class TestAnalyze:
         assert code == 64
         assert "line" in capsys.readouterr().err
 
+    def test_companion_overflow_exits_70(self, tmp_path, capsys):
+        # finite entries, but N = A* A overflows: an error, never a verdict
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"d":2,"m":1,"A":[[[1e200,0],[0,0]],[[0,0],[0.5,0]]],'
+            '"B":[[[[0,0],[0,0]],[[1,0],[0,0]]]]}'
+        )
+        code = main(["analyze", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 70
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_json_output_round_trips(self, demo_file, capsys):
         code = main(["analyze", demo_file, "--json", "--exact"])
         out = capsys.readouterr().out
@@ -139,6 +153,24 @@ class TestEvolve:
             ["evolve", path, "--mode=discrete", "--u", "[[1,0],[0,0]]", "--steps", "500"]
         )
         assert code == 70
+
+    def test_ode_step_budget_exits_70(self, tmp_path, capsys):
+        path = _write_system(tmp_path, SystemSpec(-1e6 * np.eye(2)))
+        code = main(
+            ["evolve", path, "--mode=continuous", "--u", "[[1,0],[0,0]]",
+             "--times", "1", "--route", "both"]
+        )
+        assert code == 70
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err
+
+    def test_bad_route_exits_65(self, demo_file, capsys):
+        code = main(
+            ["evolve", demo_file, "--mode=discrete", "--u", "[[1,0],[0,0]]",
+             "--steps", "1", "--route", "ode"]
+        )
+        assert code == 65
+        assert "route" in capsys.readouterr().err
 
 
 class TestSimulate:

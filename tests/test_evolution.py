@@ -14,7 +14,7 @@ from kronspec.evolution import (
     step_discrete,
     _check_moment_chain,
 )
-from kronspec.kronsum import build_discrete_sum
+from kronspec.kronsum import build_continuous_sum, build_discrete_sum, second_moment_map
 from kronspec.matrices import ConsistencyError, SystemSpec, random_system, vec
 
 
@@ -33,13 +33,19 @@ class TestStepDiscrete:
         v0 = np.outer([1.0, 0.0], [1.0, 0.0])
         assert np.allclose(step_discrete(spec, v0), np.diag([a * a, s * s]), atol=1e-14)
 
-    def test_vectorized_form_matches(self, rng, crandn):
-        # the module's core oracle: vec(step(V)) == D vec(V)
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_vectorized_form_matches(self, rng, crandn, mode, m):
+        # the module's core oracle: vec(Phi(V)) == D vec(V), vec(L(V)) == C vec(V)
+        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         for _ in range(10):
-            spec = random_system(rng, 3, 2)
+            spec = random_system(rng, 3, m)
             v = crandn(3, 3)
-            lhs = vec(step_discrete(spec, v))
-            rhs = build_discrete_sum(spec) @ vec(v)
+            image = second_moment_map(spec, mode)(v)
+            if mode == "discrete":
+                assert np.array_equal(step_discrete(spec, v), image)
+            lhs = vec(image)
+            rhs = build(spec) @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
 
     def test_shape_mismatch(self, crandn):
@@ -182,6 +188,12 @@ class TestPropagateContinuous:
         spec = random_system(rng, 2, 0)
         with pytest.raises(ValueError):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="direct")
+
+    def test_step_budget_stops_large_norm_system(self):
+        # h = 0.1/|L| = 5e-8 puts the first pass at 2e7 steps: refused before stepping
+        spec = SystemSpec(-1e6 * np.eye(2))
+        with pytest.raises(RuntimeError, match="budget"):
+            propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="ode")
 
 
 class TestSecondMomentBounds:

@@ -7,14 +7,10 @@ from hypothesis.extra.numpy import arrays
 from kronspec.kronsum import build_discrete_gram
 from kronspec.matrices import (
     SystemSpec,
-    adjoint,
     as_complex_matrix,
-    conjugate,
     is_hermitian,
-    kron,
     max_system_dim,
     random_system,
-    transpose,
     unvec,
     vec,
 )
@@ -82,60 +78,15 @@ class TestUnvec:
 
 
 class TestKron:
-    def test_identity_gives_block_diagonal(self, crandn):
-        b = crandn(2, 2)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = b
-        expected[2:, 2:] = b
-        assert np.array_equal(kron(np.eye(2), b), expected)
-
-    def test_hand_expanded_swap_block(self):
-        a, b, c, d = 1 + 2j, -0.5, 3j, 2.0
-        swap = [[0, 1], [1, 0]]
-        expected = np.array(
-            [
-                [0, 0, a, b],
-                [0, 0, c, d],
-                [a, b, 0, 0],
-                [c, d, 0, 0],
-            ]
-        )
-        assert np.array_equal(kron(swap, [[a, b], [c, d]]), expected)
-
-    def test_block_definition_oracle(self, crandn):
-        # independent entry-by-entry expansion of the block definition
-        # (tolerance covers FMA contraction inside the vectorized multiply)
-        a = crandn(2, 3)
-        b = crandn(3, 2)
-        got = kron(a, b)
-        p, q = a.shape
-        r, s = b.shape
-        for i in range(p):
-            for j in range(q):
-                for k in range(r):
-                    for l in range(s):
-                        assert abs(got[i * r + k, j * s + l] - a[i, j] * b[k, l]) <= 1e-14
-
+    # the vec convention that ties D and C to the second-moment maps
     def test_vec_matrix_identity(self, crandn):
         # vec(B X A^T) == kron(A, B) vec(X)
         for d in range(2, 7):
             a, b, x = crandn(d, d), crandn(d, d), crandn(d, d)
             lhs = vec(b @ x @ a.T)
-            rhs = kron(a, b) @ vec(x)
+            rhs = np.kron(a, b) @ vec(x)
             scale = max(np.max(np.abs(lhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
-
-    def test_mixed_product(self, crandn):
-        a, c = crandn(2, 2), crandn(2, 2)
-        b, d = crandn(3, 3), crandn(3, 3)
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_bilinearity(self, crandn):
-        a1, a2, b = crandn(2, 2), crandn(2, 2), crandn(3, 3)
-        z = 0.3 - 1.7j
-        assert np.allclose(kron(a1 + z * a2, b), kron(a1, b) + z * kron(a2, b), atol=1e-12)
 
     def test_vec_of_outer_product(self, crandn):
         # vec(u v*) == conj(v) kron u
@@ -143,24 +94,6 @@ class TestKron:
         lhs = vec(np.outer(u, v.conj()))
         rhs = np.kron(v.conj(), u)
         assert np.allclose(lhs, rhs, atol=1e-14)
-
-
-class TestAdjoint:
-    def test_scalar_imaginary(self):
-        assert np.array_equal(adjoint([[1j]]), [[-1j]])
-
-    def test_real_symmetric_fixed_point(self):
-        s = np.array([[2.0, 1.0], [1.0, -3.0]])
-        assert np.array_equal(adjoint(s), s)
-
-    def test_involution(self, crandn):
-        a = crandn(5, 5)
-        assert np.array_equal(adjoint(adjoint(a)), a)
-
-    def test_composition_of_conjugate_and_transpose(self, crandn):
-        a = crandn(3, 4)
-        assert np.array_equal(adjoint(a), conjugate(transpose(a)))
-        assert np.array_equal(adjoint(a), transpose(conjugate(a)))
 
 
 class TestIsHermitian:

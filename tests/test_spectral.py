@@ -78,12 +78,11 @@ class TestSummarize:
 
     def test_zero_matrix(self):
         s = summarize(np.zeros((3, 3)))
-        assert s.radius == 0.0 and s.abscissa == 0.0 and s.min_real == 0.0
+        assert s.radius == 0.0 and s.abscissa == 0.0
 
     def test_scalar_ordering_invariants(self, crandn):
         for _ in range(25):
             s = summarize(crandn(4, 4))
-            assert s.min_real <= s.abscissa + 1e-12
             assert s.abscissa <= s.radius + 1e-12
 
 
