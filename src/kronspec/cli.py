@@ -9,8 +9,8 @@ Subcommands:
 * ``demo``     - the worked 2-by-2 family with its closed-form spectra
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
-indeterminate, 64 malformed input file, 65 bad vectors/dimensions, 70
-numerical overflow or integrator failure.
+indeterminate, 64 malformed input file, 65 bad vectors, dimensions or
+arguments, 70 numerical overflow or integrator failure.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _cmd_analyze(args, out) -> int:
     for mode in modes:
         t0 = time.perf_counter()
         report = bound_report(spec, mode, compute_exact=args.exact)
-        verdict = verdict_from_report(report, allow_exact_fallback=args.exact)
+        verdict = verdict_from_report(report)
         results.append((report, verdict, time.perf_counter() - t0))
 
     statuses = [v.status for _, v, _ in results]
@@ -189,9 +189,8 @@ def _cmd_simulate(args, out) -> int:
     try:
         u = parse_vector(args.u, spec.d)
         v = parse_vector(args.v, spec.d) if args.v else u
-        horizon = int(args.horizon) if args.mode == "discrete" else float(args.horizon)
         cfg = SimulationConfig(
-            paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=horizon
+            paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=args.horizon
         )
         if args.mode == "discrete":
             moments = simulate_discrete(spec, u, v, cfg)
@@ -261,6 +260,12 @@ def _cmd_simulate(args, out) -> int:
 
 def _cmd_bench(args, out) -> int:
     dims = [int(s) for s in args.dims.split(",")]
+    if min(dims) < 1:
+        raise ValueError(f"--dims must list positive integers, got {args.dims!r}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.m < 0:
+        raise ValueError(f"--m must be nonnegative, got {args.m}")
     rows = []
     for d in dims:
         trials = []
@@ -448,6 +453,9 @@ def main(argv=None) -> int:
     except SystemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADFILE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BADDATA
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW

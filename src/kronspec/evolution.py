@@ -92,14 +92,6 @@ def _traj(mode, index, values, same) -> CovarianceTrajectory:
     )
 
 
-def step_discrete(spec: SystemSpec, v) -> np.ndarray:
-    """One step of the covariance recursion: ``A V A* + sum_k B_k V B_k*``."""
-    v = as_complex_matrix(v, "covariance matrix")
-    if v.shape != (spec.d, spec.d):
-        raise ValueError(f"covariance matrix has shape {v.shape}, expected {(spec.d, spec.d)}")
-    return second_moment_map(spec, "discrete")(v)
-
-
 def propagate_discrete(
     spec: SystemSpec, u, v, n: int, route: str = "direct"
 ) -> CovarianceTrajectory:
@@ -267,7 +259,7 @@ def _check_time_grid(t_grid) -> np.ndarray:
 
 
 def propagate_continuous(
-    spec: SystemSpec, u, v, t_grid, route: str = "kronecker", ode_target: float = ODE_TARGET
+    spec: SystemSpec, u, v, t_grid, route: str = "kronecker"
 ) -> CovarianceTrajectory:
     """Covariance trajectory V(t) on a time grid from V(0) = u v*.
 
@@ -275,9 +267,9 @@ def propagate_continuous(
     stochastic Kronecker sum against ``vec(V(0))`` at each grid time;
     ``route="ode"`` integrates the d-by-d matrix differential equation with a
     classical fourth-order scheme, halving the step until two successive
-    refinements agree to ``ode_target`` (so it never consults the exponential
-    route).  The initial step obeys ``h * L <= 0.1`` for an upper bound L on
-    the generator norm.
+    refinements agree to :data:`ODE_TARGET` (so it never consults the
+    exponential route).  The initial step obeys ``h * L <= 0.1`` for an upper
+    bound L on the generator norm.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")
@@ -305,13 +297,13 @@ def propagate_continuous(
         for _ in range(_MAX_HALVINGS):
             h /= 2.0
             cur = _rk4_on_grid(rhs, v0, t_grid, h)
-            if _values_discrepancy(prev, cur) <= ode_target / 2.0:
+            if _values_discrepancy(prev, cur) <= ODE_TARGET / 2.0:
                 values = cur
                 break
             prev = cur
         else:
             raise RuntimeError(
-                f"integrator step-size failure: no convergence to {ode_target:g} "
+                f"integrator step-size failure: no convergence to {ODE_TARGET:g} "
                 f"after {_MAX_HALVINGS} halvings"
             )
     return _traj("continuous", t_grid.tolist(), values, same)

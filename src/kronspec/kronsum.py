@@ -215,11 +215,11 @@ def stability_threshold(mode: str) -> float:
     return 1.0 if _check_mode(mode) == "discrete" else 0.0
 
 
-def verdict_from_report(report: BoundReport, allow_exact_fallback: bool = False) -> StabilityVerdict:
+def verdict_from_report(report: BoundReport) -> StabilityVerdict:
     """Decide stability from an existing bound report.
 
     Bounds are decisive when the whole interval clears the threshold; the
-    exact value (when present and fallback is allowed) settles the rest.
+    exact value, when the report carries one, settles the rest.
     Values within :data:`BOUNDARY_TOL` of the threshold stay Indeterminate:
     floating point cannot certify marginal stability.
     """
@@ -228,7 +228,7 @@ def verdict_from_report(report: BoundReport, allow_exact_fallback: bool = False)
         status = StabilityStatus.CERTIFIED_STABLE
     elif report.lower > threshold + BOUNDARY_TOL:
         status = StabilityStatus.CERTIFIED_UNSTABLE
-    elif allow_exact_fallback and report.exact is not None:
+    elif report.exact is not None:
         if abs(report.exact - threshold) <= BOUNDARY_TOL:
             status = StabilityStatus.INDETERMINATE
         elif report.exact < threshold:
@@ -249,9 +249,7 @@ def classify_stability(
     eigensolve runs only when the bounds are inconclusive and
     ``allow_exact_fallback`` is set.
     """
-    report = bound_report(spec, mode, compute_exact=False)
-    verdict = verdict_from_report(report, allow_exact_fallback=False)
+    verdict = verdict_from_report(bound_report(spec, mode, compute_exact=False))
     if verdict.status is StabilityStatus.INDETERMINATE and allow_exact_fallback:
-        report = bound_report(spec, mode, compute_exact=True)
-        verdict = verdict_from_report(report, allow_exact_fallback=True)
+        verdict = verdict_from_report(bound_report(spec, mode, compute_exact=True))
     return verdict

@@ -21,14 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _initial_outer, propagate_continuous, propagate_discrete
-from .kronsum import (
-    STABLE_STATUSES,
-    StabilityStatus,
-    StabilityVerdict,
-    _check_mode,
-    classify_stability,
-    stability_threshold,
-)
 from .matrices import SystemSpec
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
@@ -37,7 +29,7 @@ BLOCK_PATHS = 16384
 #: Steps of noise drawn per RNG call, and the overflow-check stride.
 _STEP_CHUNK = 256
 
-#: Default constant c in the continuous-mode tolerance max(4*SE, c*dt).
+#: Constant c in the continuous-mode tolerance max(4*SE, c*dt).
 DT_BIAS_CONST = 10.0
 
 #: Absolute floor (scaled by the exact value) that keeps zero-variance
@@ -209,6 +201,23 @@ def _check_finite(x: np.ndarray, step) -> None:
         raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
 
 
+def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, checkpoints, slots, dt):
+    """Run every path block of one simulation and return its moments.
+
+    ``slots[i]`` is the step index at which ``checkpoints[i]`` is recorded.
+    """
+    slot_of = {step: i for i, step in enumerate(slots)}
+    acc = _MomentAccumulator(spec.d, len(checkpoints))
+    for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
+        bsize = min(BLOCK_PATHS, cfg.paths - start)
+        rng = _substream(cfg.seed, block)
+        x = np.tile(u[:, None], (1, bsize))
+        y = x if same else np.tile(v[:, None], (1, bsize))
+        _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats, noise_scale,
+                   slot_of, acc)
+    return acc.finalize(mode, checkpoints, cfg.paths, dt)
+
+
 def simulate_discrete(
     spec: SystemSpec, u, v, cfg: SimulationConfig, checkpoints=None
 ) -> EmpiricalMoments:
@@ -226,16 +235,8 @@ def simulate_discrete(
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if any(c < 0 or c > n for c in checkpoints):
         raise ValueError(f"checkpoints must lie in [0, {n}]")
-    slot_of = {c: i for i, c in enumerate(checkpoints)}
-
-    acc = _MomentAccumulator(spec.d, len(checkpoints))
-    for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
-        bsize = min(BLOCK_PATHS, cfg.paths - start)
-        rng = _substream(cfg.seed, block)
-        x = np.tile(u[:, None], (1, bsize))
-        y = x if same else np.tile(v[:, None], (1, bsize))
-        _run_block(rng, cfg.noise, n, x, y, same, spec.a, spec.noise_mats, 1.0, slot_of, acc)
-    return acc.finalize("discrete", checkpoints, cfg.paths, None)
+    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, 1.0,
+                     checkpoints, checkpoints, None)
 
 
 def simulate_continuous(
@@ -257,23 +258,15 @@ def simulate_continuous(
     if checkpoints is None:
         checkpoints = [horizon]
     times = sorted(set(float(t) for t in checkpoints))
-    slot_of = {}
-    for i, t in enumerate(times):
+    slots = []
+    for t in times:
         idx = int(round(t / dt)) if dt > 0 else 0
         if idx < 0 or idx > steps or abs(idx * dt - t) > 1e-9 * max(1.0, horizon):
             raise ValueError(f"checkpoint {t} does not lie on the step grid (dt={dt})")
-        slot_of[idx] = i
-
-    acc = _MomentAccumulator(spec.d, len(times))
+        slots.append(idx)
     a_step = np.eye(spec.d, dtype=np.complex128) + dt * spec.a
-    sdt = math.sqrt(dt)
-    for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
-        bsize = min(BLOCK_PATHS, cfg.paths - start)
-        rng = _substream(cfg.seed, block)
-        x = np.tile(u[:, None], (1, bsize))
-        y = x if same else np.tile(v[:, None], (1, bsize))
-        _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats, sdt, slot_of, acc)
-    return acc.finalize("continuous", times, cfg.paths, dt)
+    return _simulate("continuous", spec, u, v, same, cfg, steps, a_step, math.sqrt(dt),
+                     times, slots, dt)
 
 
 @dataclass(frozen=True)
@@ -288,15 +281,13 @@ class MomentComparison:
     all_passed: bool
 
 
-def compare_to_exact(
-    moments: EmpiricalMoments, spec: SystemSpec, u, v, dt_bias_const: float = DT_BIAS_CONST
-) -> MomentComparison:
+def compare_to_exact(moments: EmpiricalMoments, spec: SystemSpec, u, v) -> MomentComparison:
     """Check each empirical covariance entry against the exact value.
 
     Discrete tolerance is four standard errors; continuous adds the
-    ``c * dt`` discretization-bias allowance.  A tiny floor scaled by the
-    exact magnitude keeps deterministic zero-variance entries from failing on
-    last-bit arithmetic differences.
+    ``DT_BIAS_CONST * dt`` discretization-bias allowance.  A tiny floor
+    scaled by the exact magnitude keeps deterministic zero-variance entries
+    from failing on last-bit arithmetic differences.
     """
     if moments.mode == "discrete":
         traj = propagate_discrete(spec, u, v, int(max(moments.checkpoints)), route="direct")
@@ -310,7 +301,7 @@ def compare_to_exact(
     for mean, se, ex in zip(moments.mean_outer, moments.std_error, exact):
         tol = 4.0 * se
         if moments.mode == "continuous":
-            tol = np.maximum(tol, dt_bias_const * moments.dt)
+            tol = np.maximum(tol, DT_BIAS_CONST * moments.dt)
         tol = np.maximum(tol, _ATOL_FLOOR * max(1.0, float(np.max(np.abs(ex)))))
         diff = np.abs(mean - ex)
         entry = diff <= tol
@@ -325,85 +316,4 @@ def compare_to_exact(
         tolerance=tuple(tols),
         entry_pass=tuple(passes),
         all_passed=ok,
-    )
-
-
-@dataclass(frozen=True)
-class StabilityTrend:
-    """Fitted growth of E|x|^2 at geometric checkpoints, beside the certified verdict.
-
-    ``fitted_rate`` is a per-step ratio in discrete mode (threshold 1) and an
-    exponential rate in continuous mode (threshold 0).  ``agrees`` records
-    whether trend and verdict point the same way; sampling noise means this is
-    informational, not a guarantee.
-    """
-
-    mode: str
-    checkpoints: tuple
-    second_moments: tuple[float, ...]
-    std_errors: tuple[float, ...]
-    fitted_rate: float | None
-    rate_threshold: float
-    verdict: StabilityVerdict
-    agrees: bool | None
-
-
-def _geometric_checkpoints(limit: int) -> list[int]:
-    cps = []
-    c = 1
-    while c < limit:
-        cps.append(c)
-        c *= 2
-    cps.append(limit)
-    return sorted(set(cps))
-
-
-def stability_probe(
-    spec: SystemSpec, mode: str, cfg: SimulationConfig, u=None
-) -> StabilityTrend:
-    """Estimate the decay/growth rate of E|x|^2 and compare with the certified verdict."""
-    if u is None:
-        u = np.ones(spec.d, dtype=np.complex128) / math.sqrt(spec.d)
-    if _check_mode(mode) == "discrete":
-        n = int(cfg.horizon)
-        if n < 2:
-            raise ValueError("discrete stability probe needs a horizon of at least 2 steps")
-        cps = _geometric_checkpoints(n)
-        moments = simulate_discrete(spec, u, u, cfg, checkpoints=cps)
-        xs = np.asarray(cps, dtype=float)
-    else:
-        horizon = float(cfg.horizon)
-        if cfg.dt is None or horizon <= 0:
-            raise ValueError("continuous stability probe needs dt and a positive horizon")
-        steps = int(round(horizon / cfg.dt))
-        if steps < 2:
-            raise ValueError("continuous stability probe needs at least 2 time steps")
-        dt = horizon / steps
-        idxs = _geometric_checkpoints(steps)
-        cps = [i * dt for i in idxs]
-        moments = simulate_continuous(spec, u, u, cfg, checkpoints=cps)
-        xs = np.asarray(cps, dtype=float)
-
-    r = np.asarray(moments.second_moment)
-    verdict = classify_stability(spec, mode, allow_exact_fallback=True)
-    threshold = stability_threshold(mode)
-    if np.any(r <= 0):
-        rate = None
-        agrees = None
-    else:
-        slope = float(np.polyfit(xs, np.log(r), 1)[0])
-        rate = math.exp(slope) if mode == "discrete" else slope
-        if verdict.status is StabilityStatus.INDETERMINATE:
-            agrees = None
-        else:
-            agrees = (rate < threshold) == (verdict.status in STABLE_STATUSES)
-    return StabilityTrend(
-        mode=mode,
-        checkpoints=moments.checkpoints,
-        second_moments=moments.second_moment,
-        std_errors=moments.second_moment_se,
-        fitted_rate=rate,
-        rate_threshold=threshold,
-        verdict=verdict,
-        agrees=agrees,
     )

@@ -73,46 +73,3 @@ def summarize(a) -> SpectralSummary:
         radius=float(np.max(np.abs(w))),
         abscissa=float(np.max(w.real)),
     )
-
-
-def power_growth_estimate(a, n_max: int) -> np.ndarray:
-    """The sequence ``|a^n|**(1/n)`` for n = 1..n_max (induced 2-norm).
-
-    Converges to the spectral radius as n grows; returned as a diagnostic for
-    that convergence.  Raises ``OverflowError`` naming the step at which a
-    power left double-precision range.
-    """
-    a = _checked_square(a, "power_growth_estimate input")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    out = np.empty(n_max)
-    p = a
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max + 1):
-            if n > 1:
-                p = p @ a
-            if not np.all(np.isfinite(p)):
-                raise OverflowError(f"matrix power overflowed at step {n}")
-            out[n - 1] = np.linalg.norm(p, 2) ** (1.0 / n)
-    return out
-
-
-def exponential_growth_estimate(a, t_grid) -> np.ndarray:
-    """The sequence ``log(|exp(t*a)|) / t`` over a positive, increasing grid.
-
-    Converges to the spectral abscissa as t grows.  The 2-norm is the largest
-    singular value, matching the induced-norm convention used throughout.
-    """
-    from .evolution import matrix_exponential
-
-    a = _checked_square(a, "exponential_growth_estimate input")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-D sequence")
-    if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing and positive")
-    out = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        e = matrix_exponential(a, t)
-        out[i] = np.log(np.linalg.norm(e, 2)) / t
-    return out

@@ -119,10 +119,6 @@ def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_pair(z) for z in row] for row in np.asarray(m, dtype=np.complex128)]
 
 
-def vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
 def system_document(spec: SystemSpec) -> dict:
     """Serialize a system back to the file schema (round-trips exactly)."""
     return {

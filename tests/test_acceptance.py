@@ -181,7 +181,7 @@ def test_criterion_6_monte_carlo_validation():
         m_c = simulate_continuous(
             spec, u, u, SimulationConfig(paths=100_000, seed=seed, dt=1e-3, horizon=1.0)
         )
-        cmp_c = compare_to_exact(m_c, spec, u, u, dt_bias_const=10.0)
+        cmp_c = compare_to_exact(m_c, spec, u, u)
         for comparison in (cmp_d, cmp_c):
             for entry in comparison.entry_pass:
                 total_entries += entry.size

@@ -229,6 +229,16 @@ class TestSimulate:
         assert code == 70
         assert "overflowed" in capsys.readouterr().err
 
+    def test_fractional_discrete_horizon_exits_65(self, demo_file, capsys):
+        code = main(
+            ["simulate", demo_file, "--mode=discrete", "--u", "[[1,0],[0,0]]",
+             "--paths", "64", "--seed", "1", "--horizon", "2.5"]
+        )
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "integer step count" in captured.err
+
 
 class TestBench:
     def test_small_dimension_table(self, capsys):
@@ -266,3 +276,23 @@ class TestDemo:
         code = main(["demo", "--a", "0.6", "--b", "0.6", "--sigma", "1.5"])
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "--sigma", "nan"],
+        ["bench", "--dims", "0"],
+        ["bench", "--dims", "x"],
+        ["bench", "--dims", "2", "--trials", "0"],
+        ["bench", "--dims", "2", "--trials", "1", "--m", "-1"],
+    ],
+    ids=["demo-sigma-nan", "bench-dims-0", "bench-dims-x", "bench-trials-0", "bench-m-negative"],
+)
+def test_bad_arguments_exit_65(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1

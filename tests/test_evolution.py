@@ -11,7 +11,6 @@ from kronspec.evolution import (
     propagate_discrete,
     second_moment_bounds_continuous,
     second_moment_bounds_discrete,
-    step_discrete,
     _check_moment_chain,
 )
 from kronspec.kronsum import build_continuous_sum, build_discrete_sum, second_moment_map
@@ -25,13 +24,14 @@ def _random_vec(rng, d):
 class TestStepDiscrete:
     def test_pure_noise_identity(self):
         spec = SystemSpec(np.zeros((2, 2)), (np.eye(2),))
-        assert np.allclose(step_discrete(spec, np.eye(2)), np.eye(2), atol=1e-14)
+        assert np.allclose(second_moment_map(spec, "discrete")(np.eye(2)), np.eye(2), atol=1e-14)
 
     def test_demo_first_step_hand_expanded(self):
         a, b, s = 0.5, 0.7, 2.0
         spec = demo_system(a, b, s)
         v0 = np.outer([1.0, 0.0], [1.0, 0.0])
-        assert np.allclose(step_discrete(spec, v0), np.diag([a * a, s * s]), atol=1e-14)
+        phi = second_moment_map(spec, "discrete")
+        assert np.allclose(phi(v0), np.diag([a * a, s * s]), atol=1e-14)
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -42,15 +42,9 @@ class TestStepDiscrete:
             spec = random_system(rng, 3, m)
             v = crandn(3, 3)
             image = second_moment_map(spec, mode)(v)
-            if mode == "discrete":
-                assert np.array_equal(step_discrete(spec, v), image)
             lhs = vec(image)
             rhs = build(spec) @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
-
-    def test_shape_mismatch(self, crandn):
-        with pytest.raises(ValueError):
-            step_discrete(SystemSpec(crandn(2, 2)), crandn(3, 3))
 
 
 class TestPropagateDiscrete:

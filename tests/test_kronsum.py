@@ -206,8 +206,9 @@ class TestClassify:
 
     def test_verdict_from_report_requires_exact_for_fallback(self):
         rep = BoundReport(lower=0.5, upper=1.5, exact=None, mode="discrete")
-        verdict = verdict_from_report(rep, allow_exact_fallback=True)
-        assert verdict.status is StabilityStatus.INDETERMINATE
+        assert verdict_from_report(rep).status is StabilityStatus.INDETERMINATE
+        rep = BoundReport(lower=0.5, upper=1.5, exact=0.7, mode="discrete")
+        assert verdict_from_report(rep).status is StabilityStatus.EXACT_STABLE
 
 
 class TestDemoFamilyInvariants:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kronspec.cli import demo_system
-from kronspec.kronsum import StabilityStatus
 from kronspec.matrices import SystemSpec
 from kronspec.montecarlo import (
     EmpiricalMoments,
@@ -13,7 +12,6 @@ from kronspec.montecarlo import (
     compare_to_exact,
     simulate_continuous,
     simulate_discrete,
-    stability_probe,
 )
 
 U2 = np.array([1.0, 0.0], dtype=complex)
@@ -161,39 +159,3 @@ class TestNoiseDraws:
         se2 = simulate_discrete(spec, U2, U2, double).std_error[0][1, 1]
         ratio = se2 / se1
         assert abs(ratio - 1.0 / np.sqrt(2.0)) <= 0.2 / np.sqrt(2.0)
-
-
-class TestStabilityProbe:
-    def test_deterministic_decay_rate(self):
-        spec = SystemSpec(0.9 * np.eye(2))
-        cfg = SimulationConfig(paths=100, seed=1, horizon=16)
-        trend = stability_probe(spec, "discrete", cfg)
-        assert trend.fitted_rate == pytest.approx(0.81, abs=1e-9)
-        assert trend.verdict.status is StabilityStatus.CERTIFIED_STABLE
-        assert trend.agrees is True
-
-    def test_demo_stable_rate_near_radius(self):
-        spec = demo_system(0.5, 0.7, 2.0)
-        cfg = SimulationConfig(paths=100_000, seed=3, horizon=16)
-        trend = stability_probe(spec, "discrete", cfg)
-        assert abs(trend.fitted_rate - 0.49) <= 0.05
-        assert trend.verdict.status is StabilityStatus.EXACT_STABLE
-        assert trend.agrees is True
-
-    def test_certified_unstable_grows(self):
-        spec = demo_system(1.0, 1.2, 1.0)
-        cfg = SimulationConfig(paths=20_000, seed=8, horizon=12)
-        trend = stability_probe(spec, "discrete", cfg)
-        assert trend.second_moments[-1] > trend.second_moments[0]
-        assert trend.fitted_rate > 1.0
-        assert trend.verdict.status is StabilityStatus.CERTIFIED_UNSTABLE
-        assert trend.agrees is True
-
-    def test_continuous_probe_direction(self):
-        spec = SystemSpec(-1.0 * np.eye(2))
-        cfg = SimulationConfig(paths=200, seed=4, dt=0.01, horizon=2.0)
-        trend = stability_probe(spec, "continuous", cfg)
-        # deterministic decay; the O(dt) Euler bias shifts the rate slightly
-        assert trend.fitted_rate == pytest.approx(-2.0, abs=0.02)
-        assert trend.verdict.status is StabilityStatus.CERTIFIED_STABLE
-        assert trend.agrees is True

@@ -5,9 +5,7 @@ from kronspec.cli import demo_system
 from kronspec.kronsum import build_continuous_sum, build_discrete_sum
 from kronspec.spectral import (
     eigenvalues,
-    exponential_growth_estimate,
     hermitian_extremes,
-    power_growth_estimate,
     summarize,
 )
 
@@ -86,51 +84,6 @@ class TestSummarize:
             assert s.abscissa <= s.radius + 1e-12
 
 
-class TestPowerGrowth:
-    def test_normal_matrix_is_exact(self):
-        est = power_growth_estimate(np.diag([0.5, 0.7]), 20)
-        assert np.allclose(est, 0.7, atol=1e-12)
-
-    def test_jordan_block_decreases_toward_one(self):
-        est = power_growth_estimate([[1.0, 1.0], [0.0, 1.0]], 30)
-        assert np.all(est > 1.0)
-        assert np.all(np.diff(est) < 0)
-        assert est[-1] < 1.2
-
-    def test_demo_sum_tends_to_radius(self):
-        d = build_discrete_sum(demo_system(0.5, 0.7, 2.0))
-        est = power_growth_estimate(d, 64)
-        assert abs(est[-1] - 0.49) <= 0.05 * 0.49
-
-    def test_overflow_reports_step(self):
-        with pytest.raises(OverflowError, match="step"):
-            power_growth_estimate(1e3 * np.eye(2), 200)
-
-
-class TestExponentialGrowth:
-    def test_normal_matrix_is_exact(self):
-        est = exponential_growth_estimate(np.diag([-1.0, 2.0]), [1.0, 2.0, 4.0])
-        assert np.allclose(est, 2.0, atol=1e-9)
-
-    def test_nilpotent_decreases_toward_zero(self):
-        est = exponential_growth_estimate([[0.0, 1.0], [0.0, 0.0]], [1.0, 2.0, 4.0, 8.0, 16.0])
-        assert np.all(est > 0.0)
-        assert np.all(np.diff(est) < 0)
-        assert est[-1] < 0.3
-
-    def test_demo_sum_tends_to_abscissa(self):
-        c = build_continuous_sum(demo_system(0.5, 0.7, 2.0))
-        est = exponential_growth_estimate(c, [5.0, 10.0, 20.0, 40.0])
-        assert np.all(np.diff(est) < 0)
-        assert abs(est[-1] - 1.4) <= 0.1 * 1.4
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            exponential_growth_estimate(np.eye(2), [0.0, 1.0])
-        with pytest.raises(ValueError):
-            exponential_growth_estimate(np.eye(2), [2.0, 1.0])
-
-
 class TestSpectralInvariants:
     def test_kronecker_sum_eigenvalues_are_pairwise_sums(self, crandn):
         a = crandn(3, 3)
@@ -138,15 +91,3 @@ class TestSpectralInvariants:
         w = np.linalg.eigvals(a)
         brute = [la + mu for la in w for mu in w]
         _assert_multiset_close(got, brute, 1e-8)
-
-    def test_power_growth_near_radius_for_well_conditioned(self, rng):
-        # eigenvector basis kept near-orthogonal so |A^n|^(1/n) converges fast
-        for d in (2, 4, 8):
-            lam = 0.5 + rng.uniform(0.0, 1.0, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
-            basis = np.eye(d) + (0.3 / np.sqrt(d)) * (
-                rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            ) / np.sqrt(2.0)
-            a = basis @ np.diag(lam) @ np.linalg.inv(basis)
-            est = power_growth_estimate(a, 64)
-            radius = summarize(a).radius
-            assert abs(est[-1] - radius) <= 0.05 * radius
