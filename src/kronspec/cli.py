@@ -9,8 +9,10 @@ Subcommands:
 * ``demo``     - the worked 2-by-2 family with its closed-form spectra
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
-indeterminate, 64 malformed input file, 65 bad vectors, dimensions or
-arguments, 70 numerical overflow or integrator failure.
+indeterminate, 64 malformed or unreadable system file, 65 bad vectors,
+dimensions, values or usage, 70 numerical overflow or any internal
+``RuntimeError`` (integrator budget, failed consistency check).  ``main``
+maps every failure to its code from one table.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .matrices import SystemSpec, random_system
 from .montecarlo import (
     _NOISES,
     SimulationConfig,
-    SimulationOverflowError,
     compare_to_exact,
     simulate_continuous,
     simulate_discrete,
@@ -153,28 +154,29 @@ def _traj_lines(traj, out) -> None:
         print(json.dumps(doc), file=out)
 
 
+def _vectors(args, d: int):
+    """``--u`` and ``--v`` (default ``--u``); a malformed vector is bad data, not a bad file."""
+    try:
+        u = parse_vector(args.u, d)
+        return u, (parse_vector(args.v, d) if args.v else u)
+    except SystemFileError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _cmd_evolve(args, out) -> int:
     spec = load_system(args.file)
-    try:
-        u = parse_vector(args.u, spec.d)
-        v = parse_vector(args.v, spec.d) if args.v else u
-        if args.mode == "discrete":
-            if args.steps is None:
-                raise ValueError("discrete mode requires --steps")
-            routes = ["direct", "kronecker"] if args.route == "both" else [args.route]
-            trajs = [propagate_discrete(spec, u, v, args.steps, r) for r in routes]
-        else:
-            if not args.times:
-                raise ValueError("continuous mode requires --times")
-            t_grid = [float(s) for s in args.times.split(",")]
-            routes = ["ode", "kronecker"] if args.route == "both" else [args.route]
-            trajs = [propagate_continuous(spec, u, v, t_grid, r) for r in routes]
-    except (SystemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADDATA
-    except (OverflowError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+    u, v = _vectors(args, spec.d)
+    if args.mode == "discrete":
+        if args.steps is None:
+            raise ValueError("discrete mode requires --steps")
+        routes = ["direct", "kronecker"] if args.route == "both" else [args.route]
+        trajs = [propagate_discrete(spec, u, v, args.steps, r) for r in routes]
+    else:
+        if not args.times:
+            raise ValueError("continuous mode requires --times")
+        t_grid = [float(s) for s in args.times.split(",")]
+        routes = ["ode", "kronecker"] if args.route == "both" else [args.route]
+        trajs = [propagate_continuous(spec, u, v, t_grid, r) for r in routes]
     _traj_lines(trajs[0], out)
     if len(trajs) == 2:
         print(
@@ -186,25 +188,13 @@ def _cmd_evolve(args, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     spec = load_system(args.file)
-    try:
-        u = parse_vector(args.u, spec.d)
-        v = parse_vector(args.v, spec.d) if args.v else u
-        cfg = SimulationConfig(
-            paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=args.horizon
-        )
-        if args.mode == "discrete":
-            moments = simulate_discrete(spec, u, v, cfg)
-        else:
-            if args.dt is None:
-                raise ValueError("continuous mode requires --dt")
-            moments = simulate_continuous(spec, u, v, cfg)
-        comparison = compare_to_exact(moments, spec, u, v)
-    except (SystemFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADDATA
-    except (SimulationOverflowError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+    u, v = _vectors(args, spec.d)
+    cfg = SimulationConfig(
+        paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=args.horizon
+    )
+    simulate = simulate_discrete if args.mode == "discrete" else simulate_continuous
+    moments = simulate(spec, u, v, cfg)
+    comparison = compare_to_exact(moments, spec, u, v)
 
     if args.json:
         doc = {
@@ -384,8 +374,15 @@ def _cmd_demo(args, out) -> int:
     return 0 if all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors so that ``main`` maps them like every other failure."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kronspec",
         description=(
             "Certify spectral radius/abscissa of stochastic Kronecker sums via "
@@ -447,18 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Every failure leaves through here; the first matching row sets the exit code.
+    failures = (
+        (SystemFileError, EXIT_BADFILE),
+        (ValueError, EXIT_BADDATA),
+        (OverflowError, EXIT_OVERFLOW),
+        (RuntimeError, EXIT_OVERFLOW),
+    )
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
-    except SystemFileError as exc:
+    except tuple(cls for cls, _ in failures) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADFILE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BADDATA
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+        return next(code for cls, code in failures if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -253,6 +253,8 @@ def _check_time_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be finite, got {t_grid.tolist()}")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing and nonnegative")
     return t_grid

@@ -29,6 +29,10 @@ BLOCK_PATHS = 16384
 #: Steps of noise drawn per RNG call, and the overflow-check stride.
 _STEP_CHUNK = 256
 
+#: Most steps one simulation may take.  Checked before any noise is drawn, so
+#: a tiny dt or a huge horizon fails at once instead of running for ages.
+_MAX_MC_STEPS = 1_000_000
+
 #: Constant c in the continuous-mode tolerance max(4*SE, c*dt).
 DT_BIAS_CONST = 10.0
 
@@ -75,10 +79,10 @@ class SimulationConfig:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.noise not in _NOISES:
             raise ValueError(f"noise must be one of {_NOISES}, got {self.noise!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError(f"horizon must be nonnegative and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -206,6 +210,10 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, checkpoin
 
     ``slots[i]`` is the step index at which ``checkpoints[i]`` is recorded.
     """
+    if steps > _MAX_MC_STEPS:
+        raise ValueError(
+            f"simulation needs {steps:.3g} steps, over the budget of {_MAX_MC_STEPS:g}"
+        )
     slot_of = {step: i for i, step in enumerate(slots)}
     acc = _MomentAccumulator(spec.d, len(checkpoints))
     for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):

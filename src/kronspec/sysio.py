@@ -82,8 +82,11 @@ def parse_system(doc) -> SystemSpec:
 
 def load_system(path) -> SystemSpec:
     """Read and validate a system file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemFileError(f"cannot read system file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

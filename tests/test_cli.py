@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from kronspec.cli import main
-from kronspec.sysio import system_document
+from kronspec.sysio import SystemFileError, system_document
 from kronspec.cli import demo_system
-from kronspec.matrices import SystemSpec
+from kronspec.matrices import ConsistencyError, SystemSpec
+from kronspec.montecarlo import SimulationOverflowError
 
 
 def _write_system(tmp_path, spec, name="system.json"):
@@ -278,6 +279,17 @@ class TestDemo:
         assert "FAIL" not in capsys.readouterr().out
 
 
+U = "[[1,0],[0,0]]"
+
+
+def _assert_one_error_line(captured, code, want):
+    """A failure exits with its table code, prints nothing on stdout and one error line."""
+    assert code == want
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -286,13 +298,97 @@ class TestDemo:
         ["bench", "--dims", "x"],
         ["bench", "--dims", "2", "--trials", "0"],
         ["bench", "--dims", "2", "--trials", "1", "--m", "-1"],
+        ["analyze", "FILE", "--exat"],
+        ["analyze"],
+        ["evolve", "FILE", "--steps", "2"],
+        ["evolve", "FILE", "--u", U, "--steps", "x"],
+        ["analyze", "FILE", "--mode", "sideways"],
     ],
-    ids=["demo-sigma-nan", "bench-dims-0", "bench-dims-x", "bench-trials-0", "bench-m-negative"],
+    ids=["demo-sigma-nan", "bench-dims-0", "bench-dims-x", "bench-trials-0", "bench-m-negative",
+         "analyze-unknown-option", "analyze-no-file", "evolve-no-u", "evolve-steps-x",
+         "analyze-mode-sideways"],
 )
-def test_bad_arguments_exit_65(argv, capsys):
-    code = main(argv)
+def test_bad_arguments_exit_65(argv, demo_file, capsys):
+    code = main([demo_file if a == "FILE" else a for a in argv])
+    _assert_one_error_line(capsys.readouterr(), code, 65)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--exact" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_system_file_exits_64(kind, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"d": 2}')
+    code = main(["analyze", str(path)])
     captured = capsys.readouterr()
-    assert code == 65
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    _assert_one_error_line(captured, code, 64)
+    assert "cannot read system file" in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        (["--mode=discrete", "--horizon", "inf"], "finite"),
+        (["--mode=discrete", "--horizon", "nan"], "finite"),
+        (["--mode=continuous", "--dt", "0.1", "--horizon", "inf"], "finite"),
+        (["--mode=continuous", "--dt", "inf", "--horizon", "1"], "finite"),
+        (["--mode=continuous", "--dt", "1e-300", "--horizon", "1"], "budget"),
+        (["--mode=discrete", "--horizon", "1e300"], "budget"),
+    ],
+    ids=["discrete-horizon-inf", "discrete-horizon-nan", "continuous-horizon-inf",
+         "continuous-dt-inf", "continuous-dt-1e-300", "discrete-horizon-1e300"],
+)
+def test_simulate_bad_horizon_or_dt_exits_65(extra, reason, demo_file, capsys):
+    code = main(["simulate", demo_file, "--u", U, "--paths", "4", *extra])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 65)
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("route", ["ode", "kronecker", "both"])
+@pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf"])
+def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):
+    code = main(["evolve", demo_file, "--mode=continuous", "--u", U, "--times", times,
+                 "--route", route])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 65)
+    assert "finite" in captured.err
+
+
+_COMMANDS = {
+    "analyze": ("bound_report", ["analyze", "FILE"]),
+    "evolve": ("propagate_discrete", ["evolve", "FILE", "--u", U, "--steps", "2"]),
+    "simulate": ("simulate_discrete", ["simulate", "FILE", "--u", U, "--horizon", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize(
+    "error, want",
+    [
+        (SystemFileError("bad file"), 64),
+        (ValueError("bad value"), 65),
+        (OverflowError("overflowed"), 70),
+        (RuntimeError("step budget"), 70),
+        (ConsistencyError("chain violated"), 70),
+        (SimulationOverflowError(3, 1), 70),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
+)
+def test_failure_table_sets_exit_code(command, error, want, demo_file, monkeypatch, capsys):
+    target, argv = _COMMANDS[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"kronspec.cli.{target}", fail)
+    code = main([demo_file if a == "FILE" else a for a in argv])
+    _assert_one_error_line(capsys.readouterr(), code, want)

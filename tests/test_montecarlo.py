@@ -136,6 +136,16 @@ class TestContinuous:
         with pytest.raises(ValueError):
             simulate_continuous(spec, U2, U2, cfg, checkpoints=[0.55])
 
+    def test_step_budget_checked_before_any_noise(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("noise drawn for an over-budget run")
+
+        monkeypatch.setattr("kronspec.montecarlo._draw_noise", no_draws)
+        spec = demo_system(0.5, 0.7, 2.0)
+        cfg = SimulationConfig(paths=100, seed=0, dt=1e-300, horizon=1.0)
+        with pytest.raises(ValueError, match="budget"):
+            simulate_continuous(spec, U2, U2, cfg)
+
 
 class TestNoiseDraws:
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
