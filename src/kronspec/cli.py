@@ -204,17 +204,16 @@ def _cmd_simulate(args, out) -> int:
             "noise": args.noise,
             "results": [
                 {
-                    "checkpoint": cp,
-                    "mean_outer": matrix_pairs(moments.mean_outer[i]),
-                    "std_error": moments.std_error[i].tolist(),
-                    "exact": matrix_pairs(comparison.exact[i]),
-                    "abs_diff": comparison.abs_diff[i].tolist(),
-                    "tolerance": comparison.tolerance[i].tolist(),
-                    "entry_pass": comparison.entry_pass[i].tolist(),
-                    "second_moment": moments.second_moment[i],
-                    "second_moment_se": moments.second_moment_se[i],
+                    "checkpoint": moments.horizon,
+                    "mean_outer": matrix_pairs(moments.mean_outer),
+                    "std_error": moments.std_error.tolist(),
+                    "exact": matrix_pairs(comparison.exact),
+                    "abs_diff": comparison.abs_diff.tolist(),
+                    "tolerance": comparison.tolerance.tolist(),
+                    "entry_pass": comparison.entry_pass.tolist(),
+                    "second_moment": moments.second_moment,
+                    "second_moment_se": moments.second_moment_se,
                 }
-                for i, cp in enumerate(moments.checkpoints)
             ],
             "all_passed": comparison.all_passed,
         }
@@ -226,24 +225,22 @@ def _cmd_simulate(args, out) -> int:
             + (f" dt={_fmt(args.dt)}" if args.dt is not None else ""),
             file=out,
         )
-        d = spec.d
-        for i, cp in enumerate(moments.checkpoints):
-            print(f"checkpoint {_fmt(cp) if moments.mode == 'continuous' else cp}:", file=out)
-            header = f"  {'entry':<8}{'empirical':<28}{'exact':<28}{'|diff|':<14}{'tol':<14}ok"
-            print(header, file=out)
-            for r in range(d):
-                for c in range(d):
-                    emp = _fmt_c(moments.mean_outer[i][r, c])
-                    exa = _fmt_c(comparison.exact[i][r, c])
-                    dif = format(comparison.abs_diff[i][r, c], ".4g")
-                    tol = format(comparison.tolerance[i][r, c], ".4g")
-                    ok = "yes" if comparison.entry_pass[i][r, c] else "NO"
-                    print(f"  ({r},{c})   {emp:<28}{exa:<28}{dif:<14}{tol:<14}{ok}", file=out)
-            print(
-                f"  E|x|^2 = {_fmt(moments.second_moment[i])}"
-                f"  (SE {format(moments.second_moment_se[i], '.4g')})",
-                file=out,
-            )
+        h = moments.horizon
+        print(f"checkpoint {_fmt(h) if moments.mode == 'continuous' else h}:", file=out)
+        print(f"  {'entry':<8}{'empirical':<28}{'exact':<28}{'|diff|':<14}{'tol':<14}ok", file=out)
+        for r in range(spec.d):
+            for c in range(spec.d):
+                emp = _fmt_c(moments.mean_outer[r, c])
+                exa = _fmt_c(comparison.exact[r, c])
+                dif = format(comparison.abs_diff[r, c], ".4g")
+                tol = format(comparison.tolerance[r, c], ".4g")
+                ok = "yes" if comparison.entry_pass[r, c] else "NO"
+                print(f"  ({r},{c})   {emp:<28}{exa:<28}{dif:<14}{tol:<14}{ok}", file=out)
+        print(
+            f"  E|x|^2 = {_fmt(moments.second_moment)}"
+            f"  (SE {format(moments.second_moment_se, '.4g')})",
+            file=out,
+        )
         print(f"result: {'PASS' if comparison.all_passed else 'FAIL'}", file=out)
     return EXIT_STABLE if comparison.all_passed else EXIT_UNSTABLE
 
@@ -318,48 +315,36 @@ def _cmd_bench(args, out) -> int:
 def _cmd_demo(args, out) -> int:
     a, b, sigma = args.a, args.b, args.sigma
     spec = demo_system(a, b, sigma)
-    built = {
-        "D (discrete stochastic Kronecker sum)": build_discrete_sum(spec),
-        "C (continuous stochastic Kronecker sum)": build_continuous_sum(spec),
-        "N (discrete Hermitian companion)": build_discrete_gram(spec),
-        "M (continuous Hermitian companion)": build_continuous_gram(spec),
-    }
-    templates = {
-        "D (discrete stochastic Kronecker sum)": np.array(
-            [[a * a, 0, 0, 0], [0, a * b, 0, 0], [0, 0, a * b, 0], [sigma ** 2, 0, 0, b * b]],
-            dtype=np.complex128,
-        ),
-        "C (continuous stochastic Kronecker sum)": np.array(
-            [[2 * a, 0, 0, 0], [0, a + b, 0, 0], [0, 0, a + b, 0], [sigma ** 2, 0, 0, 2 * b]],
-            dtype=np.complex128,
-        ),
-        "N (discrete Hermitian companion)": np.diag(
-            np.array([a * a + sigma ** 2, b * b], dtype=np.complex128)
-        ),
-        "M (continuous Hermitian companion)": np.diag(
-            np.array([2 * a + sigma ** 2, 2 * b], dtype=np.complex128)
-        ),
-    }
+    rows = [
+        ("D (discrete stochastic Kronecker sum)", build_discrete_sum(spec),
+         [[a * a, 0, 0, 0], [0, a * b, 0, 0], [0, 0, a * b, 0], [sigma ** 2, 0, 0, b * b]]),
+        ("C (continuous stochastic Kronecker sum)", build_continuous_sum(spec),
+         [[2 * a, 0, 0, 0], [0, a + b, 0, 0], [0, 0, a + b, 0], [sigma ** 2, 0, 0, 2 * b]]),
+        ("N (discrete Hermitian companion)", build_discrete_gram(spec),
+         np.diag([a * a + sigma ** 2, b * b])),
+        ("M (continuous Hermitian companion)", build_continuous_gram(spec),
+         np.diag([2 * a + sigma ** 2, 2 * b])),
+    ]
+    d_sum, c_sum, n_gram, m_gram = (built for _, built, _ in rows)
     checks = [
-        ("rho(D)", summarize(built["D (discrete stochastic Kronecker sum)"]).radius,
-         max(a * a, b * b), "max(a^2, b^2)"),
-        ("alpha(C)", summarize(built["C (continuous stochastic Kronecker sum)"]).abscissa,
-         max(2 * a, 2 * b), "max(2a, 2b)"),
-        ("alpha(N)", hermitian_extremes(built["N (discrete Hermitian companion)"])[1],
+        ("rho(D)", summarize(d_sum).radius, max(a * a, b * b), "max(a^2, b^2)"),
+        ("alpha(C)", summarize(c_sum).abscissa, max(2 * a, 2 * b), "max(2a, 2b)"),
+        ("alpha(N)", hermitian_extremes(n_gram)[1],
          max(a * a + sigma ** 2, b * b), "max(a^2+sigma^2, b^2)"),
-        ("alpha(M)", hermitian_extremes(built["M (continuous Hermitian companion)"])[1],
+        ("alpha(M)", hermitian_extremes(m_gram)[1],
          max(2 * a + sigma ** 2, 2 * b), "max(2a+sigma^2, 2b)"),
     ]
     matrices_match = all(
-        float(np.max(np.abs(built[k] - templates[k]))) <= 1e-10 for k in built
+        float(np.max(np.abs(built - np.asarray(template, dtype=np.complex128)))) <= 1e-10
+        for _, built, template in rows
     )
     all_pass = matrices_match and all(abs(got - want) <= 1e-10 for _, got, want, _ in checks)
 
     print(f"worked 2-by-2 family with a={_fmt(a)} b={_fmt(b)} sigma={_fmt(sigma)}", file=out)
     print("drift = diag(a, b); one noise matrix, sigma in the lower-left corner", file=out)
-    for name, mat in built.items():
+    for name, built, _ in rows:
         print(f"\n{name}:", file=out)
-        _print_matrix(mat, out)
+        _print_matrix(built, out)
     print("", file=out)
     for label, got, want, formula in checks:
         ok = "PASS" if abs(got - want) <= 1e-10 else "FAIL"

@@ -23,9 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kronsum import (
-    build_continuous_gram,
+    bound_report,
     build_continuous_sum,
-    build_discrete_gram,
     build_discrete_sum,
     second_moment_map,
 )
@@ -38,7 +37,6 @@ from .matrices import (
     vec,
     _require_square,
 )
-from .spectral import hermitian_extremes
 
 #: Self-convergence target for the fixed-step integrator (kept well under the
 #: 1e-6 route-agreement tolerance).
@@ -330,14 +328,7 @@ def second_moment_bounds_discrete(
     covariance.  The envelope holds for every system, so a violation beyond
     ``rel_tol`` (scaled by the bound size) raises :class:`ConsistencyError`.
     """
-    u = as_complex_vector(u, "initial vector u")
-    gamma, beta = hermitian_extremes(build_discrete_gram(spec))
-    u2 = float(np.sum(np.abs(u) ** 2))
-    lower = u2 * gamma ** n
-    upper = u2 * beta ** n
-    actual = propagate_discrete(spec, u, u, n, route="direct").second_moments[-1]
-    _check_moment_chain("discrete", lower, upper, actual, rel_tol)
-    return SecondMomentBounds(lower=lower, upper=upper, actual=actual)
+    return _second_moment_bounds(spec, "discrete", u, n, rel_tol)
 
 
 def second_moment_bounds_continuous(
@@ -350,14 +341,23 @@ def second_moment_bounds_continuous(
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    return _second_moment_bounds(spec, "continuous", u, t, rel_tol)
+
+
+def _second_moment_bounds(spec, mode, u, horizon, rel_tol) -> SecondMomentBounds:
     u = as_complex_vector(u, "initial vector u")
-    gamma, beta = hermitian_extremes(build_continuous_gram(spec))
+    report = bound_report(spec, mode)
     u2 = float(np.sum(np.abs(u) ** 2))
-    with np.errstate(over="ignore"):
-        lower = u2 * float(np.exp(gamma * t))
-        upper = u2 * float(np.exp(beta * t))
-    actual = propagate_continuous(spec, u, u, [t], route="kronecker").second_moments[-1]
-    _check_moment_chain("continuous", lower, upper, actual, rel_tol)
+    if mode == "discrete":
+        lower = u2 * report.lower ** horizon
+        upper = u2 * report.upper ** horizon
+        actual = propagate_discrete(spec, u, u, horizon, route="direct").second_moments[-1]
+    else:
+        with np.errstate(over="ignore"):
+            lower = u2 * float(np.exp(report.lower * horizon))
+            upper = u2 * float(np.exp(report.upper * horizon))
+        actual = propagate_continuous(spec, u, u, [horizon], route="kronecker").second_moments[-1]
+    _check_moment_chain(mode, lower, upper, actual, rel_tol)
     return SecondMomentBounds(lower=lower, upper=upper, actual=actual)
 
 

@@ -139,7 +139,7 @@ class BoundReport:
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def check_bound_chain(report: BoundReport, tol: float = CHAIN_TOL) -> None:
+def check_bound_chain(report: BoundReport) -> None:
     """Raise :class:`ConsistencyError` if the report violates the bound chain.
 
     The chain lower <= exact <= upper holds for every system, so a failure
@@ -151,7 +151,7 @@ def check_bound_chain(report: BoundReport, tol: float = CHAIN_TOL) -> None:
         )
     if report.exact is None:
         return
-    slack = tol * max(1.0, abs(report.lower), abs(report.upper))
+    slack = CHAIN_TOL * max(1.0, abs(report.lower), abs(report.upper))
     if not (report.lower - slack <= report.exact <= report.upper + slack):
         raise ConsistencyError(
             f"{report.mode} bound chain violated: "

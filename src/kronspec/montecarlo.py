@@ -2,9 +2,9 @@
 
 Discrete time iterates ``x(n+1) = A x(n) + sum_k B_k x(n) xi_{n+1,k}`` with
 i.i.d. unit-variance scalar noise; continuous time applies Euler-Maruyama to
-``dx = A x dt + sum_k B_k x dw_k``.  Empirical covariances are accumulated in
-fixed-size path blocks, each drawing from its own substream keyed by
-``(seed, block index)``, so estimates are reproducible bit-for-bit and blocks
+``dx = A x dt + sum_k B_k x dw_k``.  Empirical covariances at the horizon are
+accumulated over fixed-size path blocks, each drawing from its own substream
+keyed by ``(seed, block index)``, so estimates are reproducible bit-for-bit and blocks
 could be farmed out to workers without changing the result (partial sums are
 merged in block order).
 
@@ -87,14 +87,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class EmpiricalMoments:
-    """Sample moments at each checkpoint, with per-entry standard errors."""
+    """Sample moments at the horizon, with per-entry standard errors."""
 
     mode: str
-    checkpoints: tuple
-    mean_outer: tuple[np.ndarray, ...]       # sample mean of x y* (d-by-d)
-    std_error: tuple[np.ndarray, ...]        # per-entry SE of mean_outer (real d-by-d)
-    second_moment: tuple[float, ...]         # sample mean of |x|^2
-    second_moment_se: tuple[float, ...]
+    horizon: float                  # step count (discrete) or final time (continuous)
+    mean_outer: np.ndarray          # sample mean of x y* (d-by-d)
+    std_error: np.ndarray           # per-entry SE of mean_outer (real d-by-d)
+    second_moment: float            # sample mean of |x|^2
+    second_moment_se: float
     paths: int
     dt: float | None = None
 
@@ -119,18 +119,16 @@ def _advance(a_step, noise_mats, zeta, x, nx, tmp) -> None:
         nx += tmp
 
 
-def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale, slot_of, acc):
-    """Advance one block of paths through n steps, accumulating at checkpoints.
+def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale):
+    """Advance one block of paths through n steps and return the final (x, y).
 
     ``a_step`` is the per-step drift multiplier (A itself in discrete mode,
     I + dt*A for the Euler-Maruyama step); noise enters as
     ``noise_scale * B_k x zeta_k``.  Work buffers are reused across steps.
-    Overflow is checked at every checkpoint and every chunk boundary;
+    Overflow is checked at every chunk boundary, the last of which is step n;
     non-finite values persist through the linear updates, so nothing escapes
     detection.
     """
-    if 0 in slot_of:
-        acc.add(slot_of[0], x, x if same else y)
     nx = np.empty_like(x)
     tmp = np.empty_like(x)
     ny = None if same else np.empty_like(y)
@@ -142,61 +140,16 @@ def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale, slot_o
             if noise_scale != 1.0:
                 zeta *= noise_scale
             for j in range(chunk):
-                step += 1
                 _advance(a_step, noise_mats, zeta[j], x, nx, tmp)
                 if not same:
                     _advance(a_step, noise_mats, zeta[j], y, ny, tmp)
                     y, ny = ny, y
                 x, nx = nx, x
-                if step in slot_of:
-                    _check_finite(x, step)
-                    if not same:
-                        _check_finite(y, step)
-                    acc.add(slot_of[step], x, x if same else y)
+            step += chunk
             _check_finite(x, step)
             if not same:
                 _check_finite(y, step)
-
-
-class _MomentAccumulator:
-    """Running sums for E[x y*], its per-entry variance, and E|x|^2, E|x|^4."""
-
-    def __init__(self, d: int, n_checkpoints: int):
-        self.s1 = [np.zeros((d, d), dtype=np.complex128) for _ in range(n_checkpoints)]
-        self.s2 = [np.zeros((d, d)) for _ in range(n_checkpoints)]
-        self.r1 = [0.0] * n_checkpoints
-        self.r2 = [0.0] * n_checkpoints
-
-    def add(self, slot: int, x: np.ndarray, y: np.ndarray) -> None:
-        self.s1[slot] += x @ y.conj().T
-        ax2 = np.abs(x) ** 2
-        ay2 = np.abs(y) ** 2
-        self.s2[slot] += ax2 @ ay2.T
-        sq = np.sum(ax2, axis=0)
-        self.r1[slot] += float(np.sum(sq))
-        self.r2[slot] += float(np.sum(sq ** 2))
-
-    def finalize(self, mode, checkpoints, paths: int, dt) -> EmpiricalMoments:
-        means, ses, r_mean, r_se = [], [], [], []
-        for s1, s2, r1, r2 in zip(self.s1, self.s2, self.r1, self.r2):
-            mean = s1 / paths
-            var = np.maximum(s2 / paths - np.abs(mean) ** 2, 0.0) * (paths / (paths - 1))
-            ses.append(np.sqrt(var / paths))
-            means.append(mean)
-            rm = r1 / paths
-            rv = max(r2 / paths - rm ** 2, 0.0) * (paths / (paths - 1))
-            r_mean.append(rm)
-            r_se.append(math.sqrt(rv / paths))
-        return EmpiricalMoments(
-            mode=mode,
-            checkpoints=tuple(checkpoints),
-            mean_outer=tuple(means),
-            std_error=tuple(ses),
-            second_moment=tuple(r_mean),
-            second_moment_se=tuple(r_se),
-            paths=paths,
-            dt=dt,
-        )
+    return x, (x if same else y)
 
 
 def _check_finite(x: np.ndarray, step) -> None:
@@ -205,87 +158,99 @@ def _check_finite(x: np.ndarray, step) -> None:
         raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
 
 
-def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, checkpoints, slots, dt):
-    """Run every path block of one simulation and return its moments.
-
-    ``slots[i]`` is the step index at which ``checkpoints[i]`` is recorded.
-    """
+def _step_count(count: float) -> int:
+    """``count`` rounded to whole steps, refused over the budget before any int()."""
+    steps = round(count, 0)
     if steps > _MAX_MC_STEPS:
         raise ValueError(
             f"simulation needs {steps:.3g} steps, over the budget of {_MAX_MC_STEPS:g}"
         )
-    slot_of = {step: i for i, step in enumerate(slots)}
-    acc = _MomentAccumulator(spec.d, len(checkpoints))
+    return int(steps)
+
+
+def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, horizon, dt):
+    """Run every path block of one simulation and return its moments at the horizon.
+
+    The running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 are merged in block
+    order.
+    """
+    d = spec.d
+    s1 = np.zeros((d, d), dtype=np.complex128)
+    s2 = np.zeros((d, d))
+    r1 = r2 = 0.0
     for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
         bsize = min(BLOCK_PATHS, cfg.paths - start)
         rng = _substream(cfg.seed, block)
         x = np.tile(u[:, None], (1, bsize))
         y = x if same else np.tile(v[:, None], (1, bsize))
-        _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats, noise_scale,
-                   slot_of, acc)
-    return acc.finalize(mode, checkpoints, cfg.paths, dt)
+        x, y = _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats,
+                          noise_scale)
+        s1 += x @ y.conj().T
+        ax2 = np.abs(x) ** 2
+        s2 += ax2 @ (np.abs(y) ** 2).T
+        sq = np.sum(ax2, axis=0)
+        r1 += float(np.sum(sq))
+        r2 += float(np.sum(sq ** 2))
+    paths = cfg.paths
+    mean = s1 / paths
+    var = np.maximum(s2 / paths - np.abs(mean) ** 2, 0.0) * (paths / (paths - 1))
+    r_mean = r1 / paths
+    r_var = max(r2 / paths - r_mean ** 2, 0.0) * (paths / (paths - 1))
+    return EmpiricalMoments(
+        mode=mode,
+        horizon=horizon,
+        mean_outer=mean,
+        std_error=np.sqrt(var / paths),
+        second_moment=r_mean,
+        second_moment_se=math.sqrt(r_var / paths),
+        paths=paths,
+        dt=dt,
+    )
 
 
-def simulate_discrete(
-    spec: SystemSpec, u, v, cfg: SimulationConfig, checkpoints=None
-) -> EmpiricalMoments:
-    """Empirical E[x(n) y*(n)] and E|x(n)|^2 at the requested step checkpoints.
+def simulate_discrete(spec: SystemSpec, u, v, cfg: SimulationConfig) -> EmpiricalMoments:
+    """Empirical E[x(n) y*(n)] and E|x(n)|^2 at the horizon n = ``cfg.horizon``.
 
     The same noise draws feed the x and y recursions within each path.
     Deterministic for a fixed config; overflow aborts the estimate.
     """
     u, v, same = _initial_outer(spec, u, v)
-    n = int(cfg.horizon)
+    n = _step_count(cfg.horizon)
     if n != cfg.horizon:
         raise ValueError(f"discrete horizon must be an integer step count, got {cfg.horizon}")
-    if checkpoints is None:
-        checkpoints = [n]
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if any(c < 0 or c > n for c in checkpoints):
-        raise ValueError(f"checkpoints must lie in [0, {n}]")
-    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, 1.0,
-                     checkpoints, checkpoints, None)
+    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, 1.0, n, None)
 
 
-def simulate_continuous(
-    spec: SystemSpec, u, v, cfg: SimulationConfig, checkpoints=None
-) -> EmpiricalMoments:
-    """Euler-Maruyama estimate of E[x(t) y*(t)] and E|x(t)|^2 at time checkpoints.
+def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> EmpiricalMoments:
+    """Euler-Maruyama estimate of E[x(t) y*(t)] and E|x(t)|^2 at t = ``cfg.horizon``.
 
     The update is ``x += A x dt + sum_k B_k x sqrt(dt) z_k`` with independent
     standard normal (or Rademacher) ``z``.  The scheme's covariance bias is
     O(dt); comparisons against exact propagation should allow max(4*SE, c*dt).
-    Checkpoints must sit on the step grid.
+    ``cfg.dt`` is adjusted to divide the horizon into a whole number of steps.
     """
     u, v, same = _initial_outer(spec, u, v)
     if cfg.dt is None:
         raise ValueError("continuous simulation requires cfg.dt")
     horizon = float(cfg.horizon)
-    steps = int(round(horizon / cfg.dt)) if horizon > 0 else 0
+    steps = _step_count(horizon / cfg.dt)
+    if steps == 0 and horizon > 0:
+        raise ValueError(f"dt={cfg.dt} rounds to zero steps over the horizon {horizon}")
     dt = horizon / steps if steps > 0 else float(cfg.dt)
-    if checkpoints is None:
-        checkpoints = [horizon]
-    times = sorted(set(float(t) for t in checkpoints))
-    slots = []
-    for t in times:
-        idx = int(round(t / dt)) if dt > 0 else 0
-        if idx < 0 or idx > steps or abs(idx * dt - t) > 1e-9 * max(1.0, horizon):
-            raise ValueError(f"checkpoint {t} does not lie on the step grid (dt={dt})")
-        slots.append(idx)
     a_step = np.eye(spec.d, dtype=np.complex128) + dt * spec.a
     return _simulate("continuous", spec, u, v, same, cfg, steps, a_step, math.sqrt(dt),
-                     times, slots, dt)
+                     horizon, dt)
 
 
 @dataclass(frozen=True)
 class MomentComparison:
     """Entrywise comparison of empirical moments against exact propagation."""
 
-    checkpoints: tuple
-    exact: tuple[np.ndarray, ...]
-    abs_diff: tuple[np.ndarray, ...]
-    tolerance: tuple[np.ndarray, ...]
-    entry_pass: tuple[np.ndarray, ...]
+    horizon: float
+    exact: np.ndarray
+    abs_diff: np.ndarray
+    tolerance: np.ndarray
+    entry_pass: np.ndarray
     all_passed: bool
 
 
@@ -298,30 +263,20 @@ def compare_to_exact(moments: EmpiricalMoments, spec: SystemSpec, u, v) -> Momen
     from failing on last-bit arithmetic differences.
     """
     if moments.mode == "discrete":
-        traj = propagate_discrete(spec, u, v, int(max(moments.checkpoints)), route="direct")
-        exact = [traj.values[int(c)] for c in moments.checkpoints]
+        exact = propagate_discrete(spec, u, v, moments.horizon, route="direct").values[-1]
     else:
-        grid = [float(c) for c in moments.checkpoints]
-        traj = propagate_continuous(spec, u, v, grid, route="kronecker")
-        exact = list(traj.values)
-    diffs, tols, passes = [], [], []
-    ok = True
-    for mean, se, ex in zip(moments.mean_outer, moments.std_error, exact):
-        tol = 4.0 * se
-        if moments.mode == "continuous":
-            tol = np.maximum(tol, DT_BIAS_CONST * moments.dt)
-        tol = np.maximum(tol, _ATOL_FLOOR * max(1.0, float(np.max(np.abs(ex)))))
-        diff = np.abs(mean - ex)
-        entry = diff <= tol
-        ok = ok and bool(entry.all())
-        diffs.append(diff)
-        tols.append(tol)
-        passes.append(entry)
+        exact = propagate_continuous(spec, u, v, [moments.horizon], route="kronecker").values[0]
+    tol = 4.0 * moments.std_error
+    if moments.mode == "continuous":
+        tol = np.maximum(tol, DT_BIAS_CONST * moments.dt)
+    tol = np.maximum(tol, _ATOL_FLOOR * max(1.0, float(np.max(np.abs(exact)))))
+    diff = np.abs(moments.mean_outer - exact)
+    entry = diff <= tol
     return MomentComparison(
-        checkpoints=moments.checkpoints,
-        exact=tuple(exact),
-        abs_diff=tuple(diffs),
-        tolerance=tuple(tols),
-        entry_pass=tuple(passes),
-        all_passed=ok,
+        horizon=moments.horizon,
+        exact=exact,
+        abs_diff=diff,
+        tolerance=tol,
+        entry_pass=entry,
+        all_passed=bool(entry.all()),
     )

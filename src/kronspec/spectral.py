@@ -52,14 +52,15 @@ def eigenvalues(a) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
-def hermitian_extremes(h, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def hermitian_extremes(h) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
-    Rejects inputs failing :func:`is_hermitian` at ``tol`` so the specialized
-    (and much cheaper) Hermitian solver is never fed a general matrix.
+    Rejects inputs failing :func:`is_hermitian` at ``DEFAULT_TOL`` so the
+    specialized (and much cheaper) Hermitian solver is never fed a general
+    matrix.
     """
     h = _checked_square(h, "hermitian_extremes input")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h, DEFAULT_TOL):
         raise ValueError("hermitian_extremes requires a Hermitian matrix")
     w = np.linalg.eigvalsh(h)
     return float(w[0]), float(w[-1])

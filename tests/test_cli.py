@@ -342,9 +342,12 @@ def test_unreadable_system_file_exits_64(kind, tmp_path, capsys):
         (["--mode=continuous", "--dt", "inf", "--horizon", "1"], "finite"),
         (["--mode=continuous", "--dt", "1e-300", "--horizon", "1"], "budget"),
         (["--mode=discrete", "--horizon", "1e300"], "budget"),
+        (["--mode=continuous", "--dt", "5e-324", "--horizon", "1"], "budget"),
+        (["--mode=continuous", "--dt", "1e-320", "--horizon", "1e10"], "budget"),
     ],
     ids=["discrete-horizon-inf", "discrete-horizon-nan", "continuous-horizon-inf",
-         "continuous-dt-inf", "continuous-dt-1e-300", "discrete-horizon-1e300"],
+         "continuous-dt-inf", "continuous-dt-1e-300", "discrete-horizon-1e300",
+         "continuous-dt-5e-324", "continuous-dt-1e-320-horizon-1e10"],
 )
 def test_simulate_bad_horizon_or_dt_exits_65(extra, reason, demo_file, capsys):
     code = main(["simulate", demo_file, "--u", U, "--paths", "4", *extra])
