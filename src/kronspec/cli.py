@@ -5,7 +5,6 @@ Subcommands:
 * ``analyze``  - bound-based (optionally exact) stability certification
 * ``evolve``   - exact covariance trajectories as JSON lines
 * ``simulate`` - Monte Carlo estimates checked against exact propagation
-* ``bench``    - wall-time comparison of d-by-d bounds vs d^2-by-d^2 spectra
 * ``demo``     - the worked 2-by-2 family with its closed-form spectra
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
@@ -41,7 +39,7 @@ from .kronsum import (
     build_discrete_sum,
     verdict_from_report,
 )
-from .matrices import SystemSpec, random_system
+from .matrices import SystemSpec
 from .montecarlo import (
     _NOISES,
     SimulationConfig,
@@ -245,73 +243,6 @@ def _cmd_simulate(args, out) -> int:
     return EXIT_STABLE if comparison.all_passed else EXIT_UNSTABLE
 
 
-def _cmd_bench(args, out) -> int:
-    dims = [int(s) for s in args.dims.split(",")]
-    if min(dims) < 1:
-        raise ValueError(f"--dims must list positive integers, got {args.dims!r}")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
-    if args.m < 0:
-        raise ValueError(f"--m must be nonnegative, got {args.m}")
-    rows = []
-    for d in dims:
-        trials = []
-        for trial in range(args.trials + 1):  # trial 0 is the discarded warm-up
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=args.seed, spawn_key=(d, trial))
-            )
-            spec = random_system(rng, d, args.m)
-            t0 = time.perf_counter()
-            _, upper_n = hermitian_extremes(build_discrete_gram(spec))
-            _, upper_m = hermitian_extremes(build_continuous_gram(spec))
-            t_bound = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            rho = summarize(build_discrete_sum(spec)).radius
-            alpha = summarize(build_continuous_sum(spec)).abscissa
-            t_full = time.perf_counter() - t0
-            if trial == 0:
-                continue
-            gap_d = (upper_n - rho) / abs(rho) if abs(rho) > 1e-300 else float("inf")
-            gap_c = (upper_m - alpha) / abs(alpha) if abs(alpha) > 1e-300 else float("inf")
-            trials.append(
-                {"bound_s": t_bound, "full_s": t_full, "gap_discrete": gap_d, "gap_continuous": gap_c}
-            )
-        bound_med = statistics.median(t["bound_s"] for t in trials)
-        full_med = statistics.median(t["full_s"] for t in trials)
-        rows.append(
-            {
-                "d": d,
-                "bound_median_s": bound_med,
-                "full_median_s": full_med,
-                "speedup": full_med / bound_med if bound_med > 0 else float("inf"),
-                "gap_discrete_median": statistics.median(t["gap_discrete"] for t in trials),
-                "gap_continuous_median": statistics.median(t["gap_continuous"] for t in trials),
-                "trials": trials,
-            }
-        )
-    if args.json:
-        print(json.dumps({"seed": args.seed, "m": args.m, "rows": rows}), file=out)
-    else:
-        print(
-            f"{'d':>4}  {'bound_s(med)':>14}  {'full_s(med)':>14}  {'speedup':>9}  "
-            f"{'gap_rho(med)':>13}  {'gap_alpha(med)':>14}",
-            file=out,
-        )
-        for row in rows:
-            print(
-                f"{row['d']:>4}  {row['bound_median_s']:>14.6e}  {row['full_median_s']:>14.6e}  "
-                f"{row['speedup']:>9.1f}  {row['gap_discrete_median']:>13.4g}  "
-                f"{row['gap_continuous_median']:>14.4g}",
-                file=out,
-            )
-        print(
-            "note: gaps are (upper_bound - exact)/|exact|; they can be arbitrarily "
-            "large and are reported, not asserted",
-            file=out,
-        )
-    return 0
-
-
 def _cmd_demo(args, out) -> int:
     a, b, sigma = args.a, args.b, args.sigma
     spec = demo_system(a, b, sigma)
@@ -410,14 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, required=True, help="steps (discrete) or time (continuous)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("bench", help="time d-by-d Hermitian bounds vs full d^2-by-d^2 spectra")
-    p.add_argument("--dims", default="4,8,16,32")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=1, help="noise channels per random system")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("demo", help="worked 2-by-2 family against its closed forms")
     p.add_argument("--a", type=float, default=0.5)

@@ -287,9 +287,10 @@ def propagate_continuous(
             values.append(unvec(w, spec.d))
     else:
         rhs = second_moment_map(spec, "continuous")
-        gen_norm = 2.0 * np.linalg.norm(spec.a, 2) + sum(
-            np.linalg.norm(b, 2) ** 2 for b in spec.noise_mats
-        )
+        with np.errstate(over="ignore"):  # an infinite norm fails the step budget below
+            gen_norm = 2.0 * np.linalg.norm(spec.a, 2) + sum(
+                np.linalg.norm(b, 2) ** 2 for b in spec.noise_mats
+            )
         gaps = np.diff(np.concatenate(([0.0], t_grid)))
         min_gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
         h = min(0.1 / max(gen_norm, 1e-12), min_gap)

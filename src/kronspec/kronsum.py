@@ -74,28 +74,40 @@ def second_moment_map(spec: SystemSpec, mode: str):
 
 
 def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
-    """The d**2-by-d**2 matrix D = conj(A) (x) A + sum_k conj(B_k) (x) B_k."""
-    out = np.kron(spec.a.conj(), spec.a)
-    for b in spec.noise_mats:
-        out += np.kron(b.conj(), b)
-    return out
+    """The d**2-by-d**2 matrix D = conj(A) (x) A + sum_k conj(B_k) (x) B_k.
+
+    Raises ``OverflowError`` when D leaves double-precision range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(spec.a.conj(), spec.a)
+        for b in spec.noise_mats:
+            out += np.kron(b.conj(), b)
+    return _finite(out, "stochastic Kronecker sum D")
 
 
 def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
-    """The d**2-by-d**2 matrix C = conj(A) (x) I + I (x) A + sum_k conj(B_k) (x) B_k."""
+    """The d**2-by-d**2 matrix C = conj(A) (x) I + I (x) A + sum_k conj(B_k) (x) B_k.
+
+    Raises ``OverflowError`` when C leaves double-precision range.
+    """
     eye = np.eye(spec.d, dtype=np.complex128)
-    out = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
-    for b in spec.noise_mats:
-        out += np.kron(b.conj(), b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
+        for b in spec.noise_mats:
+            out += np.kron(b.conj(), b)
+    return _finite(out, "stochastic Kronecker sum C")
+
+
+def _finite(out: np.ndarray, name: str) -> np.ndarray:
+    """The one overflow rule of the four builders: a non-finite entry is an ``OverflowError``."""
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"{name} overflowed")
     return out
 
 
 def _hermitian_part(out: np.ndarray, name: str) -> np.ndarray:
     # symmetrize away matmul roundoff so structural predicates pass exactly
-    herm = (out + out.conj().T) / 2.0
-    if not np.all(np.isfinite(herm)):
-        raise OverflowError(f"Hermitian companion {name} overflowed")
-    return herm
+    return _finite((out + out.conj().T) / 2.0, f"Hermitian companion {name}")
 
 
 def build_discrete_gram(spec: SystemSpec) -> np.ndarray:

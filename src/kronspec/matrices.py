@@ -142,15 +142,15 @@ class SystemSpec:
         return len(self.noise_mats)
 
 
-def random_system(rng: np.random.Generator, d: int, m: int, scale: float = 1.0) -> SystemSpec:
+def random_system(rng: np.random.Generator, d: int, m: int) -> SystemSpec:
     """Random system with i.i.d. standard complex Gaussian entries.
 
-    Real and imaginary parts each carry variance ``scale**2 / 2`` so every
-    entry has total variance ``scale**2``.
+    Real and imaginary parts each carry variance 1/2 so every entry has
+    total variance 1.
     """
 
     def draw() -> np.ndarray:
         z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return scale * z / np.sqrt(2.0)
+        return z / np.sqrt(2.0)
 
     return SystemSpec(draw(), tuple(draw() for _ in range(m)))

@@ -40,7 +40,10 @@ def _parse_complex(node, loc: str) -> complex:
         or not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in node)
     ):
         raise SystemFileError("complex entries must be [re, im] pairs of numbers", loc)
-    re, im = float(node[0]), float(node[1])
+    try:
+        re, im = float(node[0]), float(node[1])
+    except OverflowError:  # an integer literal beyond double range
+        re = im = math.inf
     if not (math.isfinite(re) and math.isfinite(im)):
         raise SystemFileError("non-finite complex entry", loc)
     return complex(re, im)
@@ -93,6 +96,8 @@ def load_system(path) -> SystemSpec:
         raise SystemFileError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or too many digits
+        raise SystemFileError(f"invalid JSON: {exc}") from exc
     return parse_system(doc)
 
 
@@ -105,6 +110,8 @@ def parse_vector(source, d: int | None = None) -> np.ndarray:
             raise SystemFileError(
                 f"invalid vector JSON: {exc.msg}", f"column {exc.colno}"
             ) from exc
+        except (RecursionError, ValueError) as exc:
+            raise SystemFileError(f"invalid vector JSON: {exc}") from exc
     if not isinstance(source, list) or not source:
         raise SystemFileError("vector must be a nonempty JSON array of [re, im] pairs")
     out = np.array([_parse_complex(e, f"[{i}]") for i, e in enumerate(source)])

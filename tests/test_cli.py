@@ -241,25 +241,6 @@ class TestSimulate:
         assert "integer step count" in captured.err
 
 
-class TestBench:
-    def test_small_dimension_table(self, capsys):
-        code = main(["bench", "--dims", "4", "--trials", "5", "--seed", "0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "speedup" in out
-
-    def test_json_fields_and_speedup(self, capsys):
-        code = main(["bench", "--dims", "4", "--trials", "5", "--seed", "0", "--json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        row = doc["rows"][0]
-        assert row["d"] == 4
-        assert row["speedup"] >= 1.0
-        assert len(row["trials"]) == 5
-        for trial in row["trials"]:
-            assert "gap_discrete" in trial and "gap_continuous" in trial
-
-
 class TestDemo:
     def test_default_parameters_pass(self, capsys):
         code = main(["demo"])
@@ -294,19 +275,15 @@ def _assert_one_error_line(captured, code, want):
     "argv",
     [
         ["demo", "--sigma", "nan"],
-        ["bench", "--dims", "0"],
-        ["bench", "--dims", "x"],
-        ["bench", "--dims", "2", "--trials", "0"],
-        ["bench", "--dims", "2", "--trials", "1", "--m", "-1"],
+        ["bench", "--dims", "4"],
         ["analyze", "FILE", "--exat"],
         ["analyze"],
         ["evolve", "FILE", "--steps", "2"],
         ["evolve", "FILE", "--u", U, "--steps", "x"],
         ["analyze", "FILE", "--mode", "sideways"],
     ],
-    ids=["demo-sigma-nan", "bench-dims-0", "bench-dims-x", "bench-trials-0", "bench-m-negative",
-         "analyze-unknown-option", "analyze-no-file", "evolve-no-u", "evolve-steps-x",
-         "analyze-mode-sideways"],
+    ids=["demo-sigma-nan", "bench-unknown-command", "analyze-unknown-option", "analyze-no-file",
+         "evolve-no-u", "evolve-steps-x", "analyze-mode-sideways"],
 )
 def test_bad_arguments_exit_65(argv, demo_file, capsys):
     code = main([demo_file if a == "FILE" else a for a in argv])
@@ -364,6 +341,49 @@ def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):
     captured = capsys.readouterr()
     _assert_one_error_line(captured, code, 65)
     assert "finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error")  # overflow is one error line, never a warning first
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "FILE", "--mode=continuous", "--u", "[[1,0]]", "--times", "1",
+         "--route", "kronecker"],
+        ["evolve", "FILE", "--mode=continuous", "--u", "[[1,0]]", "--times", "1", "--route", "ode"],
+        ["demo", "--a", "1e200"],
+    ],
+    ids=["continuous-kronecker", "continuous-ode", "demo-a-1e200"],
+)
+def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
+    # finite entries, but B (x) B and B* B leave double range
+    path = tmp_path / "big_b.json"
+    path.write_text('{"d":1,"m":1,"A":[[[0.5,0]]],"B":[[[[1e155,0]]]]}')
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    _assert_one_error_line(capsys.readouterr(), code, 70)
+
+
+_BIG_INT = "1" + "0" * 400
+_SCALAR = '{"d":1,"m":0,"A":[[[%s,0]]],"B":[]}'
+
+
+@pytest.mark.parametrize(
+    "system, u, want, message",
+    [
+        (_SCALAR % _BIG_INT, "[[1,0]]", 64, "non-finite complex entry (at A[0][0])"),
+        (_SCALAR % ("1" * 5000), "[[1,0]]", 64, "invalid JSON"),
+        ("[" * 100_000, "[[1,0]]", 64, "invalid JSON"),
+        (_SCALAR % "0.5", f"[[{_BIG_INT},0]]", 65, "non-finite complex entry (at [0])"),
+        (_SCALAR % "0.5", "[" * 100_000, 65, "invalid vector JSON"),
+    ],
+    ids=["file-400-digits", "file-5000-digits", "file-deep", "vector-400-digits", "vector-deep"],
+)
+def test_json_python_cannot_hold_is_bad_input(system, u, want, message, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(system)
+    code = main(["evolve", str(path), "--u", u, "--steps", "1"])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, want)
+    assert message in captured.err
 
 
 _COMMANDS = {

@@ -116,6 +116,13 @@ class TestBuilders:
         h = g + g.conj().T
         assert np.allclose(build_continuous_gram(SystemSpec(h)), 2 * h, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [build_discrete_sum, build_continuous_sum])
+    def test_sum_overflow_raises_without_warning(self, build):
+        spec = SystemSpec(np.array([[0.5]]), (np.array([[1e155]]),))
+        with pytest.raises(OverflowError, match="overflowed"):
+            build(spec)
+
 
 class TestBoundReport:
     def test_demo_discrete(self):
