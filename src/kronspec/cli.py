@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
 indeterminate, 64 malformed or unreadable system file, 65 bad vectors,
-dimensions, values or usage, 70 numerical overflow or any internal
-``RuntimeError`` (integrator budget, failed consistency check).  ``main``
-maps every failure to its code from one table.
+dimensions, values or usage, 70 numerical overflow, exhausted memory or any
+internal ``RuntimeError`` (integrator budget, failed consistency check).
+``main`` maps every failure to its code from one table.
 """
 
 from __future__ import annotations
@@ -358,12 +358,13 @@ def main(argv=None) -> int:
         (ValueError, EXIT_BADDATA),
         (OverflowError, EXIT_OVERFLOW),
         (RuntimeError, EXIT_OVERFLOW),
+        (MemoryError, EXIT_OVERFLOW),
     )
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except tuple(cls for cls, _ in failures) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for cls, code in failures if isinstance(exc, cls))
 
 

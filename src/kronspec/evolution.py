@@ -49,6 +49,11 @@ _MAX_HALVINGS = 16
 #: for hours (or, once the state overflows, forever) before failing.
 _MAX_RK4_STEPS = 500_000
 
+#: Most complex entries, (n + 1) d**2, a discrete trajectory may hold (64 MB).
+#: The trajectory keeps every V(j), so an unbounded step count would grow
+#: memory until the process dies.
+_MAX_TRAJECTORY_ENTRIES = 4_000_000
+
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
@@ -98,31 +103,61 @@ def propagate_discrete(
     ``route="direct"`` iterates the one-step recursion on d-by-d matrices;
     ``route="kronecker"`` applies powers of the d**2-by-d**2 stochastic
     Kronecker sum to ``vec(V(0))``.  The two agree to roundoff and serve as
-    mutual oracles.
+    mutual oracles.  A trajectory over :data:`_MAX_TRAJECTORY_ENTRIES` is a
+    ``ValueError`` before any step.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if route not in ("direct", "kronecker"):
         raise ValueError(f"route must be 'direct' or 'kronecker', got {route!r}")
+    entries = (n + 1) * spec.d ** 2
+    if entries > _MAX_TRAJECTORY_ENTRIES:
+        raise ValueError(
+            f"trajectory of {n} steps holds {entries:.3g} entries, over the budget "
+            f"of {_MAX_TRAJECTORY_ENTRIES:g}"
+        )
     u, v, same = _initial_outer(spec, u, v)
     v0 = np.outer(u, v.conj())
     values = [v0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if route == "direct":
-            phi = second_moment_map(spec, "discrete")
-            for j in range(1, n + 1):
-                values.append(phi(values[-1]))
-                if not np.all(np.isfinite(values[-1])):
-                    raise OverflowError(f"covariance propagation overflowed at step {j}")
-        else:
-            dmat = build_discrete_sum(spec)
-            w = vec(v0)
+    if route == "direct":
+        values.extend(_recursion(spec, v0, n))
+    else:
+        dmat = build_discrete_sum(spec)
+        w = vec(v0)
+        with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, n + 1):
                 w = dmat @ w
                 if not np.all(np.isfinite(w)):
                     raise OverflowError(f"covariance propagation overflowed at step {j}")
                 values.append(unvec(w, spec.d))
     return _traj("discrete", range(n + 1), values, same)
+
+
+def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):
+    """V(1), ..., V(n) of the one-step recursion from V(0) = v0, one at a time."""
+    phi = second_moment_map(spec, "discrete")
+    value = v0
+    for j in range(1, n + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = phi(value)
+        if not np.all(np.isfinite(value)):
+            raise OverflowError(f"covariance propagation overflowed at step {j}")
+        yield value
+
+
+def discrete_covariance(spec: SystemSpec, u, v, n: int) -> np.ndarray:
+    """V(n) alone, by the one-step recursion from V(0) = u v*.
+
+    It holds one matrix at a time, so unlike :func:`propagate_discrete` it
+    has no trajectory budget.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+    u, v, _ = _initial_outer(spec, u, v)
+    value = np.outer(u, v.conj())
+    for value in _recursion(spec, value, n):
+        pass
+    return value
 
 
 _PADE_COEFFS = {
@@ -352,7 +387,7 @@ def _second_moment_bounds(spec, mode, u, horizon, rel_tol) -> SecondMomentBounds
     if mode == "discrete":
         lower = u2 * report.lower ** horizon
         upper = u2 * report.upper ** horizon
-        actual = propagate_discrete(spec, u, u, horizon, route="direct").second_moments[-1]
+        actual = float(np.trace(discrete_covariance(spec, u, u, horizon)).real)
     else:
         with np.errstate(over="ignore"):
             lower = u2 * float(np.exp(report.lower * horizon))

@@ -26,17 +26,36 @@ stochastic systems,
     Phi(V) = A V A* + sum_k B_k V B_k*       L(V) = A V + V A* + sum_k B_k V B_k*
 
 (vec(Phi(V)) = D vec(V), vec(L(V)) = C vec(V)), and N = Phi*(I), M = L*(I).
+
+The companions are the case V = I of a Collatz-Wielandt bracket.  Phi is
+positive and L resolvent-positive, so for every Hermitian V > 0 with Cholesky
+factor V = F F* the extreme eigenvalues of F^-1 Phi*(V) F^-* bracket rho(D),
+and those of F^-1 L*(V) F^-* bracket alpha(C).  :func:`classify_stability` with
+``allow_exact_fallback`` climbs a ladder of rungs, stopping at the first that
+decides, and records the deciding rung in :attr:`BoundReport.rung`:
+
+1. ``bounds``: the companion extremes clear the threshold.
+2. ``closed-form`` (m = 0): rho(D) = rho(A)**2 and alpha(C) = 2 max Re lambda(A)
+   from one d-by-d eigensolve.
+3. ``refined``: restarted Arnoldi on Phi* or L* over Hermitian d-by-d
+   matrices, started from V = I, narrows the bracket with the Ritz matrix of
+   the rightmost Ritz value as V.  It decides once the bracket is narrower
+   than ``1e-7`` relative and clears the threshold by more than
+   :data:`BOUNDARY_TOL`.
+4. ``dense``: the d**2-by-d**2 spectrum, when rung 3 has not converged within
+   its budget or its bracket touches the threshold band (a singular Perron
+   matrix, for instance, has no V > 0 to converge to).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .matrices import ConsistencyError, SystemSpec
-from .spectral import hermitian_extremes, summarize
+from .spectral import eigenvalues, hermitian_extremes, summarize
 
 #: Verdicts within this distance of the threshold are not certified either way.
 BOUNDARY_TOL = 1e-9
@@ -45,6 +64,18 @@ BOUNDARY_TOL = 1e-9
 CHAIN_TOL = 1e-8
 
 _MODES = ("discrete", "continuous")
+
+#: Rung 3's Krylov dimension (capped at d**2) and its number of Arnoldi
+#: cycles: at most 240 map applications, plus one per bracket.
+_KRYLOV_DIM = 30
+_MAX_CYCLES = 8
+
+#: Rung 3 stops once its bracket is this narrow relative to max(1, |ends|).
+_BRACKET_RTOL = 1e-7
+
+#: A Ritz matrix that is not positive definite restarts shifted by this
+#: multiple of tr(V) I.
+_RITZ_SHIFT = 1e-8
 
 
 def _check_mode(mode: str) -> str:
@@ -71,6 +102,17 @@ def second_moment_map(spec: SystemSpec, mode: str):
         return out
 
     return apply
+
+
+def adjoint_moment_map(spec: SystemSpec, mode: str):
+    """The adjoint V -> Phi*(V) = A* V A + sum_k B_k* V B_k (discrete) or
+    V -> L*(V) = A* V + V A + sum_k B_k* V B_k (continuous).
+
+    It is :func:`second_moment_map` of the adjoint system (A*, B_k*), so
+    vec(Phi*(V)) = D* vec(V) and vec(L*(V)) = C* vec(V).
+    """
+    adjoint = SystemSpec(spec.a.conj().T, tuple(b.conj().T for b in spec.noise_mats))
+    return second_moment_map(adjoint, mode)
 
 
 def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
@@ -105,33 +147,27 @@ def _finite(out: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _hermitian_part(out: np.ndarray, name: str) -> np.ndarray:
-    # symmetrize away matmul roundoff so structural predicates pass exactly
-    return _finite((out + out.conj().T) / 2.0, f"Hermitian companion {name}")
+def _companion(spec: SystemSpec, mode: str, name: str) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = adjoint_moment_map(spec, mode)(np.eye(spec.d, dtype=np.complex128))
+        # symmetrize away matmul roundoff so structural predicates pass exactly
+        return _finite((out + out.conj().T) / 2.0, f"Hermitian companion {name}")
 
 
 def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
-    """The d-by-d Hermitian PSD matrix N = A* A + sum_k B_k* B_k.
+    """The d-by-d Hermitian PSD matrix N = Phi*(I) = A* A + sum_k B_k* B_k.
 
     Raises ``OverflowError`` when N leaves double-precision range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = spec.a.conj().T @ spec.a
-        for b in spec.noise_mats:
-            out += b.conj().T @ b
-        return _hermitian_part(out, "N")
+    return _companion(spec, "discrete", "N")
 
 
 def build_continuous_gram(spec: SystemSpec) -> np.ndarray:
-    """The d-by-d Hermitian matrix M = A + A* + sum_k B_k* B_k (indefinite in general).
+    """The d-by-d Hermitian matrix M = L*(I) = A + A* + sum_k B_k* B_k (indefinite in general).
 
     Raises ``OverflowError`` when M leaves double-precision range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = spec.a + spec.a.conj().T
-        for b in spec.noise_mats:
-            out += b.conj().T @ b
-        return _hermitian_part(out, "M")
+    return _companion(spec, "continuous", "M")
 
 
 @dataclass(frozen=True)
@@ -139,9 +175,10 @@ class BoundReport:
     """Bound interval for rho(D) (discrete) or alpha(C) (continuous).
 
     ``lower`` and ``upper`` are the extreme eigenvalues of the Hermitian
-    companion; ``exact`` is the bracketed spectral quantity itself when it was
-    computed, else None, and ``eigenvalues`` the full spectrum of D or C
-    behind it, sorted by (real, imaginary) part.
+    companion; ``exact`` is the bracketed spectral quantity itself when a rung
+    computed it (the closed form, the refined bracket's midpoint or the dense
+    spectrum's value), else None, and ``eigenvalues`` the full spectrum of D
+    or C behind a dense value, sorted by (real, imaginary) part.
     """
 
     lower: float
@@ -149,6 +186,13 @@ class BoundReport:
     exact: float | None
     mode: str
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
+    #: Provenance: the ladder rung behind ``exact`` ("bounds" when there is
+    #: none; see the module docstring), the width of rung 3's last valid
+    #: bracket and the map applications rung 3 spent (None and 0 when it did
+    #: not run).
+    rung: str = field(default="bounds", compare=False)
+    bracket_width: float | None = field(default=None, compare=False)
+    map_applications: int = field(default=0, compare=False)
 
 
 def check_bound_chain(report: BoundReport) -> None:
@@ -187,7 +231,8 @@ def bound_report(spec: SystemSpec, mode: str, compute_exact: bool = False) -> Bo
         exact = summary.radius if discrete else summary.abscissa
         eigenvalues = summary.eigenvalues
     report = BoundReport(
-        lower=lower, upper=upper, exact=exact, mode=mode, eigenvalues=eigenvalues
+        lower=lower, upper=upper, exact=exact, mode=mode, eigenvalues=eigenvalues,
+        rung="dense" if compute_exact else "bounds",
     )
     check_bound_chain(report)
     return report
@@ -252,16 +297,123 @@ def verdict_from_report(report: BoundReport) -> StabilityVerdict:
     return StabilityVerdict(status=status, evidence=report, threshold=threshold)
 
 
+def _closed_form(spec: SystemSpec, mode: str) -> float:
+    """Rung 2, for m = 0: rho(D) = rho(A)**2, alpha(C) = 2 max Re lambda(A)."""
+    w = eigenvalues(spec.a)
+    if mode == "discrete":
+        return float(np.max(np.abs(w))) ** 2
+    return 2.0 * float(np.max(w.real))
+
+
+def _arnoldi(apply, start: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arnoldi on Hermitian d-by-d matrices under the real inner product Re tr(XY).
+
+    Returns an orthonormal Hermitian basis Q_0..Q_{j-1} (j <= dim, fewer on
+    happy breakdown) and the real j-by-j Hessenberg matrix H of ``apply`` on
+    it.  A non-finite image ends the run, leaving non-finite entries in H.
+    """
+    d = start.shape[0]
+    basis = np.empty((dim + 1, d, d), dtype=np.complex128)
+    # for Hermitian X, Re tr(XY) is the dot product of the float views
+    flat = basis.view(np.float64).reshape(dim + 1, -1)
+    hess = np.zeros((dim + 1, dim))
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(dim):
+        image = apply(basis[j])
+        basis[j + 1] = (image + image.conj().T) / 2.0
+        row = flat[j + 1]
+        scale = np.linalg.norm(row)
+        for _ in range(2):  # classical Gram-Schmidt with one reorthogonalization
+            coef = flat[: j + 1] @ row
+            row -= coef @ flat[: j + 1]
+            hess[: j + 1, j] += coef
+        hess[j + 1, j] = np.linalg.norm(row)
+        if not hess[j + 1, j] > 1e-12 * scale:
+            return basis[: j + 1], hess[: j + 1, : j + 1]
+        row /= hess[j + 1, j]
+    return basis[:dim], hess[:dim, :dim]
+
+
+def _narrow(lower: float, upper: float) -> bool:
+    return upper - lower <= _BRACKET_RTOL * max(1.0, abs(lower), abs(upper))
+
+
+def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] | None, int]:
+    """Rung 3: the last valid Collatz-Wielandt bracket and the map applications spent.
+
+    Explicitly restarted Arnoldi on Phi* (discrete) or L* (continuous) from
+    V = I.  After each cycle the Hermitian part of the rightmost Ritz matrix,
+    signed to positive trace, is the next V; when it is positive definite,
+    V = F F* gives the bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or
+    of F^-1 L*(V) F^-*).  Since rho(D) is both the largest-modulus and the
+    rightmost eigenvalue of Phi*, one restart rule serves both modes.  The
+    bracket is None when no Ritz matrix was positive definite.
+    """
+    apply = adjoint_moment_map(spec, mode)
+    d = spec.d
+    dim = min(_KRYLOV_DIM, d * d)
+    v = np.eye(d, dtype=np.complex128)
+    bracket, applications = None, 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_MAX_CYCLES):
+            basis, hess = _arnoldi(apply, v, dim)
+            applications += len(hess)
+            if not np.all(np.isfinite(hess)):
+                break
+            theta, y = np.linalg.eig(hess)
+            ritz = y[:, np.argmax(theta.real)]
+            ritz = ritz * np.conj(ritz[np.argmax(np.abs(ritz))])  # largest entry real
+            v = np.tensordot(ritz.real, basis, axes=1)
+            v = (v + v.conj().T) / 2.0
+            trace = float(np.trace(v).real)
+            if trace < 0:
+                v, trace = -v, -trace
+            try:
+                inv = np.linalg.inv(np.linalg.cholesky(v))
+            except np.linalg.LinAlgError:
+                v = v + _RITZ_SHIFT * trace * np.eye(d)
+                continue
+            image = inv @ apply(v) @ inv.conj().T
+            applications += 1
+            if not np.all(np.isfinite(image)):
+                break
+            bracket = hermitian_extremes((image + image.conj().T) / 2.0)
+            if _narrow(*bracket):
+                break
+    return bracket, applications
+
+
+def _decide(report: BoundReport) -> StabilityVerdict:
+    check_bound_chain(report)
+    return verdict_from_report(report)
+
+
 def classify_stability(
     spec: SystemSpec, mode: str, allow_exact_fallback: bool = False
 ) -> StabilityVerdict:
     """Certify mean-square stability of the system in the given mode.
 
-    The cheap Hermitian bounds are always tried first; the expensive exact
-    eigensolve runs only when the bounds are inconclusive and
-    ``allow_exact_fallback`` is set.
+    The cheap Hermitian bounds are always tried first.  When they are
+    inconclusive and ``allow_exact_fallback`` is set, the rest of the ladder
+    in the module docstring settles the spectral value: the closed form
+    (m = 0), the refined bracket, and the dense d**2 eigensolve only when the
+    bracket does not decide.  The report's ``rung``, ``bracket_width`` and
+    ``map_applications`` record which rung decided and what rung 3 cost.
     """
-    verdict = verdict_from_report(bound_report(spec, mode, compute_exact=False))
-    if verdict.status is StabilityStatus.INDETERMINATE and allow_exact_fallback:
-        verdict = verdict_from_report(bound_report(spec, mode, compute_exact=True))
-    return verdict
+    report = bound_report(spec, mode, compute_exact=False)
+    verdict = verdict_from_report(report)
+    if verdict.status is not StabilityStatus.INDETERMINATE or not allow_exact_fallback:
+        return verdict
+    if not spec.noise_mats:
+        return _decide(replace(report, exact=_closed_form(spec, mode), rung="closed-form"))
+    bracket, applications = _refined_bracket(spec, mode)
+    width = None if bracket is None else bracket[1] - bracket[0]
+    if bracket is not None and _narrow(*bracket):
+        lower, upper = bracket
+        threshold = verdict.threshold
+        if upper < threshold - BOUNDARY_TOL or lower > threshold + BOUNDARY_TOL:
+            return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined",
+                                   bracket_width=width, map_applications=applications))
+    dense = bound_report(spec, mode, compute_exact=True)
+    return verdict_from_report(replace(dense, bracket_width=width,
+                                       map_applications=applications))

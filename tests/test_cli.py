@@ -281,9 +281,10 @@ def _assert_one_error_line(captured, code, want):
         ["evolve", "FILE", "--steps", "2"],
         ["evolve", "FILE", "--u", U, "--steps", "x"],
         ["analyze", "FILE", "--mode", "sideways"],
+        ["evolve", "FILE", "--mode", "discrete", "--u", U, "--steps", "1000000000000"],
     ],
     ids=["demo-sigma-nan", "bench-unknown-command", "analyze-unknown-option", "analyze-no-file",
-         "evolve-no-u", "evolve-steps-x", "analyze-mode-sideways"],
+         "evolve-no-u", "evolve-steps-x", "analyze-mode-sideways", "evolve-steps-over-budget"],
 )
 def test_bad_arguments_exit_65(argv, demo_file, capsys):
     code = main([demo_file if a == "FILE" else a for a in argv])
@@ -403,6 +404,7 @@ _COMMANDS = {
         (RuntimeError("step budget"), 70),
         (ConsistencyError("chain violated"), 70),
         (SimulationOverflowError(3, 1), 70),
+        (MemoryError(), 70),
     ],
     ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
 )

@@ -5,6 +5,7 @@ from scipy.stats import ortho_group
 
 from kronspec.cli import demo_system
 from kronspec.evolution import (
+    discrete_covariance,
     matrix_exponential,
     max_relative_discrepancy,
     propagate_continuous,
@@ -13,7 +14,12 @@ from kronspec.evolution import (
     second_moment_bounds_discrete,
     _check_moment_chain,
 )
-from kronspec.kronsum import build_continuous_sum, build_discrete_sum, second_moment_map
+from kronspec.kronsum import (
+    adjoint_moment_map,
+    build_continuous_sum,
+    build_discrete_sum,
+    second_moment_map,
+)
 from kronspec.matrices import ConsistencyError, SystemSpec, random_system, vec
 
 
@@ -44,6 +50,18 @@ class TestStepDiscrete:
             image = second_moment_map(spec, mode)(v)
             lhs = vec(image)
             rhs = build(spec) @ vec(v)
+            assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_adjoint_form_matches(self, rng, crandn, mode, m):
+        # vec(Phi*(V)) == D* vec(V), vec(L*(V)) == C* vec(V)
+        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
+        for _ in range(10):
+            spec = random_system(rng, 3, m)
+            v = crandn(3, 3)
+            lhs = vec(adjoint_moment_map(spec, mode)(v))
+            rhs = build(spec).conj().T @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
 
 
@@ -89,6 +107,28 @@ class TestPropagateDiscrete:
         spec = random_system(rng, 2, 0)
         with pytest.raises(ValueError):
             propagate_discrete(spec, [1, 0], [1, 0], 1, route="ode")
+
+    @pytest.mark.parametrize("route", ["direct", "kronecker"])
+    @pytest.mark.parametrize("n", [10**12, 1_000_000])  # 1e6 + 1 matrices of 4 entries
+    def test_trajectory_budget_checked_before_any_step(self, route, n):
+        with pytest.raises(ValueError, match="budget"):
+            propagate_discrete(SystemSpec(0.5 * np.eye(2)), [1, 0], [1, 0], n, route)
+
+    def test_final_covariance_is_last_of_trajectory(self, rng):
+        for i in range(8):
+            spec = random_system(rng, 2 + i % 3, i % 3)
+            u, v = _random_vec(rng, spec.d), _random_vec(rng, spec.d)
+            last = propagate_discrete(spec, u, v, 6, "direct").values[-1]
+            assert np.array_equal(discrete_covariance(spec, u, v, 6), last)
+
+    def test_final_covariance_has_no_trajectory_budget(self):
+        spec = SystemSpec(0.9 * np.eye(64))
+        u = np.eye(64)[0]
+        with pytest.raises(ValueError, match="budget"):
+            propagate_discrete(spec, u, u, 1000)
+        got = discrete_covariance(spec, u, u, 1000)
+        assert got[0, 0] == pytest.approx(0.81 ** 1000, rel=1e-10)
+        assert np.count_nonzero(got) == 1
 
 
 class TestMatrixExponential:

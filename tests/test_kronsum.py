@@ -4,8 +4,11 @@ from scipy.stats import ortho_group, unitary_group
 
 from kronspec.cli import demo_system
 from kronspec.kronsum import (
+    CHAIN_TOL,
     BoundReport,
     StabilityStatus,
+    _closed_form,
+    _refined_bracket,
     bound_report,
     build_continuous_gram,
     build_continuous_sum,
@@ -216,6 +219,55 @@ class TestClassify:
         assert verdict_from_report(rep).status is StabilityStatus.INDETERMINATE
         rep = BoundReport(lower=0.5, upper=1.5, exact=0.7, mode="discrete")
         assert verdict_from_report(rep).status is StabilityStatus.EXACT_STABLE
+
+
+def _criterion3_systems():
+    """Acceptance criterion 3's 1000 systems: d = 2..5, m = 0..3."""
+    rng = np.random.default_rng(31337)
+    return [random_system(rng, 2 + i % 4, i % 4) for i in range(1000)]
+
+
+class TestLadder:
+    """The rungs after the bounds, against the dense d**2 spectrum as oracle."""
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_refined_bracket_contains_dense_value(self, mode):
+        for spec in _criterion3_systems():
+            if spec.m == 0:
+                continue
+            (lower, upper), applications = _refined_bracket(spec, mode)
+            exact = bound_report(spec, mode, compute_exact=True).exact
+            slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
+            assert lower - slack <= exact <= upper + slack
+            assert upper - lower <= 1e-7 * max(1.0, abs(lower), abs(upper))
+            assert applications <= 248
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_closed_form_matches_dense_value(self, mode):
+        for spec in _criterion3_systems():
+            if spec.m == 0:
+                exact = bound_report(spec, mode, compute_exact=True).exact
+                assert abs(_closed_form(spec, mode) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_ladder_status_matches_dense_verdict(self, mode):
+        rungs = set()
+        for spec in _criterion3_systems():
+            dense = verdict_from_report(bound_report(spec, mode, compute_exact=True))
+            verdict = classify_stability(spec, mode, allow_exact_fallback=True)
+            assert verdict.status is dense.status
+            rungs.add(verdict.evidence.rung)
+        assert rungs == {"bounds", "closed-form", "refined"}
+
+    def test_singular_perron_matrix_falls_to_dense(self):
+        # rho(D) = a^2 = 2.25 has the singular Perron matrix e_1 e_1*, so no
+        # V > 0 narrows the bracket onto it
+        verdict = classify_stability(demo_system(1.5, 0.5, 2.0), "discrete",
+                                     allow_exact_fallback=True)
+        assert verdict.status is StabilityStatus.EXACT_UNSTABLE
+        assert verdict.evidence.rung == "dense"
+        assert verdict.evidence.exact == pytest.approx(2.25, abs=1e-10)
+        assert verdict.evidence.map_applications > 0
 
 
 class TestDemoFamilyInvariants:
