@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
 indeterminate, 64 malformed or unreadable system file, 65 bad vectors,
-dimensions, values or usage, 70 numerical overflow, exhausted memory or any
-internal ``RuntimeError`` (integrator budget, failed consistency check).
+dimensions, values or usage, or dense d**2-by-d**2 work past d = 64, 70
+numerical overflow, exhausted memory or any internal ``RuntimeError``
+(integrator budget, failed consistency check).
 ``main`` maps every failure to its code from one table.
 """
 
@@ -47,7 +48,7 @@ from .montecarlo import (
     simulate_continuous,
     simulate_discrete,
 )
-from .spectral import hermitian_extremes, summarize
+from .spectral import check_dense_rows, hermitian_extremes, summarize
 from .sysio import SystemFileError, load_system, matrix_pairs, parse_vector
 
 EXIT_STABLE = 0
@@ -164,6 +165,9 @@ def _vectors(args, d: int):
 def _cmd_evolve(args, out) -> int:
     spec = load_system(args.file)
     u, v = _vectors(args, spec.d)
+    if args.route == "both":  # the Kronecker route runs second: refuse before the first
+        name = "D" if args.mode == "discrete" else "C"
+        check_dense_rows(spec.d ** 2, f"stochastic Kronecker sum {name}")
     if args.mode == "discrete":
         if args.steps is None:
             raise ValueError("discrete mode requires --steps")
@@ -190,6 +194,8 @@ def _cmd_simulate(args, out) -> int:
     cfg = SimulationConfig(
         paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=args.horizon
     )
+    if args.mode == "continuous":  # the exact side takes the Kronecker route, after the paths
+        check_dense_rows(spec.d ** 2, "stochastic Kronecker sum C")
     simulate = simulate_discrete if args.mode == "discrete" else simulate_continuous
     moments = simulate(spec, u, v, cfg)
     comparison = compare_to_exact(moments, spec, u, v)

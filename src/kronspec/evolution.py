@@ -49,10 +49,12 @@ _MAX_HALVINGS = 16
 #: for hours (or, once the state overflows, forever) before failing.
 _MAX_RK4_STEPS = 500_000
 
-#: Most complex entries, (n + 1) d**2, a discrete trajectory may hold (64 MB).
-#: The trajectory keeps every V(j), so an unbounded step count would grow
-#: memory until the process dies.
-_MAX_TRAJECTORY_ENTRIES = 4_000_000
+#: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
+#: unbounded step count would grow memory until the process dies.  A step
+#: costs 16 d**2 bytes in the stacked array plus _STEP_EXTRA_BYTES for its
+#: float64 second moment and its index, an int in a tuple (48 as traced).
+_MAX_TRAJECTORY_BYTES = 64_000_000
+_STEP_EXTRA_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class CovarianceTrajectory:
 
     mode: str
     index: tuple
-    values: tuple[np.ndarray, ...]
-    second_moments: tuple[float, ...] | None
+    values: np.ndarray                 # stacked: values[i] is the matrix at index[i]
+    second_moments: np.ndarray | None
 
 
 class SecondMomentBounds(NamedTuple):
@@ -89,9 +91,10 @@ def _initial_outer(spec: SystemSpec, u, v) -> tuple[np.ndarray, np.ndarray, bool
 
 
 def _traj(mode, index, values, same) -> CovarianceTrajectory:
-    moments = tuple(float(np.trace(m).real) for m in values) if same else None
+    values = np.asarray(values)
+    moments = np.fromiter((np.trace(m).real for m in values), float, len(values)) if same else None
     return CovarianceTrajectory(
-        mode=mode, index=tuple(index), values=tuple(values), second_moments=moments
+        mode=mode, index=tuple(index), values=values, second_moments=moments
     )
 
 
@@ -103,33 +106,34 @@ def propagate_discrete(
     ``route="direct"`` iterates the one-step recursion on d-by-d matrices;
     ``route="kronecker"`` applies powers of the d**2-by-d**2 stochastic
     Kronecker sum to ``vec(V(0))``.  The two agree to roundoff and serve as
-    mutual oracles.  A trajectory over :data:`_MAX_TRAJECTORY_ENTRIES` is a
+    mutual oracles.  A trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a
     ``ValueError`` before any step.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if route not in ("direct", "kronecker"):
         raise ValueError(f"route must be 'direct' or 'kronecker', got {route!r}")
-    entries = (n + 1) * spec.d ** 2
-    if entries > _MAX_TRAJECTORY_ENTRIES:
+    size = (n + 1) * (16 * spec.d ** 2 + _STEP_EXTRA_BYTES)
+    if size > _MAX_TRAJECTORY_BYTES:
         raise ValueError(
-            f"trajectory of {n} steps holds {entries:.3g} entries, over the budget "
-            f"of {_MAX_TRAJECTORY_ENTRIES:g}"
+            f"trajectory of {n} steps holds {size:.3g} bytes, over the budget "
+            f"of {_MAX_TRAJECTORY_BYTES:g}"
         )
     u, v, same = _initial_outer(spec, u, v)
-    v0 = np.outer(u, v.conj())
-    values = [v0]
+    values = np.empty((n + 1, spec.d, spec.d), dtype=np.complex128)
+    values[0] = np.outer(u, v.conj())
     if route == "direct":
-        values.extend(_recursion(spec, v0, n))
+        for j, value in enumerate(_recursion(spec, values[0], n), 1):
+            values[j] = value
     else:
         dmat = build_discrete_sum(spec)
-        w = vec(v0)
+        w = vec(values[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, n + 1):
                 w = dmat @ w
                 if not np.all(np.isfinite(w)):
                     raise OverflowError(f"covariance propagation overflowed at step {j}")
-                values.append(unvec(w, spec.d))
+                values[j] = unvec(w, spec.d)
     return _traj("discrete", range(n + 1), values, same)
 
 

@@ -44,7 +44,8 @@ decides, and records the deciding rung in :attr:`BoundReport.rung`:
    :data:`BOUNDARY_TOL`.
 4. ``dense``: the d**2-by-d**2 spectrum, when rung 3 has not converged within
    its budget or its bracket touches the threshold band (a singular Perron
-   matrix, for instance, has no V > 0 to converge to).
+   matrix, for instance, has no V > 0 to converge to).  Past d = 64 it raises
+   ``ValueError`` before building D or C (``spectral.DENSE_CEILING``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from enum import Enum
 import numpy as np
 
 from .matrices import ConsistencyError, SystemSpec
-from .spectral import eigenvalues, hermitian_extremes, summarize
+from .spectral import check_dense_rows, eigenvalues, hermitian_extremes, summarize
 
 #: Verdicts within this distance of the threshold are not certified either way.
 BOUNDARY_TOL = 1e-9
@@ -118,8 +119,9 @@ def adjoint_moment_map(spec: SystemSpec, mode: str):
 def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
     """The d**2-by-d**2 matrix D = conj(A) (x) A + sum_k conj(B_k) (x) B_k.
 
-    Raises ``OverflowError`` when D leaves double-precision range.
+    Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
+    check_dense_rows(spec.d ** 2, "stochastic Kronecker sum D")
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.kron(spec.a.conj(), spec.a)
         for b in spec.noise_mats:
@@ -130,8 +132,9 @@ def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
 def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
     """The d**2-by-d**2 matrix C = conj(A) (x) I + I (x) A + sum_k conj(B_k) (x) B_k.
 
-    Raises ``OverflowError`` when C leaves double-precision range.
+    Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
+    check_dense_rows(spec.d ** 2, "stochastic Kronecker sum C")
     eye = np.eye(spec.d, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
@@ -397,8 +400,9 @@ def classify_stability(
     inconclusive and ``allow_exact_fallback`` is set, the rest of the ladder
     in the module docstring settles the spectral value: the closed form
     (m = 0), the refined bracket, and the dense d**2 eigensolve only when the
-    bracket does not decide.  The report's ``rung``, ``bracket_width`` and
-    ``map_applications`` record which rung decided and what rung 3 cost.
+    bracket does not decide (a ``ValueError`` past d = 64).  The report's
+    ``rung``, ``bracket_width`` and ``map_applications`` record which rung
+    decided and what rung 3 cost.
     """
     report = bound_report(spec, mode, compute_exact=False)
     verdict = verdict_from_report(report)

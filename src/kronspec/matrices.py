@@ -7,16 +7,12 @@ code can assume clean inputs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 #: Default absolute entrywise tolerance for structural predicates.
 DEFAULT_TOL = 1e-10
-
-_MAX_D_ENV = "KRONSPEC_MAX_D"
-_MAX_D_DEFAULT = 64
 
 
 class ConsistencyError(RuntimeError):
@@ -26,24 +22,6 @@ class ConsistencyError(RuntimeError):
     fails beyond tolerance.  This indicates a bug in the implementation, not
     a problem with the input.
     """
-
-
-def max_system_dim() -> int:
-    """Dimension cap for system matrices, from ``KRONSPEC_MAX_D`` (default 64).
-
-    Kronecker-sum work scales with d**2, so the cap bounds the size of the
-    dense d**2-by-d**2 solves.
-    """
-    raw = os.environ.get(_MAX_D_ENV)
-    if raw is None:
-        return _MAX_D_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{_MAX_D_ENV} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{_MAX_D_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -108,7 +86,9 @@ class SystemSpec:
     ``a`` is the d-by-d drift matrix and ``noise_mats`` the (possibly empty)
     tuple of d-by-d matrices multiplying the scalar noise channels.  The pair
     defines both the discrete-time recursion driven by white noise and the
-    continuous-time diffusion driven by Brownian motions.
+    continuous-time diffusion driven by Brownian motions.  Any d is accepted;
+    dense d**2-by-d**2 work checks :data:`kronspec.spectral.DENSE_CEILING`
+    where it starts.
     """
 
     a: np.ndarray
@@ -117,9 +97,6 @@ class SystemSpec:
     def __post_init__(self):
         a = _require_square(as_complex_matrix(self.a, "drift matrix"), "drift matrix")
         d = a.shape[0]
-        cap = max_system_dim()
-        if d > cap:
-            raise ValueError(f"system dimension {d} exceeds {_MAX_D_ENV} cap {cap}")
         mats = []
         for k, b in enumerate(self.noise_mats):
             b = as_complex_matrix(b, f"noise matrix {k}")

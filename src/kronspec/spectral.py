@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import (
-    DEFAULT_TOL,
-    as_complex_matrix,
-    is_hermitian,
-    max_system_dim,
-    _require_square,
-)
+from .matrices import DEFAULT_TOL, as_complex_matrix, is_hermitian, _require_square
+
+#: Most rows of a dense matrix: an eigensolver input, or D and C themselves,
+#: whose d**2 rows allow systems up to d = 64.
+DENSE_CEILING = 64 ** 2
 
 
 @dataclass(frozen=True)
@@ -29,14 +27,15 @@ class SpectralSummary:
     abscissa: float          # max Re lambda
 
 
+def check_dense_rows(rows: int, name: str) -> None:
+    """``ValueError`` for a dense matrix over :data:`DENSE_CEILING` rows, before it exists."""
+    if rows > DENSE_CEILING:
+        raise ValueError(f"{name} has {rows} rows, over the dense ceiling of {DENSE_CEILING}")
+
+
 def _checked_square(a, name: str) -> np.ndarray:
     a = _require_square(as_complex_matrix(a, name), name)
-    ceiling = max_system_dim() ** 2
-    if a.shape[0] > ceiling:
-        raise ValueError(
-            f"{name} dimension {a.shape[0]} exceeds the dense-solver ceiling "
-            f"{ceiling} (KRONSPEC_MAX_D squared)"
-        )
+    check_dense_rows(a.shape[0], name)
     return a
 
 

@@ -52,10 +52,11 @@ def _parse_complex(node, loc: str) -> complex:
 def _parse_matrix(node, d: int, loc: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != d:
         raise SystemFileError(f"expected {d} rows", loc)
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(node):
+    for i, row in enumerate(node):  # every row's shape before the d-by-d allocation
         if not isinstance(row, list) or len(row) != d:
             raise SystemFileError(f"expected {d} entries", f"{loc}[{i}]")
+    out = np.empty((d, d), dtype=np.complex128)
+    for i, row in enumerate(node):
         for j, entry in enumerate(row):
             out[i, j] = _parse_complex(entry, f"{loc}[{i}][{j}]")
     return out

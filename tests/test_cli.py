@@ -417,3 +417,60 @@ def test_failure_table_sets_exit_code(command, error, want, demo_file, monkeypat
     monkeypatch.setattr(f"kronspec.cli.{target}", fail)
     code = main([demo_file if a == "FILE" else a for a in argv])
     _assert_one_error_line(capsys.readouterr(), code, want)
+
+
+_U65 = json.dumps([[1, 0]] + [[0, 0]] * 64)
+
+
+@pytest.fixture
+def d65_file(tmp_path):
+    """A stable d = 65 system: its D and C are past the dense ceiling of 4096 rows."""
+    return _write_system(tmp_path, SystemSpec(-0.5 * np.eye(65), (0.1 * np.eye(65),)))
+
+
+def test_d65_analyze_gives_a_verdict(d65_file, capsys):
+    code = main(["analyze", d65_file])
+    assert code == 0
+    assert capsys.readouterr().out.count("CertifiedStable") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "direct"],
+        ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "0.5,1", "--route", "ode"],
+        ["simulate", "FILE", "--u", _U65, "--paths", "4", "--horizon", "2"],
+    ],
+    ids=["evolve-direct", "evolve-ode", "simulate-discrete"],
+)
+def test_d65_runs_the_d_by_d_routes(argv, d65_file, capsys):
+    code = main([d65_file if a == "FILE" else a for a in argv])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "FILE", "--exact"],
+        ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "kronecker"],
+        ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "both"],
+        ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "kronecker"],
+        ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "both"],
+        ["simulate", "FILE", "--mode=continuous", "--u", _U65, "--paths", "4", "--dt", "0.1",
+         "--horizon", "1"],
+    ],
+    ids=["analyze-exact", "evolve-discrete-kronecker", "evolve-discrete-both",
+         "evolve-continuous-kronecker", "evolve-continuous-both", "simulate-continuous"],
+)
+def test_d65_dense_work_refused_before_any_other_work(argv, d65_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the dense refusal")
+
+    for target in ("numpy.kron", "kronspec.evolution._recursion",
+                   "kronspec.evolution._rk4_on_grid", "kronspec.montecarlo._draw_noise"):
+        monkeypatch.setattr(target, fail)
+    code = main([d65_file if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 65)
+    assert "over the dense ceiling of 4096" in captured.err

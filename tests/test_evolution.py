@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from kronspec.evolution import (
     second_moment_bounds_continuous,
     second_moment_bounds_discrete,
     _check_moment_chain,
+    _STEP_EXTRA_BYTES,
 )
 from kronspec.kronsum import (
     adjoint_moment_map,
@@ -113,6 +116,21 @@ class TestPropagateDiscrete:
     def test_trajectory_budget_checked_before_any_step(self, route, n):
         with pytest.raises(ValueError, match="budget"):
             propagate_discrete(SystemSpec(0.5 * np.eye(2)), [1, 0], [1, 0], n, route)
+
+    @pytest.mark.parametrize("route", ["direct", "kronecker"])
+    def test_trajectory_holds_what_the_budget_charges(self, route):
+        # at d = 1 per-object overhead dominates: each step must cost no more
+        # traced bytes than the budget charges it
+        spec = SystemSpec(np.array([[0.5]]), (np.array([[0.5]]),))
+        n = 20_000
+        tracemalloc.start()
+        try:
+            traj = propagate_discrete(spec, [1.0], [1.0], n, route)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.values) == len(traj.second_moments) == len(traj.index) == n + 1
+        assert peak / (n + 1) <= 16 + _STEP_EXTRA_BYTES
 
     def test_final_covariance_is_last_of_trajectory(self, rng):
         for i in range(8):

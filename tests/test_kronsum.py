@@ -270,6 +270,40 @@ class TestLadder:
         assert verdict.evidence.map_applications > 0
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("dense d**2 work started past the ceiling")
+
+
+class TestDenseCeiling:
+    """d = 65 is past the dense ceiling: d-by-d work runs, D and C are refused unbuilt."""
+
+    @pytest.mark.parametrize("build", [build_discrete_sum, build_continuous_sum])
+    def test_builders_refuse_before_kron(self, build, monkeypatch):
+        monkeypatch.setattr(np, "kron", _fail)
+        with pytest.raises(ValueError, match="4225 rows, over the dense ceiling of 4096"):
+            build(SystemSpec(np.eye(65), (np.eye(65),)))
+
+    def test_refined_rung_decides_past_the_ceiling(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        d = 65
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        noise = tuple(0.5 * rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(2))
+        spec = SystemSpec(0.7 * a, noise)
+        monkeypatch.setattr(np, "kron", _fail)
+        verdict = classify_stability(spec, "discrete", allow_exact_fallback=True)
+        assert verdict.evidence.lower < 1.0 < verdict.evidence.upper
+        assert verdict.evidence.rung == "refined"
+        assert verdict.status is StabilityStatus.EXACT_STABLE
+
+    def test_singular_perron_refuses_instead_of_allocating(self, monkeypatch):
+        # TestLadder's singular-Perron demo, padded with zeros to d = 65, needs rung 4
+        demo = demo_system(1.5, 0.5, 2.0)
+        spec = SystemSpec(np.pad(demo.a, (0, 63)), (np.pad(demo.noise_mats[0], (0, 63)),))
+        monkeypatch.setattr(np, "kron", _fail)
+        with pytest.raises(ValueError, match="dense ceiling"):
+            classify_stability(spec, "discrete", allow_exact_fallback=True)
+
+
 class TestDemoFamilyInvariants:
     def test_spectrum_independent_of_noise_strength(self):
         a, b = 0.6, -0.8

@@ -9,7 +9,6 @@ from kronspec.matrices import (
     SystemSpec,
     as_complex_matrix,
     is_hermitian,
-    max_system_dim,
     random_system,
     unvec,
     vec,
@@ -136,17 +135,10 @@ class TestSystemSpec:
         with pytest.raises(ValueError):
             SystemSpec(a)
 
-    def test_dimension_cap(self, monkeypatch):
-        monkeypatch.setenv("KRONSPEC_MAX_D", "4")
-        assert max_system_dim() == 4
-        with pytest.raises(ValueError):
-            SystemSpec(np.eye(5))
-        SystemSpec(np.eye(4))  # at the cap is fine
-
-    def test_bad_cap_value(self, monkeypatch):
-        monkeypatch.setenv("KRONSPEC_MAX_D", "zero")
-        with pytest.raises(ValueError):
-            max_system_dim()
+    def test_no_dimension_cap(self):
+        # the dense ceiling (d = 64) guards D and C, not the system itself
+        spec = SystemSpec(np.eye(65), (np.eye(65),))
+        assert spec.d == 65 and spec.m == 1
 
     def test_m_zero_allowed(self, crandn):
         assert SystemSpec(crandn(2, 2)).m == 0

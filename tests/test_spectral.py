@@ -4,6 +4,8 @@ import pytest
 from kronspec.cli import demo_system
 from kronspec.kronsum import build_continuous_sum, build_discrete_sum
 from kronspec.spectral import (
+    DENSE_CEILING,
+    check_dense_rows,
     eigenvalues,
     hermitian_extremes,
     summarize,
@@ -63,6 +65,13 @@ class TestHermitianExtremes:
     def test_rejects_non_hermitian(self, crandn):
         with pytest.raises(ValueError):
             hermitian_extremes(crandn(3, 3))
+
+
+def test_dense_ceiling_is_d64_squared():
+    assert DENSE_CEILING == 64 ** 2
+    check_dense_rows(DENSE_CEILING, "D")
+    with pytest.raises(ValueError, match="D has 4097 rows, over the dense ceiling of 4096"):
+        check_dense_rows(DENSE_CEILING + 1, "D")
 
 
 class TestSummarize:

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kronspec.cli import main
 from kronspec.matrices import random_system
 from kronspec.sysio import (
     SystemFileError,
@@ -77,6 +79,23 @@ class TestLoad:
         doc["d"] = True
         with pytest.raises(SystemFileError):
             parse_system(doc)
+
+
+    def test_row_lengths_checked_before_allocating(self, tmp_path, capsys):
+        # 300 KB of empty rows claiming d = 100000: a d-by-d array would be 149 GiB
+        doc = {"d": 100_000, "m": 0, "A": [[] for _ in range(100_000)], "B": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemFileError, match=r"expected 100000 entries \(at A\[0\]\)"):
+                parse_system(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        code = main(["analyze", str(_write(tmp_path, json.dumps(doc)))])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.err == "error: expected 100000 entries (at A[0])\n"
 
 
 class TestVectors:
