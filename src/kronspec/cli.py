@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``analyze``  - bound-based (optionally exact) stability certification
+* ``analyze``  - stability verdicts; ``--exact`` climbs the ladder past the bounds
 * ``evolve``   - exact covariance trajectories as JSON lines
 * ``simulate`` - Monte Carlo estimates checked against exact propagation
 * ``demo``     - the worked 2-by-2 family with its closed-form spectra
@@ -33,12 +33,11 @@ from .kronsum import (
     _MODES,
     StabilityStatus,
     UNSTABLE_STATUSES,
-    bound_report,
     build_continuous_gram,
     build_continuous_sum,
     build_discrete_gram,
     build_discrete_sum,
-    verdict_from_report,
+    classify_stability,
 )
 from .matrices import SystemSpec
 from .montecarlo import (
@@ -87,13 +86,11 @@ def _quantity_name(mode: str) -> str:
 
 def _cmd_analyze(args, out) -> int:
     spec = load_system(args.file)
-    modes = _MODES if args.mode == "both" else [args.mode]
     results = []
-    for mode in modes:
+    for mode in _MODES if args.mode == "both" else [args.mode]:
         t0 = time.perf_counter()
-        report = bound_report(spec, mode, compute_exact=args.exact)
-        verdict = verdict_from_report(report)
-        results.append((report, verdict, time.perf_counter() - t0))
+        verdict = classify_stability(spec, mode, allow_exact_fallback=args.exact)
+        results.append((verdict.evidence, verdict, time.perf_counter() - t0))
 
     statuses = [v.status for _, v, _ in results]
     if any(s in UNSTABLE_STATUSES for s in statuses):
@@ -114,6 +111,7 @@ def _cmd_analyze(args, out) -> int:
                     "exact": rep.exact,
                     "threshold": verdict.threshold,
                     "status": verdict.status.value,
+                    "rung": rep.rung,
                     "eigenvalues": (
                         [[z.real, z.imag] for z in rep.eigenvalues]
                         if rep.eigenvalues is not None else None
@@ -131,7 +129,7 @@ def _cmd_analyze(args, out) -> int:
             print(f"== {rep.mode} ==", file=out)
             print(f"  bounds:   {_fmt(rep.lower)} <= {q} <= {_fmt(rep.upper)}", file=out)
             if rep.exact is not None:
-                print(f"  exact:    {q} = {_fmt(rep.exact)}", file=out)
+                print(f"  exact:    {q} = {_fmt(rep.exact)}  ({rep.rung})", file=out)
             print(
                 f"  verdict:  {verdict.status.value}  (threshold {_fmt(verdict.threshold)})",
                 file=out,
@@ -314,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="bound-based stability certification of a system file")
+    p = sub.add_parser("analyze", help="stability certification of a system file")
     p.add_argument("file", help="system JSON file")
     p.add_argument("--mode", choices=[*_MODES, "both"], default="both")
-    p.add_argument("--exact", action="store_true", help="also compute the exact d^2 spectrum")
+    p.add_argument("--exact", action="store_true", help="climb the verdict ladder past the bounds")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 

@@ -218,25 +218,17 @@ def check_bound_chain(report: BoundReport) -> None:
         )
 
 
-def bound_report(spec: SystemSpec, mode: str, compute_exact: bool = False) -> BoundReport:
-    """Extreme eigenvalues of the Hermitian companion, plus the exact value on request.
+def bound_report(spec: SystemSpec, mode: str) -> BoundReport:
+    """The companion bounds: extreme eigenvalues of N (discrete) or M (continuous).
 
-    ``compute_exact`` triggers the full dense d**2-by-d**2 eigensolve; the
-    bounds alone need only a d-by-d Hermitian solve.
+    A d-by-d Hermitian eigensolve; the rungs that compute the spectral value
+    itself live in :func:`classify_stability`.
     """
     discrete = _check_mode(mode) == "discrete"
     lower, upper = hermitian_extremes(
         build_discrete_gram(spec) if discrete else build_continuous_gram(spec)
     )
-    exact = eigenvalues = None
-    if compute_exact:
-        summary = summarize(build_discrete_sum(spec) if discrete else build_continuous_sum(spec))
-        exact = summary.radius if discrete else summary.abscissa
-        eigenvalues = summary.eigenvalues
-    report = BoundReport(
-        lower=lower, upper=upper, exact=exact, mode=mode, eigenvalues=eigenvalues,
-        rung="dense" if compute_exact else "bounds",
-    )
+    report = BoundReport(lower=lower, upper=upper, exact=None, mode=mode)
     check_bound_chain(report)
     return report
 
@@ -396,28 +388,30 @@ def classify_stability(
 ) -> StabilityVerdict:
     """Certify mean-square stability of the system in the given mode.
 
-    The cheap Hermitian bounds are always tried first.  When they are
-    inconclusive and ``allow_exact_fallback`` is set, the rest of the ladder
-    in the module docstring settles the spectral value: the closed form
-    (m = 0), the refined bracket, and the dense d**2 eigensolve only when the
-    bracket does not decide (a ``ValueError`` past d = 64).  The report's
-    ``rung``, ``bracket_width`` and ``map_applications`` record which rung
-    decided and what rung 3 cost.
+    This is the one place a verdict is made.  The cheap Hermitian bounds are
+    always tried first.  When they are inconclusive and
+    ``allow_exact_fallback`` is set, the rest of the ladder in the module
+    docstring settles the spectral value: the closed form (m = 0), the refined
+    bracket, and the dense d**2 eigensolve only when the bracket does not
+    decide (a ``ValueError`` past d = 64).  The report's ``rung``,
+    ``bracket_width`` and ``map_applications`` record which rung decided and
+    what rung 3 cost; ``eigenvalues`` is filled on the dense rung only.
     """
-    report = bound_report(spec, mode, compute_exact=False)
+    report = bound_report(spec, mode)
     verdict = verdict_from_report(report)
     if verdict.status is not StabilityStatus.INDETERMINATE or not allow_exact_fallback:
         return verdict
     if not spec.noise_mats:
         return _decide(replace(report, exact=_closed_form(spec, mode), rung="closed-form"))
     bracket, applications = _refined_bracket(spec, mode)
-    width = None if bracket is None else bracket[1] - bracket[0]
+    report = replace(report, bracket_width=None if bracket is None else bracket[1] - bracket[0],
+                     map_applications=applications)
     if bracket is not None and _narrow(*bracket):
         lower, upper = bracket
         threshold = verdict.threshold
         if upper < threshold - BOUNDARY_TOL or lower > threshold + BOUNDARY_TOL:
-            return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined",
-                                   bracket_width=width, map_applications=applications))
-    dense = bound_report(spec, mode, compute_exact=True)
-    return verdict_from_report(replace(dense, bracket_width=width,
-                                       map_applications=applications))
+            return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined"))
+    discrete = mode == "discrete"
+    summary = summarize(build_discrete_sum(spec) if discrete else build_continuous_sum(spec))
+    return _decide(replace(report, exact=summary.radius if discrete else summary.abscissa,
+                           eigenvalues=summary.eigenvalues, rung="dense"))

@@ -33,6 +33,11 @@ _STEP_CHUNK = 256
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
 _MAX_MC_STEPS = 1_000_000
 
+#: Most paths x max(steps, 1) one simulation may take: ten times the largest
+#: run in use (1e5 paths x 1000 steps).  Checked before the first block, so a
+#: huge path count fails at once as well.
+_MAX_MC_PATH_STEPS = 1_000_000_000
+
 #: Constant c in the continuous-mode tolerance max(4*SE, c*dt).
 DT_BIAS_CONST = 10.0
 
@@ -44,16 +49,16 @@ _NOISES = ("gaussian", "rademacher")
 
 
 class SimulationOverflowError(RuntimeError):
-    """A path left double-precision range; the whole estimate is abandoned.
+    """A path, or the moment sums over finite paths, left double-precision range.
 
     Dropping bad paths would bias unstable-case statistics, so the run fails
-    instead, reporting the step and the number of offending paths.
+    instead, reporting the step and the number of offending paths (None when
+    the paths stayed finite and only their sums overflowed).
     """
 
-    def __init__(self, step, bad_paths: int):
-        super().__init__(
-            f"{bad_paths} path(s) overflowed by step {step}; estimate aborted"
-        )
+    def __init__(self, step, bad_paths: int | None = None):
+        what = "the moment sums" if bad_paths is None else f"{bad_paths} path(s)"
+        super().__init__(f"{what} overflowed by step {step}; estimate aborted")
         self.step = step
         self.bad_paths = bad_paths
 
@@ -172,8 +177,13 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, horizon, 
     """Run every path block of one simulation and return its moments at the horizon.
 
     The running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 are merged in block
-    order.
+    order.  The path budget is checked before any block starts.
     """
+    work = cfg.paths * max(steps, 1)
+    if work > _MAX_MC_PATH_STEPS:
+        raise ValueError(
+            f"simulation needs {work:.3g} path-steps, over the budget of {_MAX_MC_PATH_STEPS:g}"
+        )
     d = spec.d
     s1 = np.zeros((d, d), dtype=np.complex128)
     s2 = np.zeros((d, d))
@@ -185,12 +195,15 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, horizon, 
         y = x if same else np.tile(v[:, None], (1, bsize))
         x, y = _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats,
                           noise_scale)
-        s1 += x @ y.conj().T
-        ax2 = np.abs(x) ** 2
-        s2 += ax2 @ (np.abs(y) ** 2).T
-        sq = np.sum(ax2, axis=0)
-        r1 += float(np.sum(sq))
-        r2 += float(np.sum(sq ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1 += x @ y.conj().T
+            ax2 = np.abs(x) ** 2
+            s2 += ax2 @ (np.abs(y) ** 2).T
+            sq = np.sum(ax2, axis=0)
+            r1 += float(np.sum(sq))
+            r2 += float(np.sum(sq ** 2))
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)) and math.isfinite(r2)):
+        raise SimulationOverflowError(steps)
     paths = cfg.paths
     mean = s1 / paths
     var = np.maximum(s2 / paths - np.abs(mean) ** 2, 0.0) * (paths / (paths - 1))

@@ -91,16 +91,16 @@ def test_criterion_2_scalar_companion_pins_exact_values():
         d = 2 + i % 3
         a = ortho_group.rvs(d, random_state=rng)
         b = ortho_group.rvs(d, random_state=rng)
-        rep = bound_report(SystemSpec(a, (b,)), "discrete", compute_exact=True)
-        worst_radius = max(worst_radius, abs(rep.exact - 2.0))
+        rho = summarize(build_discrete_sum(SystemSpec(a, (b,)))).radius
+        worst_radius = max(worst_radius, abs(rho - 2.0))
     worst_abscissa = 0.0
     for a_val in (-1.0, 0.0, 0.3):
         for d in (2, 3, 4):
             g = rng.standard_normal((d, d))
             spec = SystemSpec(a_val * np.eye(d) + (g - g.T),
                               (ortho_group.rvs(d, random_state=rng),))
-            rep = bound_report(spec, "continuous", compute_exact=True)
-            worst_abscissa = max(worst_abscissa, abs(rep.exact - (2 * a_val + 1)))
+            alpha = summarize(build_continuous_sum(spec)).abscissa
+            worst_abscissa = max(worst_abscissa, abs(alpha - (2 * a_val + 1)))
     elapsed = time.perf_counter() - t0
     ok = worst_radius <= 1e-8 and worst_abscissa <= 1e-8 and elapsed < limit
     _report("criterion 2: scalar companion pins the exact value", ok, elapsed, limit,
@@ -116,11 +116,13 @@ def test_criterion_3_bound_chain_property_suite():
     violations = 0
     for i in range(1000):
         spec = random_system(rng, 2 + i % 4, i % 4)
-        rd = bound_report(spec, "discrete", compute_exact=True)
-        rc = bound_report(spec, "continuous", compute_exact=True)
-        if not (rd.lower - slack <= rd.exact <= rd.upper + slack):
+        rd = bound_report(spec, "discrete")
+        rc = bound_report(spec, "continuous")
+        rho = summarize(build_discrete_sum(spec)).radius
+        alpha = summarize(build_continuous_sum(spec)).abscissa
+        if not (rd.lower - slack <= rho <= rd.upper + slack):
             violations += 1
-        if not (rc.lower - slack <= rc.exact <= rc.upper + slack):
+        if not (rc.lower - slack <= alpha <= rc.upper + slack):
             violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < limit

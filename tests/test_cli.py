@@ -32,12 +32,24 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert code == 0
         assert "0.49 <= spectral radius <= 4.25" in out
+        assert "exact:    spectral radius = 0.49  (refined)" in out
         assert "ExactStable" in out
+
+    def test_singular_perron_exact_reaches_the_dense_rung(self, tmp_path, capsys):
+        path = _write_system(tmp_path, demo_system(1.5, 0.5, 2.0))
+        code = main(["analyze", path, "--mode=discrete", "--exact", "--json"])
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        assert result["status"] == "ExactUnstable" and result["rung"] == "dense"
+        assert result["exact"] == pytest.approx(2.25, abs=1e-10)
+        assert len(result["eigenvalues"]) == 4
 
     def test_demo_discrete_bounds_only_is_indeterminate(self, demo_file, capsys):
         code = main(["analyze", demo_file, "--mode=discrete"])
+        out = capsys.readouterr().out
         assert code == 2
-        assert "Indeterminate" in capsys.readouterr().out
+        assert "Indeterminate" in out
+        assert "exact:" not in out
 
     def test_orthogonal_pair_certified_unstable(self, tmp_path, capsys):
         path = _write_system(tmp_path, SystemSpec(np.eye(2), (_rotation(0.3),)))
@@ -83,8 +95,10 @@ class TestAnalyze:
         assert json.loads(json.dumps(doc)) == doc
         modes = {r["mode"]: r for r in doc["results"]}
         assert modes["discrete"]["exact"] == pytest.approx(0.49, abs=1e-10)
+        assert modes["discrete"]["rung"] == "refined"
         assert modes["continuous"]["status"] == "CertifiedUnstable"
-        assert len(modes["discrete"]["eigenvalues"]) == 4
+        assert modes["continuous"]["rung"] == "bounds"
+        assert modes["continuous"]["exact"] is None
 
 
 class TestEvolve:
@@ -263,6 +277,10 @@ class TestDemo:
 U = "[[1,0],[0,0]]"
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("forbidden work started")
+
+
 def _assert_one_error_line(captured, code, want):
     """A failure exits with its table code, prints nothing on stdout and one error line."""
     assert code == want
@@ -363,6 +381,26 @@ def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
     _assert_one_error_line(capsys.readouterr(), code, 70)
 
 
+def test_simulate_paths_over_budget_exits_65(demo_file, monkeypatch, capsys):
+    monkeypatch.setattr("kronspec.montecarlo._substream", _fail)
+    monkeypatch.setattr("kronspec.montecarlo._draw_noise", _fail)
+    code = main(["simulate", demo_file, "--u", U, "--horizon", "1", "--paths", "1000000000000"])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 65)
+    assert "path-steps, over the budget" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_moment_sum_overflow_exits_70(tmp_path, capsys):
+    # the paths stay finite (1e78 after two steps), but |x|^4 leaves double range
+    path = tmp_path / "big.json"
+    path.write_text('{"d":1,"m":1,"A":[[[1e39,0]]],"B":[[[[1,0]]]]}')
+    code = main(["simulate", str(path), "--u", "[[1,0]]", "--horizon", "2", "--paths", "4"])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 70)
+    assert "moment sums overflowed" in captured.err
+
+
 _BIG_INT = "1" + "0" * 400
 _SCALAR = '{"d":1,"m":0,"A":[[[%s,0]]],"B":[]}'
 
@@ -388,7 +426,7 @@ def test_json_python_cannot_hold_is_bad_input(system, u, want, message, tmp_path
 
 
 _COMMANDS = {
-    "analyze": ("bound_report", ["analyze", "FILE"]),
+    "analyze": ("classify_stability", ["analyze", "FILE"]),
     "evolve": ("propagate_discrete", ["evolve", "FILE", "--u", U, "--steps", "2"]),
     "simulate": ("simulate_discrete", ["simulate", "FILE", "--u", U, "--horizon", "2"]),
 }
@@ -428,10 +466,32 @@ def d65_file(tmp_path):
     return _write_system(tmp_path, SystemSpec(-0.5 * np.eye(65), (0.1 * np.eye(65),)))
 
 
+@pytest.fixture
+def sp65_file(tmp_path):
+    """The singular-Perron demo padded with zeros to d = 65: only the dense rung decides it."""
+    demo = demo_system(1.5, 0.5, 2.0)
+    spec = SystemSpec(np.pad(demo.a, (0, 63)), (np.pad(demo.noise_mats[0], (0, 63)),))
+    return _write_system(tmp_path, spec, "sp65.json")
+
+
 def test_d65_analyze_gives_a_verdict(d65_file, capsys):
     code = main(["analyze", d65_file])
     assert code == 0
     assert capsys.readouterr().out.count("CertifiedStable") == 2
+
+
+def test_d65_exact_decides_on_the_refined_rung(tmp_path, monkeypatch, capsys):
+    # the seed-0 d = 65 system of test_kronsum's TestDenseCeiling: its bounds straddle 1
+    rng = np.random.default_rng(0)
+    d = 65
+    a = rng.standard_normal((d, d)) / np.sqrt(d)
+    noise = tuple(0.5 * rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(2))
+    path = _write_system(tmp_path, SystemSpec(0.7 * a, noise))
+    monkeypatch.setattr("numpy.kron", _fail)
+    code = main(["analyze", path, "--mode=discrete", "--exact"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "(refined)" in out and "ExactStable" in out
 
 
 @pytest.mark.parametrize(
@@ -452,7 +512,7 @@ def test_d65_runs_the_d_by_d_routes(argv, d65_file, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "FILE", "--exact"],
+        ["analyze", "SP65", "--exact"],
         ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "kronecker"],
         ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "both"],
         ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "kronecker"],
@@ -463,14 +523,13 @@ def test_d65_runs_the_d_by_d_routes(argv, d65_file, capsys):
     ids=["analyze-exact", "evolve-discrete-kronecker", "evolve-discrete-both",
          "evolve-continuous-kronecker", "evolve-continuous-both", "simulate-continuous"],
 )
-def test_d65_dense_work_refused_before_any_other_work(argv, d65_file, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise AssertionError("work started before the dense refusal")
-
+def test_d65_dense_work_refused_before_any_other_work(argv, d65_file, sp65_file, monkeypatch,
+                                                      capsys):
     for target in ("numpy.kron", "kronspec.evolution._recursion",
                    "kronspec.evolution._rk4_on_grid", "kronspec.montecarlo._draw_noise"):
-        monkeypatch.setattr(target, fail)
-    code = main([d65_file if a == "FILE" else a for a in argv])
+        monkeypatch.setattr(target, _fail)
+    files = {"FILE": d65_file, "SP65": sp65_file}
+    code = main([files.get(a, a) for a in argv])
     captured = capsys.readouterr()
     _assert_one_error_line(captured, code, 65)
     assert "over the dense ceiling of 4096" in captured.err

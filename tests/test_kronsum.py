@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
@@ -25,6 +27,13 @@ from kronspec.spectral import eigenvalues, hermitian_extremes, summarize
 def _rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _dense_value(spec, mode):
+    """The dense oracle: rho(D) or alpha(C) from the full d**2 spectrum."""
+    if mode == "discrete":
+        return summarize(build_discrete_sum(spec)).radius
+    return summarize(build_continuous_sum(spec)).abscissa
 
 
 def _assert_multiset_close(got, want, tol):
@@ -129,23 +138,26 @@ class TestBuilders:
 
 class TestBoundReport:
     def test_demo_discrete(self):
-        rep = bound_report(demo_system(0.5, 0.7, 2.0), "discrete", compute_exact=True)
+        spec = demo_system(0.5, 0.7, 2.0)
+        rep = bound_report(spec, "discrete")
         assert rep.lower == pytest.approx(0.49, abs=1e-10)
         assert rep.upper == pytest.approx(4.25, abs=1e-10)
-        assert rep.exact == pytest.approx(0.49, abs=1e-10)
+        assert rep.exact is None and rep.rung == "bounds"
+        assert _dense_value(spec, "discrete") == pytest.approx(0.49, abs=1e-10)
 
     def test_demo_continuous(self):
-        rep = bound_report(demo_system(0.5, 0.7, 2.0), "continuous", compute_exact=True)
+        spec = demo_system(0.5, 0.7, 2.0)
+        rep = bound_report(spec, "continuous")
         assert rep.lower == pytest.approx(1.4, abs=1e-10)
         assert rep.upper == pytest.approx(5.0, abs=1e-10)
-        assert rep.exact == pytest.approx(1.4, abs=1e-10)
+        assert _dense_value(spec, "continuous") == pytest.approx(1.4, abs=1e-10)
 
     def test_identity_plus_rotation_is_tight(self):
         spec = SystemSpec(np.eye(2), (_rotation(0.3),))
-        rep = bound_report(spec, "discrete", compute_exact=True)
+        rep = bound_report(spec, "discrete")
         assert rep.lower == pytest.approx(2.0, abs=1e-10)
         assert rep.upper == pytest.approx(2.0, abs=1e-10)
-        assert rep.exact == pytest.approx(2.0, abs=1e-8)
+        assert _dense_value(spec, "discrete") == pytest.approx(2.0, abs=1e-8)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -162,28 +174,26 @@ class TestBoundChains:
     def test_random_systems_respect_both_chains(self, rng):
         for i in range(200):
             spec = random_system(rng, 2 + i % 4, i % 4)
-            rd = bound_report(spec, "discrete", compute_exact=True)
-            rc = bound_report(spec, "continuous", compute_exact=True)
+            rd = bound_report(spec, "discrete")
+            rc = bound_report(spec, "continuous")
             slack_d = 1e-8 * max(1.0, abs(rd.upper))
             slack_c = 1e-8 * max(1.0, abs(rc.upper))
-            assert rd.lower - slack_d <= rd.exact <= rd.upper + slack_d
-            assert rc.lower - slack_c <= rc.exact <= rc.upper + slack_c
+            assert rd.lower - slack_d <= _dense_value(spec, "discrete") <= rd.upper + slack_d
+            assert rc.lower - slack_c <= _dense_value(spec, "continuous") <= rc.upper + slack_c
 
     def test_scalar_gram_pins_the_exact_value(self, rng):
         # unitary A and B force N = 2I, so the radius is exactly 2
         for d in (2, 3, 4):
             a = unitary_group.rvs(d, random_state=rng)
             b = unitary_group.rvs(d, random_state=rng)
-            rep = bound_report(SystemSpec(a, (b,)), "discrete", compute_exact=True)
-            assert abs(rep.exact - 2.0) <= 1e-8
+            assert abs(_dense_value(SystemSpec(a, (b,)), "discrete") - 2.0) <= 1e-8
 
     def test_shifted_skew_pins_the_abscissa(self, rng):
         for a_val in (-1.0, 0.0, 0.3):
             g = rng.standard_normal((3, 3))
             skew = g - g.T
             spec = SystemSpec(a_val * np.eye(3) + skew, (ortho_group.rvs(3, random_state=rng),))
-            rep = bound_report(spec, "continuous", compute_exact=True)
-            assert abs(rep.exact - (2 * a_val + 1)) <= 1e-8
+            assert abs(_dense_value(spec, "continuous") - (2 * a_val + 1)) <= 1e-8
 
 
 class TestClassify:
@@ -236,7 +246,7 @@ class TestLadder:
             if spec.m == 0:
                 continue
             (lower, upper), applications = _refined_bracket(spec, mode)
-            exact = bound_report(spec, mode, compute_exact=True).exact
+            exact = _dense_value(spec, mode)
             slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
             assert lower - slack <= exact <= upper + slack
             assert upper - lower <= 1e-7 * max(1.0, abs(lower), abs(upper))
@@ -246,14 +256,15 @@ class TestLadder:
     def test_closed_form_matches_dense_value(self, mode):
         for spec in _criterion3_systems():
             if spec.m == 0:
-                exact = bound_report(spec, mode, compute_exact=True).exact
+                exact = _dense_value(spec, mode)
                 assert abs(_closed_form(spec, mode) - exact) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_ladder_status_matches_dense_verdict(self, mode):
         rungs = set()
         for spec in _criterion3_systems():
-            dense = verdict_from_report(bound_report(spec, mode, compute_exact=True))
+            dense = verdict_from_report(replace(bound_report(spec, mode),
+                                                exact=_dense_value(spec, mode)))
             verdict = classify_stability(spec, mode, allow_exact_fallback=True)
             assert verdict.status is dense.status
             rungs.add(verdict.evidence.rung)

@@ -88,6 +88,27 @@ class TestDiscrete:
             simulate_discrete(spec, U2, U2, cfg)
         assert err.value.bad_paths == 8
 
+    @pytest.mark.filterwarnings("error")
+    def test_moment_sum_overflow_aborts_without_warning(self):
+        # the paths stay finite (1e78 after two steps), but |x|^4 leaves double range
+        spec = SystemSpec(np.array([[1e39]]), (np.eye(1),))
+        u1 = np.array([1.0], dtype=complex)
+        with pytest.raises(SimulationOverflowError, match="moment sums") as err:
+            simulate_discrete(spec, u1, u1, SimulationConfig(paths=4, seed=0, horizon=2))
+        assert err.value.bad_paths is None
+
+    def test_path_budget_checked_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started for an over-budget run")
+
+        monkeypatch.setattr("kronspec.montecarlo._substream", no_blocks)
+        monkeypatch.setattr("kronspec.montecarlo._draw_noise", no_blocks)
+        spec = SystemSpec(np.array([[0.5]]))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=10 ** 12, seed=0, horizon=1)
+        with pytest.raises(ValueError, match="path-steps, over the budget"):
+            simulate_discrete(spec, u1, u1, cfg)
+
     def test_moment_invariants(self):
         spec = demo_system(0.5, 0.7, 2.0)
         cfg = SimulationConfig(paths=5000, seed=2, horizon=5)
