@@ -164,62 +164,36 @@ def discrete_covariance(spec: SystemSpec, u, v, n: int) -> np.ndarray:
     return value
 
 
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (
-        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-    ),
-    13: (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-    ),
-}
-
-# 1-norm switching points for the Pade degrees above.
-_PADE_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068),
-    (13, 5.371920351148152),
+#: Coefficients of the degree-13 diagonal Pade approximant to exp.
+_PADE_COEFFS = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 
+#: Largest 1-norm at which the degree-13 approximant is accurate to unit
+#: roundoff (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+_THETA_13 = 5.371920351148152
 
-def _pade_approx(m: np.ndarray, degree: int) -> np.ndarray:
-    c = _PADE_COEFFS[degree]
-    n = m.shape[0]
-    ident = np.eye(n, dtype=np.complex128)
+
+def _pade_approx(m: np.ndarray) -> np.ndarray:
+    c = _PADE_COEFFS
+    ident = np.eye(m.shape[0], dtype=np.complex128)
     m2 = m @ m
-    if degree < 13:
-        # even powers I, m^2, m^4, ... up to m^(degree-1)
-        pows = [ident, m2]
-        for _ in range((degree - 1) // 2 - 1):
-            pows.append(pows[-1] @ m2)
-        u = c[1] * pows[0]
-        vv = c[0] * pows[0]
-        for j in range(1, (degree + 1) // 2):
-            u = u + c[2 * j + 1] * pows[j]
-            vv = vv + c[2 * j] * pows[j]
-        u = m @ u
-    else:
-        m4 = m2 @ m2
-        m6 = m2 @ m4
-        u = m @ (m6 @ (c[13] * m6 + c[11] * m4 + c[9] * m2)
-                 + c[7] * m6 + c[5] * m4 + c[3] * m2 + c[1] * ident)
-        vv = (m6 @ (c[12] * m6 + c[10] * m4 + c[8] * m2)
-              + c[6] * m6 + c[4] * m4 + c[2] * m2 + c[0] * ident)
+    m4 = m2 @ m2
+    m6 = m2 @ m4
+    u = m @ (m6 @ (c[13] * m6 + c[11] * m4 + c[9] * m2)
+             + c[7] * m6 + c[5] * m4 + c[3] * m2 + c[1] * ident)
+    vv = (m6 @ (c[12] * m6 + c[10] * m4 + c[8] * m2)
+          + c[6] * m6 + c[4] * m4 + c[2] * m2 + c[0] * ident)
     return np.linalg.solve(vv - u, vv + u)
 
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
-    """``exp(t * a)`` by scaling-and-squaring with diagonal Pade approximants.
+    """``exp(t * a)`` by scaling-and-squaring with the degree-13 Pade approximant.
 
-    Degree 3..13 approximants are chosen from the 1-norm of ``t * a``; larger
-    inputs are halved ``s`` times and the result squared back.  Accurate to
+    ``t * a`` is halved ``s = max(0, ceil(log2(|t a|_1 / theta_13)))`` times,
+    the approximant taken, and the result squared ``s`` times.  Accurate to
     roughly unit roundoff for well-scaled inputs; overflow of the result is
     reported rather than returned.
     """
@@ -230,16 +204,9 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     norm1 = float(np.linalg.norm(m, 1))
     if norm1 == 0.0:
         return np.eye(m.shape[0], dtype=np.complex128)
-    theta13 = _PADE_THETA[-1][1]
-    squarings = 0
-    if norm1 > theta13:
-        squarings = max(0, int(math.ceil(math.log2(norm1 / theta13))))
-        m = m / (2.0 ** squarings)
-        degree = 13
-    else:
-        degree = next(deg for deg, theta in _PADE_THETA if norm1 <= theta)
+    squarings = int(math.ceil(math.log2(max(norm1 / _THETA_13, 1.0))))
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _pade_approx(m, degree)
+        result = _pade_approx(m / (2.0 ** squarings))
         for _ in range(squarings):
             result = result @ result
     if not np.all(np.isfinite(result)):

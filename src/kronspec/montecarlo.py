@@ -9,8 +9,11 @@ could be farmed out to workers without changing the result (partial sums are
 merged in block order).
 
 The x and y paths of a pair share the noise draws and differ only in their
-initial vectors; when the initial vectors coincide the paths coincide, and the
-simulation exploits that.
+initial vectors, so both sets advance as one stacked array of shape
+``(s, d, paths)``: the x paths on top of the y paths (s = 2), or the x paths
+alone (s = 1) when the initial vectors coincide and so do the paths.  Both
+modes run one recursion ``x <- A_step x + sum_k (B_k x) zeta_k``; continuous
+mode passes the Euler-Maruyama system ``(I + dt A, sqrt(dt) B_k)``.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ _STEP_CHUNK = 256
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
 _MAX_MC_STEPS = 1_000_000
 
-#: Most paths x max(steps, 1) one simulation may take: ten times the largest
-#: run in use (1e5 paths x 1000 steps).  Checked before the first block, so a
-#: huge path count fails at once as well.
-_MAX_MC_PATH_STEPS = 1_000_000_000
+#: Most multiply-adds one simulation may take: s x paths x max(steps, 1) x
+#: d**2 x (m + 1), with s = 2 when u != v.  At d = 2, m = 1, u = v it admits
+#: the 1e9 path-steps of ten times the largest run in use (1e5 paths x 1000
+#: steps).  Checked before the first block, so a huge run fails at once.
+_MAX_MC_WORK = 8_000_000_000
 
 #: Constant c in the continuous-mode tolerance max(4*SE, c*dt).
 DT_BIAS_CONST = 10.0
@@ -115,52 +119,35 @@ def _draw_noise(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
-def _advance(a_step, noise_mats, zeta, x, nx, tmp) -> None:
-    """One step of one path set: ``nx = a_step x + sum_k (B_k x) * zeta[k]``."""
-    np.matmul(a_step, x, out=nx)
-    for k, b in enumerate(noise_mats):
-        np.matmul(b, x, out=tmp)
-        tmp *= zeta[k]
-        nx += tmp
+def _run_block(rng, kind, n, paths, a_step, noise_mats):
+    """Advance a stack of paths through n steps and return it.
 
-
-def _run_block(rng, kind, n, x, y, same, a_step, noise_mats, noise_scale):
-    """Advance one block of paths through n steps and return the final (x, y).
-
-    ``a_step`` is the per-step drift multiplier (A itself in discrete mode,
-    I + dt*A for the Euler-Maruyama step); noise enters as
-    ``noise_scale * B_k x zeta_k``.  Work buffers are reused across steps.
-    Overflow is checked at every chunk boundary, the last of which is step n;
-    non-finite values persist through the linear updates, so nothing escapes
-    detection.
+    ``paths`` has shape (s, d, bsize); each step sets
+    ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``, with ``a_step``
+    and B_k broadcast over the stack and the draws ``zeta[k]`` over both path sets.
+    Work buffers are reused across steps.  Overflow is checked at every chunk
+    boundary, the last of which is step n; non-finite values persist through
+    the linear updates, so nothing escapes detection.  A path is bad when its
+    x or its y is non-finite.
     """
-    nx = np.empty_like(x)
-    tmp = np.empty_like(x)
-    ny = None if same else np.empty_like(y)
+    nxt = np.empty_like(paths)
+    tmp = np.empty_like(paths)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n:
             chunk = min(_STEP_CHUNK, n - step)
-            zeta = _draw_noise(rng, kind, (chunk, len(noise_mats), x.shape[1]))
-            if noise_scale != 1.0:
-                zeta *= noise_scale
-            for j in range(chunk):
-                _advance(a_step, noise_mats, zeta[j], x, nx, tmp)
-                if not same:
-                    _advance(a_step, noise_mats, zeta[j], y, ny, tmp)
-                    y, ny = ny, y
-                x, nx = nx, x
+            for zeta in _draw_noise(rng, kind, (chunk, len(noise_mats), paths.shape[-1])):
+                np.matmul(a_step, paths, out=nxt)
+                for b, z in zip(noise_mats, zeta):
+                    np.matmul(b, paths, out=tmp)
+                    tmp *= z
+                    nxt += tmp
+                paths, nxt = nxt, paths
             step += chunk
-            _check_finite(x, step)
-            if not same:
-                _check_finite(y, step)
-    return x, (x if same else y)
-
-
-def _check_finite(x: np.ndarray, step) -> None:
-    good = np.all(np.isfinite(x), axis=0)
-    if not good.all():
-        raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
+            good = np.all(np.isfinite(paths), axis=(0, 1))
+            if not good.all():
+                raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
+    return paths
 
 
 def _step_count(count: float) -> int:
@@ -173,28 +160,31 @@ def _step_count(count: float) -> int:
     return int(steps)
 
 
-def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_scale, horizon, dt):
+def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, dt):
     """Run every path block of one simulation and return its moments at the horizon.
 
-    The running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 are merged in block
-    order.  The path budget is checked before any block starts.
+    Each block advances the initial vectors, stacked as (u,) when they
+    coincide and as (u, v) otherwise, as one ``(s, d, paths)`` array through
+    the system ``(a_step, noise_mats)``.  The running sums of x y*,
+    |x|^2 |y|^2, |x|^2 and |x|^4 are merged in block order.  The work budget
+    is checked before any block starts.
     """
-    work = cfg.paths * max(steps, 1)
-    if work > _MAX_MC_PATH_STEPS:
-        raise ValueError(
-            f"simulation needs {work:.3g} path-steps, over the budget of {_MAX_MC_PATH_STEPS:g}"
-        )
     d = spec.d
+    starts = np.stack((u,) if same else (u, v))
+    work = len(starts) * cfg.paths * max(steps, 1) * d ** 2 * (len(noise_mats) + 1)
+    if work > _MAX_MC_WORK:
+        raise ValueError(
+            f"simulation needs {work:.3g} multiply-adds, over the budget of {_MAX_MC_WORK:g}"
+        )
     s1 = np.zeros((d, d), dtype=np.complex128)
     s2 = np.zeros((d, d))
     r1 = r2 = 0.0
     for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
         bsize = min(BLOCK_PATHS, cfg.paths - start)
         rng = _substream(cfg.seed, block)
-        x = np.tile(u[:, None], (1, bsize))
-        y = x if same else np.tile(v[:, None], (1, bsize))
-        x, y = _run_block(rng, cfg.noise, steps, x, y, same, a_step, spec.noise_mats,
-                          noise_scale)
+        paths = _run_block(rng, cfg.noise, steps, np.tile(starts[:, :, None], (1, 1, bsize)),
+                           a_step, noise_mats)
+        x, y = paths[0], paths[-1]
         with np.errstate(over="ignore", invalid="ignore"):
             s1 += x @ y.conj().T
             ax2 = np.abs(x) ** 2
@@ -231,15 +221,17 @@ def simulate_discrete(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empirica
     n = _step_count(cfg.horizon)
     if n != cfg.horizon:
         raise ValueError(f"discrete horizon must be an integer step count, got {cfg.horizon}")
-    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, 1.0, n, None)
+    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, spec.noise_mats, n, None)
 
 
 def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> EmpiricalMoments:
     """Euler-Maruyama estimate of E[x(t) y*(t)] and E|x(t)|^2 at t = ``cfg.horizon``.
 
     The update is ``x += A x dt + sum_k B_k x sqrt(dt) z_k`` with independent
-    standard normal (or Rademacher) ``z``.  The scheme's covariance bias is
-    O(dt); comparisons against exact propagation should allow max(4*SE, c*dt).
+    standard normal (or Rademacher) ``z``: the discrete recursion of the system
+    ``(I + dt A, sqrt(dt) B_k)``, with sqrt(dt) folded into the B_k once.  The
+    scheme's covariance bias is O(dt); comparisons against exact propagation
+    should allow max(4*SE, c*dt).
     ``cfg.dt`` is adjusted to divide the horizon into a whole number of steps.
     """
     u, v, same = _initial_outer(spec, u, v)
@@ -251,7 +243,8 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
         raise ValueError(f"dt={cfg.dt} rounds to zero steps over the horizon {horizon}")
     dt = horizon / steps if steps > 0 else float(cfg.dt)
     a_step = np.eye(spec.d, dtype=np.complex128) + dt * spec.a
-    return _simulate("continuous", spec, u, v, same, cfg, steps, a_step, math.sqrt(dt),
+    noise_mats = tuple(math.sqrt(dt) * b for b in spec.noise_mats)
+    return _simulate("continuous", spec, u, v, same, cfg, steps, a_step, noise_mats,
                      horizon, dt)
 
 

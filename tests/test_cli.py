@@ -387,7 +387,7 @@ def test_simulate_paths_over_budget_exits_65(demo_file, monkeypatch, capsys):
     code = main(["simulate", demo_file, "--u", U, "--horizon", "1", "--paths", "1000000000000"])
     captured = capsys.readouterr()
     _assert_one_error_line(captured, code, 65)
-    assert "path-steps, over the budget" in captured.err
+    assert "multiply-adds, over the budget" in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -174,11 +174,14 @@ class TestMatrixExponential:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
     def test_against_scipy(self, crandn):
+        # the 1-norms of t*a run from 6e-4 to 11: unscaled inputs in every band
+        # where lower Pade degrees would do, and scaled ones past theta_13
         for n in (1, 2, 5, 9):
             a = crandn(n, n)
-            mine = matrix_exponential(a, 1.0)
-            ref = scipy.linalg.expm(a)
-            assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+            for t in (1e-3, 0.05, 0.3, 1.0):
+                mine = matrix_exponential(a, t)
+                ref = scipy.linalg.expm(t * a)
+                assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
     def test_large_argument_accuracy(self):
         # norm far beyond the top Pade threshold exercises scaling and squaring

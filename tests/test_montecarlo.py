@@ -106,8 +106,22 @@ class TestDiscrete:
         spec = SystemSpec(np.array([[0.5]]))
         u1 = np.array([1.0], dtype=complex)
         cfg = SimulationConfig(paths=10 ** 12, seed=0, horizon=1)
-        with pytest.raises(ValueError, match="path-steps, over the budget"):
+        with pytest.raises(ValueError, match="multiply-adds, over the budget"):
             simulate_discrete(spec, u1, u1, cfg)
+
+    def test_work_budget_counts_the_dimension(self, monkeypatch):
+        # 1e5 paths x 20 steps is 2e6 path-steps, but at d = 64, m = 1 each
+        # path-step costs 2 * 64**2 multiply-adds: 1.6e10 in all
+        def no_blocks(*args):
+            raise AssertionError("a block started for an over-budget run")
+
+        monkeypatch.setattr("kronspec.montecarlo._substream", no_blocks)
+        monkeypatch.setattr("kronspec.montecarlo._draw_noise", no_blocks)
+        spec = SystemSpec(0.5 * np.eye(64), (0.1 * np.eye(64),))
+        u = np.eye(64, dtype=complex)[0]
+        cfg = SimulationConfig(paths=100_000, seed=0, horizon=20)
+        with pytest.raises(ValueError, match="multiply-adds, over the budget"):
+            simulate_discrete(spec, u, u, cfg)
 
     def test_moment_invariants(self):
         spec = demo_system(0.5, 0.7, 2.0)
@@ -164,6 +178,24 @@ class TestContinuous:
         cfg = SimulationConfig(paths=100, seed=0, dt=1e-300, horizon=1.0)
         with pytest.raises(ValueError, match="budget"):
             simulate_continuous(spec, U2, U2, cfg)
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_x_paths_do_not_depend_on_v(mode, noise):
+    # x rides on top of y in one stacked array; its moments must not see v
+    spec = demo_system(0.5, 0.7, 2.0)
+    v = np.array([0.3, -1.0], dtype=complex)
+    if mode == "discrete":
+        simulate, cfg = simulate_discrete, SimulationConfig(paths=2000, seed=5, noise=noise,
+                                                            horizon=10)
+    else:
+        simulate, cfg = simulate_continuous, SimulationConfig(paths=2000, seed=5, noise=noise,
+                                                              dt=0.01, horizon=1.0)
+    uv = simulate(spec, U2, v, cfg)
+    uu = simulate(spec, U2, U2, cfg)
+    assert uv.second_moment == uu.second_moment
+    assert uv.second_moment_se == uu.second_moment_se
 
 
 class TestNoiseDraws:
