@@ -5,9 +5,9 @@ used as mutual oracles:
 
 * discrete: the one-step recursion ``V -> A V A* + sum_k B_k V B_k*`` versus
   powers of the discrete stochastic Kronecker sum applied to ``vec(V)``;
-* continuous: fixed-step fourth-order integration of
-  ``V' = A V + V A* + sum_k B_k V B_k*`` versus the matrix exponential of the
-  continuous stochastic Kronecker sum.
+* continuous: a truncated Taylor series for ``e^(tL)`` applied to d-by-d
+  matrices, ``L(V) = A V + V A* + sum_k B_k V B_k*``, versus the matrix
+  exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
 
 The second-moment trace obeys geometric/exponential envelopes driven by the
 extreme eigenvalues of the Hermitian companion matrices; those envelopes are
@@ -38,16 +38,15 @@ from .matrices import (
     _require_square,
 )
 
-#: Self-convergence target for the fixed-step integrator (kept well under the
-#: 1e-6 route-agreement tolerance).
-ODE_TARGET = 1e-7
+#: Largest 1-norm theta of X = tau (C - mu I) over one Taylor substep, so the
+#: terms grow by at most e**theta and cancellation costs a few roundoffs.  The
+#: tail sum_{j>J} X^j/j! has 1-norm at most theta^(J+1)/(J+1)! e^theta, under
+#: 2**-53 first at J = 18 (e/19! = 2.2e-17; e/18! = 4.3e-16): 19 terms.
+_THETA = 1.0
+_TAYLOR_TERMS = 18
 
-_MAX_HALVINGS = 16
-
-#: Most fourth-order steps one integration pass over the grid may take.  The
-#: initial step scales like 1/|L|, so large-norm systems would otherwise spin
-#: for hours (or, once the state overflows, forever) before failing.
-_MAX_RK4_STEPS = 500_000
+#: Most Taylor substeps one propagation may take, checked before the first.
+_MAX_TAYLOR_SUBSTEPS = 500_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
 #: unbounded step count would grow memory until the process dies.  A step
@@ -216,41 +215,47 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def _rk4_on_grid(rhs, v0: np.ndarray, t_grid: np.ndarray, h_max: float) -> list[np.ndarray]:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = float(np.sum(np.ceil(np.diff(t_grid, prepend=0.0) / h_max)))
-    if not total <= _MAX_RK4_STEPS:
+def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
+    """``e^(tL) V0`` at each grid time: e^(mu tau) sum_{j<=J} (tau (L - mu))^j/j! per substep.
+
+    mu = tr(C)/d**2 = 2 Re tr(A)/d + sum_k |tr B_k|**2/d**2, and L - mu is the
+    generator of (A - mu/2 I, B_k), so |C - mu I|_1 <= beta = 2 |A - mu/2 I|_1 +
+    sum_k |B_k|_1**2.  A grid gap h takes ceil(h beta/theta) substeps tau.  Over
+    :data:`_MAX_TAYLOR_SUBSTEPS` in all, or with mu or beta not finite, it is a
+    ``RuntimeError`` before any work.
+    """
+    d = spec.d
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(2.0 * np.trace(spec.a).real / d
+                   + sum(abs(np.trace(b)) ** 2 for b in spec.noise_mats) / d ** 2)
+        shifted = spec.a - (mu / 2.0) * np.eye(d)
+        beta = float(2.0 * np.linalg.norm(shifted, 1)
+                     + sum(np.linalg.norm(b, 1) ** 2 for b in spec.noise_mats))
+        gaps = np.diff(t_grid, prepend=0.0)
+        # every positive gap takes one substep at least, even when beta = 0
+        substeps = np.maximum(np.ceil(gaps * beta / _THETA), gaps > 0)
+        total = float(np.sum(substeps))
+    if not (math.isfinite(mu) and math.isfinite(beta) and total <= _MAX_TAYLOR_SUBSTEPS):
         raise RuntimeError(
-            f"integrator step-size failure: a pass at step {h_max:.3g} needs {total:.3g} "
-            f"steps, over the budget of {_MAX_RK4_STEPS:g}"
+            f"Taylor propagation needs {total:.3g} substeps (beta = {beta:.3g}, mu = {mu:.3g}), "
+            f"over the budget of {_MAX_TAYLOR_SUBSTEPS:g}"
         )
+    apply = second_moment_map(SystemSpec(shifted, spec.noise_mats), "continuous")
     values = []
     cur = v0
-    t_prev = 0.0
-    for t in t_grid:
-        seg = t - t_prev
-        if seg > 0.0:
-            steps = max(1, int(math.ceil(seg / h_max)))
-            h = seg / steps
+    for t, gap, steps in zip(t_grid, gaps, substeps.astype(int)):
+        tau = gap / max(steps, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
-                k1 = rhs(cur)
-                k2 = rhs(cur + (0.5 * h) * k1)
-                k3 = rhs(cur + (0.5 * h) * k2)
-                k4 = rhs(cur + h * k3)
-                cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                term, series = cur, cur.copy()
+                for j in range(1, _TAYLOR_TERMS + 1):
+                    term = (tau / j) * apply(term)
+                    series += term
+                cur = np.exp(mu * tau) * series
         if not np.all(np.isfinite(cur)):
-            raise OverflowError(f"covariance integration overflowed before t={t}")
+            raise OverflowError(f"covariance propagation overflowed before t={t}")
         values.append(cur)
-        t_prev = t
     return values
-
-
-def _values_discrepancy(a_vals, b_vals) -> float:
-    worst = 0.0
-    for va, vb in zip(a_vals, b_vals):
-        scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
-    return worst
 
 
 def _check_time_grid(t_grid) -> np.ndarray:
@@ -271,11 +276,10 @@ def propagate_continuous(
 
     ``route="kronecker"`` evaluates the matrix exponential of the continuous
     stochastic Kronecker sum against ``vec(V(0))`` at each grid time;
-    ``route="ode"`` integrates the d-by-d matrix differential equation with a
-    classical fourth-order scheme, halving the step until two successive
-    refinements agree to :data:`ODE_TARGET` (so it never consults the
-    exponential route).  The initial step obeys ``h * L <= 0.1`` for an upper
-    bound L on the generator norm.
+    ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
+    (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, in substeps of
+    1-norm theta = 1, with J = 18 powers so the tail stays under 2**-53.  It
+    forms neither C nor its exponential, so it runs at any d.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")
@@ -292,27 +296,7 @@ def propagate_continuous(
                 raise OverflowError(f"covariance propagation overflowed at t={t}")
             values.append(unvec(w, spec.d))
     else:
-        rhs = second_moment_map(spec, "continuous")
-        with np.errstate(over="ignore"):  # an infinite norm fails the step budget below
-            gen_norm = 2.0 * np.linalg.norm(spec.a, 2) + sum(
-                np.linalg.norm(b, 2) ** 2 for b in spec.noise_mats
-            )
-        gaps = np.diff(np.concatenate(([0.0], t_grid)))
-        min_gap = float(np.min(gaps[gaps > 0])) if np.any(gaps > 0) else 1.0
-        h = min(0.1 / max(gen_norm, 1e-12), min_gap)
-        prev = _rk4_on_grid(rhs, v0, t_grid, h)
-        for _ in range(_MAX_HALVINGS):
-            h /= 2.0
-            cur = _rk4_on_grid(rhs, v0, t_grid, h)
-            if _values_discrepancy(prev, cur) <= ODE_TARGET / 2.0:
-                values = cur
-                break
-            prev = cur
-        else:
-            raise RuntimeError(
-                f"integrator step-size failure: no convergence to {ODE_TARGET:g} "
-                f"after {_MAX_HALVINGS} halvings"
-            )
+        values = _taylor_on_grid(spec, v0, t_grid)
     return _traj("continuous", t_grid.tolist(), values, same)
 
 
@@ -322,7 +306,11 @@ def max_relative_discrepancy(a: CovarianceTrajectory, b: CovarianceTrajectory) -
         raise ValueError("trajectories are not comparable")
     if not np.allclose(np.asarray(a.index, float), np.asarray(b.index, float)):
         raise ValueError("trajectories use different grids")
-    return _values_discrepancy(a.values, b.values)
+    worst = 0.0
+    for va, vb in zip(a.values, b.values):
+        scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
+    return worst
 
 
 def second_moment_bounds_discrete(
@@ -363,7 +351,7 @@ def _second_moment_bounds(spec, mode, u, horizon, rel_tol) -> SecondMomentBounds
         with np.errstate(over="ignore"):
             lower = u2 * float(np.exp(report.lower * horizon))
             upper = u2 * float(np.exp(report.upper * horizon))
-        actual = propagate_continuous(spec, u, u, [horizon], route="kronecker").second_moments[-1]
+        actual = propagate_continuous(spec, u, u, [horizon], route="ode").second_moments[-1]
     _check_moment_chain(mode, lower, upper, actual, rel_tol)
     return SecondMomentBounds(lower=lower, upper=upper, actual=actual)
 

@@ -29,8 +29,12 @@ from .matrices import SystemSpec
 #: Paths per RNG substream; fixed so results do not depend on worker count.
 BLOCK_PATHS = 16384
 
-#: Steps of noise drawn per RNG call, and the overflow-check stride.
+#: Most steps of noise drawn per RNG call, and the overflow-check stride.
 _STEP_CHUNK = 256
+
+#: Most bytes one noise draw may hold (64 MiB): with many channels or paths a
+#: chunk takes fewer steps.  Splitting the draws leaves the streams unchanged.
+_NOISE_CHUNK_BYTES = 2 ** 26
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
@@ -119,6 +123,11 @@ def _draw_noise(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
+def _chunk_steps(m: int, paths: int) -> int:
+    """Steps per noise draw of (steps, m, paths) float64s, at most :data:`_STEP_CHUNK`."""
+    return max(1, min(_STEP_CHUNK, _NOISE_CHUNK_BYTES // (8 * max(m, 1) * paths)))
+
+
 def _run_block(rng, kind, n, paths, a_step, noise_mats):
     """Advance a stack of paths through n steps and return it.
 
@@ -132,10 +141,11 @@ def _run_block(rng, kind, n, paths, a_step, noise_mats):
     """
     nxt = np.empty_like(paths)
     tmp = np.empty_like(paths)
+    stride = _chunk_steps(len(noise_mats), paths.shape[-1])
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n:
-            chunk = min(_STEP_CHUNK, n - step)
+            chunk = min(stride, n - step)
             for zeta in _draw_noise(rng, kind, (chunk, len(noise_mats), paths.shape[-1])):
                 np.matmul(a_step, paths, out=nxt)
                 for b, z in zip(noise_mats, zeta):
@@ -271,7 +281,7 @@ def compare_to_exact(moments: EmpiricalMoments, spec: SystemSpec, u, v) -> Momen
     if moments.mode == "discrete":
         exact = discrete_covariance(spec, u, v, moments.horizon)
     else:
-        exact = propagate_continuous(spec, u, v, [moments.horizon], route="kronecker").values[0]
+        exact = propagate_continuous(spec, u, v, [moments.horizon], route="ode").values[0]
     tol = 4.0 * moments.std_error
     if moments.mode == "continuous":
         tol = np.maximum(tol, DT_BIAS_CONST * moments.dt)

@@ -170,7 +170,8 @@ class TestEvolve:
         assert code == 70
 
     def test_ode_step_budget_exits_70(self, tmp_path, capsys):
-        path = _write_system(tmp_path, SystemSpec(-1e6 * np.eye(2)))
+        # beta = 2e7: the Taylor route needs 2e7 substeps to t = 1
+        path = _write_system(tmp_path, SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]])))
         code = main(
             ["evolve", path, "--mode=continuous", "--u", "[[1,0],[0,0]]",
              "--times", "1", "--route", "both"]
@@ -500,8 +501,10 @@ def test_d65_exact_decides_on_the_refined_rung(tmp_path, monkeypatch, capsys):
         ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "direct"],
         ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "0.5,1", "--route", "ode"],
         ["simulate", "FILE", "--u", _U65, "--paths", "4", "--horizon", "2"],
+        ["simulate", "FILE", "--mode=continuous", "--u", _U65, "--paths", "4", "--dt", "0.1",
+         "--horizon", "1"],
     ],
-    ids=["evolve-direct", "evolve-ode", "simulate-discrete"],
+    ids=["evolve-direct", "evolve-ode", "simulate-discrete", "simulate-continuous"],
 )
 def test_d65_runs_the_d_by_d_routes(argv, d65_file, capsys):
     code = main([d65_file if a == "FILE" else a for a in argv])
@@ -517,16 +520,14 @@ def test_d65_runs_the_d_by_d_routes(argv, d65_file, capsys):
         ["evolve", "FILE", "--u", _U65, "--steps", "2", "--route", "both"],
         ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "kronecker"],
         ["evolve", "FILE", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "both"],
-        ["simulate", "FILE", "--mode=continuous", "--u", _U65, "--paths", "4", "--dt", "0.1",
-         "--horizon", "1"],
     ],
     ids=["analyze-exact", "evolve-discrete-kronecker", "evolve-discrete-both",
-         "evolve-continuous-kronecker", "evolve-continuous-both", "simulate-continuous"],
+         "evolve-continuous-kronecker", "evolve-continuous-both"],
 )
 def test_d65_dense_work_refused_before_any_other_work(argv, d65_file, sp65_file, monkeypatch,
                                                       capsys):
     for target in ("numpy.kron", "kronspec.evolution._recursion",
-                   "kronspec.evolution._rk4_on_grid", "kronspec.montecarlo._draw_noise"):
+                   "kronspec.evolution._taylor_on_grid", "kronspec.montecarlo._draw_noise"):
         monkeypatch.setattr(target, _fail)
     files = {"FILE": d65_file, "SP65": sp65_file}
     code = main([files.get(a, a) for a in argv])

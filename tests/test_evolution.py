@@ -26,6 +26,10 @@ from kronspec.kronsum import (
 from kronspec.matrices import ConsistencyError, SystemSpec, random_system, vec
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("work started before the budget check")
+
+
 def _random_vec(rng, d):
     return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
 
@@ -244,11 +248,33 @@ class TestPropagateContinuous:
         with pytest.raises(ValueError):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="direct")
 
-    def test_step_budget_stops_large_norm_system(self):
-        # h = 0.1/|L| = 5e-8 puts the first pass at 2e7 steps: refused before stepping
-        spec = SystemSpec(-1e6 * np.eye(2))
+    def test_step_budget_stops_large_norm_system(self, monkeypatch):
+        # mu = 0 and beta = 2e7 put t = 1 at 2e7 substeps: refused before any map is built
+        spec = SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]]))
+        monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
         with pytest.raises(RuntimeError, match="budget"):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="ode")
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_taylor_route_matches_scipy_expm(self, rng, m):
+        self._check_against_expm(random_system(rng, 3, m), rng)
+
+    def test_taylor_route_matches_scipy_expm_non_normal(self, rng):
+        # |A|_1 = 32.5 against a spectral abscissa of -1: e^(tA) grows a hump before decaying
+        a = np.diag([-1.0, -1.5, -2.0, -2.5]) + np.diag([30.0, 30.0, 30.0], 1)
+        self._check_against_expm(SystemSpec(a, (0.5 * np.eye(4)[::-1],)), rng)
+
+    @staticmethod
+    def _check_against_expm(spec, rng):
+        times = [0.0, 1e-3, 0.25, 1.0, 5.0]
+        u, v = _random_vec(rng, spec.d), _random_vec(rng, spec.d)
+        v0 = np.outer(u, v.conj())
+        traj = propagate_continuous(spec, u, v, times, "ode")
+        assert np.array_equal(traj.values[0], v0)
+        cmat = build_continuous_sum(spec)
+        for t, got in zip(times[1:], traj.values[1:]):
+            want = scipy.linalg.expm(t * cmat) @ vec(v0)
+            assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
 
 
 class TestSecondMomentBounds:

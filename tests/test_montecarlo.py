@@ -4,9 +4,11 @@ import pytest
 from kronspec.cli import demo_system
 from kronspec.matrices import SystemSpec
 from kronspec.montecarlo import (
+    BLOCK_PATHS,
     EmpiricalMoments,
     SimulationConfig,
     SimulationOverflowError,
+    _chunk_steps,
     _draw_noise,
     _substream,
     compare_to_exact,
@@ -220,3 +222,23 @@ class TestNoiseDraws:
         se2 = simulate_discrete(spec, U2, U2, double).std_error[1, 1]
         ratio = se2 / se1
         assert abs(ratio - 1.0 / np.sqrt(2.0)) <= 0.2 / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("m, steps", [(1, 256), (2, 256), (7, 73), (64, 8)])
+    def test_noise_chunk_holds_at_most_64_mib(self, m, steps):
+        assert _chunk_steps(m, BLOCK_PATHS) == steps
+        assert 8 * steps * m * BLOCK_PATHS <= 2 ** 26
+
+    @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("cap", [1, 8 * 3 * 300 * 3])  # 1 and 3 steps per chunk
+    def test_small_noise_chunks_leave_seeded_moments_unchanged(self, noise, cap, monkeypatch):
+        rng = np.random.default_rng(5)
+        spec = SystemSpec(0.3 * rng.standard_normal((2, 2)),
+                          tuple(0.3 * rng.standard_normal((2, 2)) for _ in range(3)))
+        v = np.array([0.6, -0.8], dtype=complex)
+        cfg = SimulationConfig(paths=300, seed=9, noise=noise, horizon=40)
+        whole = simulate_discrete(spec, U2, v, cfg)
+        monkeypatch.setattr("kronspec.montecarlo._NOISE_CHUNK_BYTES", cap)
+        split = simulate_discrete(spec, U2, v, cfg)
+        assert np.array_equal(whole.mean_outer, split.mean_outer)
+        assert np.array_equal(whole.std_error, split.std_error)
+        assert whole.second_moment == split.second_moment
