@@ -11,7 +11,7 @@ Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
 indeterminate, 64 malformed or unreadable system file, 65 bad vectors,
 dimensions, values or usage, or dense d**2-by-d**2 work past d = 64, 70
 numerical overflow, exhausted memory or any internal ``RuntimeError``
-(Taylor substep budget, failed consistency check).
+(Taylor work budget, failed consistency check).
 ``main`` maps every failure to its code from one table.
 """
 

@@ -45,8 +45,17 @@ from .matrices import (
 _THETA = 1.0
 _TAYLOR_TERMS = 18
 
-#: Most Taylor substeps one propagation may take, checked before the first.
-_MAX_TAYLOR_SUBSTEPS = 500_000
+#: Multiply-adds charged for each d-by-d product of a map application, on top
+#: of its d**3: numpy's per-call overhead, about 4.5 us against 0.13-0.2 ns per
+#: multiply-add at large d (complex, 2 cores), so a product at d <= 32 costs
+#: about as much as one at d = 32.
+_PRODUCT_OVERHEAD = 32 ** 3
+
+#: Most multiply-adds one Taylor propagation may take, charged as substeps x J
+#: map applications x (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD) and
+#: checked before the first substep: about 10-35 s of work at any d.  The
+#: largest run in use (criterion 4, d = 3, m = 3, 189 substeps) costs 8.9e8.
+_MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
 #: unbounded step count would grow memory until the process dies.  A step
@@ -221,7 +230,7 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     mu = tr(C)/d**2 = 2 Re tr(A)/d + sum_k |tr B_k|**2/d**2, and L - mu is the
     generator of (A - mu/2 I, B_k), so |C - mu I|_1 <= beta = 2 |A - mu/2 I|_1 +
     sum_k |B_k|_1**2.  A grid gap h takes ceil(h beta/theta) substeps tau.  Over
-    :data:`_MAX_TAYLOR_SUBSTEPS` in all, or with mu or beta not finite, it is a
+    :data:`_MAX_TAYLOR_WORK` in all, or with mu or beta not finite, it is a
     ``RuntimeError`` before any work.
     """
     d = spec.d
@@ -235,10 +244,11 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
         # every positive gap takes one substep at least, even when beta = 0
         substeps = np.maximum(np.ceil(gaps * beta / _THETA), gaps > 0)
         total = float(np.sum(substeps))
-    if not (math.isfinite(mu) and math.isfinite(beta) and total <= _MAX_TAYLOR_SUBSTEPS):
+        work = total * _TAYLOR_TERMS * (2 * spec.m + 2) * (d ** 3 + _PRODUCT_OVERHEAD)
+    if not (math.isfinite(mu) and math.isfinite(beta) and work <= _MAX_TAYLOR_WORK):
         raise RuntimeError(
-            f"Taylor propagation needs {total:.3g} substeps (beta = {beta:.3g}, mu = {mu:.3g}), "
-            f"over the budget of {_MAX_TAYLOR_SUBSTEPS:g}"
+            f"Taylor propagation needs {total:.3g} substeps, {work:.3g} multiply-adds "
+            f"(beta = {beta:.3g}, mu = {mu:.3g}), over the budget of {_MAX_TAYLOR_WORK:g}"
         )
     apply = second_moment_map(SystemSpec(shifted, spec.noise_mats), "continuous")
     values = []

@@ -4,21 +4,32 @@ Discrete time iterates ``x(n+1) = A x(n) + sum_k B_k x(n) xi_{n+1,k}`` with
 i.i.d. unit-variance scalar noise; continuous time applies Euler-Maruyama to
 ``dx = A x dt + sum_k B_k x dw_k``.  Empirical covariances at the horizon are
 accumulated over fixed-size path blocks, each drawing from its own substream
-keyed by ``(seed, block index)``, so estimates are reproducible bit-for-bit and blocks
-could be farmed out to workers without changing the result (partial sums are
-merged in block order).
+keyed by ``(seed, block index)``.
+
+Blocks run in groups of W = min(usable CPUs, block count) in lockstep.  For
+each chunk of steps a thread pool draws the W blocks' noise at once (numpy's
+generators release the GIL while they fill), then the calling thread advances
+the blocks one after another, and after the last step merges their partial
+sums in block order.  Drawing and updating never overlap, so the noise threads
+do not compete with BLAS's own threads, and since neither the streams nor the
+order of any sum depends on W, estimates are reproducible bit-for-bit at any
+core count.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
 ``(s, d, paths)``: the x paths on top of the y paths (s = 2), or the x paths
 alone (s = 1) when the initial vectors coincide and so do the paths.  Both
 modes run one recursion ``x <- A_step x + sum_k (B_k x) zeta_k``; continuous
-mode passes the Euler-Maruyama system ``(I + dt A, sqrt(dt) B_k)``.
+mode passes the Euler-Maruyama system ``(I + dt A, sqrt(dt) B_k)``.  When the
+system and the initial vectors are real, the paths are float64 rather than
+complex128: a quarter of the arithmetic, and the same estimates up to
+roundoff.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +40,31 @@ from .matrices import SystemSpec
 #: Paths per RNG substream; fixed so results do not depend on worker count.
 BLOCK_PATHS = 16384
 
-#: Most steps of noise drawn per RNG call, and the overflow-check stride.
+#: Steps between overflow checks, and the most steps of noise drawn per RNG call.
 _STEP_CHUNK = 256
 
-#: Most bytes one noise draw may hold (64 MiB): with many channels or paths a
-#: chunk takes fewer steps.  Splitting the draws leaves the streams unchanged.
-_NOISE_CHUNK_BYTES = 2 ** 26
+#: Most bytes of noise held at once (8 MiB), summed over the blocks in flight:
+#: with many channels, paths or blocks a draw takes fewer steps.  Splitting
+#: the draws leaves the streams unchanged.
+_NOISE_CHUNK_BYTES = 2 ** 23
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
 _MAX_MC_STEPS = 1_000_000
 
-#: Most multiply-adds one simulation may take: s x paths x max(steps, 1) x
-#: d**2 x (m + 1), with s = 2 when u != v.  At d = 2, m = 1, u = v it admits
-#: the 1e9 path-steps of ten times the largest run in use (1e5 paths x 1000
-#: steps).  Checked before the first block, so a huge run fails at once.
+#: Multiply-adds charged per path for each of a step's m + 1 products, on top
+#: of its s d**2: at small d the product's per-path overhead, the noise draw
+#: and the scale-and-add cost more than the product itself.  With it every
+#: admitted run takes seconds at any d, measured at 0.14-0.98 ns per charged
+#: multiply-add over d = 1, 2, 8, 64 and m = 0..7 (2 cores, complex paths),
+#: where d**2 alone ranged from 0.15 ns at d = 64 to 20 ns at d = 1, m = 7.
+_PRODUCT_OVERHEAD = 32
+
+#: Most multiply-adds one simulation may take: paths x max(steps, 1) x (m + 1)
+#: x (s d**2 + _PRODUCT_OVERHEAD), with s = 2 when u != v.  It admits the 1e8
+#: path-steps of criterion 6's continuous run (d = 2, m = 1: 7.2e9) and
+#: refuses 2e6 path-steps at d = 65 (8.5e9).  Checked before the first block,
+#: so a huge run fails at once.
 _MAX_MC_WORK = 8_000_000_000
 
 #: Constant c in the continuous-mode tolerance max(4*SE, c*dt).
@@ -124,40 +145,68 @@ def _draw_noise(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
 
 
 def _chunk_steps(m: int, paths: int) -> int:
-    """Steps per noise draw of (steps, m, paths) float64s, at most :data:`_STEP_CHUNK`."""
-    return max(1, min(_STEP_CHUNK, _NOISE_CHUNK_BYTES // (8 * max(m, 1) * paths)))
+    """Steps per noise draw of (steps, m, paths) float64s for ``paths`` in flight.
 
-
-def _run_block(rng, kind, n, paths, a_step, noise_mats):
-    """Advance a stack of paths through n steps and return it.
-
-    ``paths`` has shape (s, d, bsize); each step sets
-    ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``, with ``a_step``
-    and B_k broadcast over the stack and the draws ``zeta[k]`` over both path sets.
-    Work buffers are reused across steps.  Overflow is checked at every chunk
-    boundary, the last of which is step n; non-finite values persist through
-    the linear updates, so nothing escapes detection.  A path is bad when its
-    x or its y is non-finite.
+    The largest power of two up to :data:`_STEP_CHUNK` within
+    :data:`_NOISE_CHUNK_BYTES`, or 1, so the draws tile the overflow-check stride.
     """
-    nxt = np.empty_like(paths)
-    tmp = np.empty_like(paths)
-    stride = _chunk_steps(len(noise_mats), paths.shape[-1])
+    steps = max(1, min(_STEP_CHUNK, _NOISE_CHUNK_BYTES // (8 * max(m, 1) * paths)))
+    return 1 << (steps.bit_length() - 1)
+
+
+def _advance(bufs, a_step, noise_mats, noise):
+    """Take one step per row of ``noise``; ``bufs`` = [paths, spare, tmp], swapped in place.
+
+    Each step sets ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``,
+    with ``a_step`` and B_k broadcast over the (s, d, bsize) stack and the
+    draws ``zeta[k]`` over both path sets.
+    """
+    paths, nxt, tmp = bufs
+    for zeta in noise:
+        np.matmul(a_step, paths, out=nxt)
+        for b, z in zip(noise_mats, zeta):
+            np.matmul(b, paths, out=tmp)
+            tmp *= z
+            nxt += tmp
+        paths, nxt = nxt, paths
+    bufs[:2] = paths, nxt
+
+
+def _run_group(draw, rngs, kind, n, starts, sizes, a_step, noise_mats):
+    """Advance one group of blocks in lockstep through n steps and return their path stacks.
+
+    Block i starts as ``sizes[i]`` copies of the (s, d) stack ``starts``.
+
+    ``draw`` maps a function over the blocks (a thread pool's ``map``): per
+    chunk it fills every block's noise from its own substream at once; then
+    the calling thread advances the blocks in block order.  Overflow is
+    checked every :data:`_STEP_CHUNK` steps and at step n, block by block;
+    non-finite values persist through the linear updates, so nothing escapes
+    detection.  A path is bad when its x or its y is non-finite.  The caller
+    silences numpy's overflow warnings.
+    """
+    m = len(noise_mats)
+    bufs = []
+    for size in sizes:
+        stack = np.tile(starts[:, :, None], (1, 1, size))
+        bufs.append([stack, np.empty_like(stack), np.empty_like(stack)])
+    stride = _chunk_steps(m, sum(sizes))
     step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n:
-            chunk = min(stride, n - step)
-            for zeta in _draw_noise(rng, kind, (chunk, len(noise_mats), paths.shape[-1])):
-                np.matmul(a_step, paths, out=nxt)
-                for b, z in zip(noise_mats, zeta):
-                    np.matmul(b, paths, out=tmp)
-                    tmp *= z
-                    nxt += tmp
-                paths, nxt = nxt, paths
-            step += chunk
-            good = np.all(np.isfinite(paths), axis=(0, 1))
+    while step < n:
+        chunk = min(stride, n - step)
+        noise = list(draw(lambda rng, size: _draw_noise(rng, kind, (chunk, m, size)),
+                          rngs, sizes))
+        for buf, zeta in zip(bufs, noise):
+            _advance(buf, a_step, noise_mats, zeta)
+        del noise, zeta  # free this chunk before the next one is drawn
+        step += chunk
+        if step % _STEP_CHUNK and step < n:
+            continue
+        for buf in bufs:
+            good = np.all(np.isfinite(buf[0]), axis=(0, 1))
             if not good.all():
                 raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
-    return paths
+    return [buf[0] for buf in bufs]
 
 
 def _step_count(count: float) -> int:
@@ -170,38 +219,61 @@ def _step_count(count: float) -> int:
     return int(steps)
 
 
+def _block_sums(paths):
+    """One block's sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4."""
+    x, y = paths[0], paths[-1]
+    ax2 = np.abs(x) ** 2
+    sq = np.sum(ax2, axis=0)
+    return x @ y.conj().T, ax2 @ (np.abs(y) ** 2).T, float(np.sum(sq)), float(np.sum(sq ** 2))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, dt):
     """Run every path block of one simulation and return its moments at the horizon.
 
     Each block advances the initial vectors, stacked as (u,) when they
     coincide and as (u, v) otherwise, as one ``(s, d, paths)`` array through
-    the system ``(a_step, noise_mats)``.  The running sums of x y*,
-    |x|^2 |y|^2, |x|^2 and |x|^4 are merged in block order.  The work budget
-    is checked before any block starts.
+    the system ``(a_step, noise_mats)``, in float64 when all of these are
+    real.  Blocks run in lockstep groups (see the module docstring); the
+    running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 stay complex128 and
+    float64 and are merged in block order.  The work budget
+    (:data:`_MAX_MC_WORK`) is checked before any block starts.
     """
-    d = spec.d
+    d, m = spec.d, len(noise_mats)
     starts = np.stack((u,) if same else (u, v))
-    work = len(starts) * cfg.paths * max(steps, 1) * d ** 2 * (len(noise_mats) + 1)
+    work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PRODUCT_OVERHEAD)
     if work > _MAX_MC_WORK:
         raise ValueError(
             f"simulation needs {work:.3g} multiply-adds, over the budget of {_MAX_MC_WORK:g}"
         )
+    if not any(np.any(x.imag) for x in (a_step, starts, *noise_mats)):
+        a_step, starts = np.ascontiguousarray(a_step.real), starts.real
+        noise_mats = tuple(np.ascontiguousarray(b.real) for b in noise_mats)
     s1 = np.zeros((d, d), dtype=np.complex128)
     s2 = np.zeros((d, d))
     r1 = r2 = 0.0
-    for block, start in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
-        bsize = min(BLOCK_PATHS, cfg.paths - start)
-        rng = _substream(cfg.seed, block)
-        paths = _run_block(rng, cfg.noise, steps, np.tile(starts[:, :, None], (1, 1, bsize)),
-                           a_step, noise_mats)
-        x, y = paths[0], paths[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            s1 += x @ y.conj().T
-            ax2 = np.abs(x) ** 2
-            s2 += ax2 @ (np.abs(y) ** 2).T
-            sq = np.sum(ax2, axis=0)
-            r1 += float(np.sum(sq))
-            r2 += float(np.sum(sq ** 2))
+    blocks = -(-cfg.paths // BLOCK_PATHS)
+    width = min(_usable_cpus(), blocks)
+    from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
+
+    with ThreadPoolExecutor(width) as pool, np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, blocks, width):
+            group = range(first, min(first + width, blocks))
+            rngs = [_substream(cfg.seed, block) for block in group]
+            sizes = [min(BLOCK_PATHS, cfg.paths - block * BLOCK_PATHS) for block in group]
+            for xy, xxyy, sq, sq2 in map(_block_sums, _run_group(
+                    pool.map, rngs, cfg.noise, steps, starts, sizes, a_step, noise_mats)):
+                s1 += xy
+                s2 += xxyy
+                r1 += sq
+                r2 += sq2
     if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)) and math.isfinite(r2)):
         raise SimulationOverflowError(steps)
     paths = cfg.paths

@@ -255,6 +255,17 @@ class TestPropagateContinuous:
         with pytest.raises(RuntimeError, match="budget"):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="ode")
 
+    def test_work_budget_counts_the_dimension(self, monkeypatch):
+        # beta = 137 puts t = 100 at 13,700 substeps, fewer than rot's 2e7, but
+        # each costs 18 x 6 products at d = 256: 2.5e13 multiply-adds, hours of work
+        rng = np.random.default_rng(1)
+        d = 256
+        spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d) - 1.2 * np.eye(d),
+                          tuple(0.5 * rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(2)))
+        monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
+        with pytest.raises(RuntimeError, match="multiply-adds.*over the budget"):
+            propagate_continuous(spec, np.eye(d)[0], np.eye(d)[0], [1.0, 100.0], route="ode")
+
     @pytest.mark.parametrize("m", range(4))
     def test_taylor_route_matches_scipy_expm(self, rng, m):
         self._check_against_expm(random_system(rng, 3, m), rng)

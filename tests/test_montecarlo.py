@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from kronspec.montecarlo import (
     EmpiricalMoments,
     SimulationConfig,
     SimulationOverflowError,
+    _block_sums,
     _chunk_steps,
     _draw_noise,
     _substream,
@@ -17,6 +21,10 @@ from kronspec.montecarlo import (
 )
 
 U2 = np.array([1.0, 0.0], dtype=complex)
+
+
+def _fail(*args):
+    raise AssertionError("a block started for an over-budget run")
 
 
 class TestConfig:
@@ -89,6 +97,19 @@ class TestDiscrete:
         with pytest.raises(SimulationOverflowError) as err:
             simulate_discrete(spec, U2, U2, cfg)
         assert err.value.bad_paths == 8
+        assert err.value.step == 256
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_multi_block_overflow_stops_at_first_check_in_block_order(self, cpus, monkeypatch):
+        # every path leaves double range near step 103; the first check is at
+        # step 256 and reports block 0 (16384 paths), not the 8-path last block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = SystemSpec(np.array([[1e3]]), (np.eye(1),))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=2 * BLOCK_PATHS + 8, seed=1, horizon=600)
+        with pytest.raises(SimulationOverflowError) as err:
+            simulate_discrete(spec, u1, u1, cfg)
+        assert (err.value.step, err.value.bad_paths) == (256, BLOCK_PATHS)
 
     @pytest.mark.filterwarnings("error")
     def test_moment_sum_overflow_aborts_without_warning(self):
@@ -113,7 +134,7 @@ class TestDiscrete:
 
     def test_work_budget_counts_the_dimension(self, monkeypatch):
         # 1e5 paths x 20 steps is 2e6 path-steps, but at d = 64, m = 1 each
-        # path-step costs 2 * 64**2 multiply-adds: 1.6e10 in all
+        # path-step costs 2 * (64**2 + 32) multiply-adds: 1.65e10 in all
         def no_blocks(*args):
             raise AssertionError("a block started for an over-budget run")
 
@@ -124,6 +145,17 @@ class TestDiscrete:
         cfg = SimulationConfig(paths=100_000, seed=0, horizon=20)
         with pytest.raises(ValueError, match="multiply-adds, over the budget"):
             simulate_discrete(spec, u, u, cfg)
+
+    def test_work_budget_charges_each_noise_channel(self, monkeypatch):
+        # 1e9 path-steps at d = 1, m = 7 are 8e9 products of one multiply-add,
+        # but each path-step draws 7 noise values: about 160 s of work
+        monkeypatch.setattr("kronspec.montecarlo._substream", _fail)
+        monkeypatch.setattr("kronspec.montecarlo._draw_noise", _fail)
+        spec = SystemSpec(np.array([[0.5]]), tuple(0.1 * np.eye(1) for _ in range(7)))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=1_000_000, seed=0, horizon=1000)
+        with pytest.raises(ValueError, match="multiply-adds, over the budget"):
+            simulate_discrete(spec, u1, u1, cfg)
 
     def test_moment_invariants(self):
         spec = demo_system(0.5, 0.7, 2.0)
@@ -223,13 +255,31 @@ class TestNoiseDraws:
         ratio = se2 / se1
         assert abs(ratio - 1.0 / np.sqrt(2.0)) <= 0.2 / np.sqrt(2.0)
 
-    @pytest.mark.parametrize("m, steps", [(1, 256), (2, 256), (7, 73), (64, 8)])
+    @pytest.mark.parametrize("m, steps", [(1, 64), (2, 32), (7, 8), (64, 1)])
     def test_noise_chunk_holds_at_most_64_mib(self, m, steps):
         assert _chunk_steps(m, BLOCK_PATHS) == steps
-        assert 8 * steps * m * BLOCK_PATHS <= 2 ** 26
+        assert 8 * steps * m * BLOCK_PATHS <= 2 ** 23
+        # two blocks in flight share the cap
+        assert _chunk_steps(m, 2 * BLOCK_PATHS) == max(steps // 2, 1)
+
+    def test_noise_of_blocks_in_flight_stays_within_the_cap(self, monkeypatch):
+        # two blocks at a time, 32 steps of noise each per draw: 8 MiB in all,
+        # which must be freed before the next draw
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        spec = demo_system(0.5, 0.7, 2.0)
+        cfg = SimulationConfig(paths=3 * BLOCK_PATHS, seed=4, horizon=100)
+        path_buffers = 2 * 3 * 2 * BLOCK_PATHS * 8  # 2 blocks x 3 (1, 2, bsize) float64s
+        simulate_discrete(spec, U2, U2, SimulationConfig(paths=2, seed=0, horizon=1))  # imports
+        tracemalloc.start()
+        try:
+            simulate_discrete(spec, U2, U2, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 23 + 2 * path_buffers
 
     @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
-    @pytest.mark.parametrize("cap", [1, 8 * 3 * 300 * 3])  # 1 and 3 steps per chunk
+    @pytest.mark.parametrize("cap", [1, 8 * 3 * 300 * 3])  # 1 and 2 steps per chunk
     def test_small_noise_chunks_leave_seeded_moments_unchanged(self, noise, cap, monkeypatch):
         rng = np.random.default_rng(5)
         spec = SystemSpec(0.3 * rng.standard_normal((2, 2)),
@@ -242,3 +292,49 @@ class TestNoiseDraws:
         assert np.array_equal(whole.mean_outer, split.mean_outer)
         assert np.array_equal(whole.std_error, split.std_error)
         assert whole.second_moment == split.second_moment
+
+
+class TestParallelBlocks:
+    @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+    def test_moments_do_not_depend_on_the_cpu_count(self, noise, monkeypatch):
+        # complex u != v over three blocks, the last one odd-sized
+        rng = np.random.default_rng(8)
+
+        def cgauss():
+            return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+        spec = SystemSpec(0.4 * cgauss(), tuple(0.3 * cgauss() for _ in range(3)))
+        v = np.array([0.6, -0.8j])
+        cfg = SimulationConfig(paths=2 * BLOCK_PATHS + 333, seed=12, noise=noise, horizon=40)
+        runs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            runs.append(simulate_discrete(spec, U2, v, cfg))
+        one, four = runs
+        assert np.array_equal(one.mean_outer, four.mean_outer)
+        assert np.array_equal(one.std_error, four.std_error)
+        assert (one.second_moment, one.second_moment_se) == (four.second_moment,
+                                                            four.second_moment_se)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_real_paths_match_complex_paths(self, mode, monkeypatch):
+        # e^{i pi/4} u forces complex arithmetic and leaves x x* unchanged in exact arithmetic
+        dtypes = set()
+        monkeypatch.setattr("kronspec.montecarlo._block_sums",
+                            lambda paths: dtypes.add(paths.dtype) or _block_sums(paths))
+        spec = demo_system(0.5, 0.7, 2.0)
+        if mode == "discrete":
+            simulate, cfg = simulate_discrete, SimulationConfig(paths=20_000, seed=3, horizon=10)
+        else:
+            simulate, cfg = simulate_continuous, SimulationConfig(paths=20_000, seed=3, dt=0.01,
+                                                                  horizon=1.0)
+        real = simulate(spec, U2, U2, cfg)
+        assert dtypes == {np.dtype(np.float64)}
+        dtypes.clear()
+        turned = np.exp(1j * np.pi / 4) * U2
+        cplx = simulate(spec, turned, turned, cfg)
+        assert dtypes == {np.dtype(np.complex128)}
+        scale = np.max(np.abs(cplx.mean_outer))
+        assert np.max(np.abs(real.mean_outer - cplx.mean_outer)) <= 1e-12 * scale
+        assert np.allclose(real.std_error, cplx.std_error, rtol=1e-12, atol=1e-12 * scale)
+        assert real.second_moment == pytest.approx(cplx.second_moment, rel=1e-12)
