@@ -5,9 +5,13 @@ used as mutual oracles:
 
 * discrete: the one-step recursion ``V -> A V A* + sum_k B_k V B_k*`` versus
   powers of the discrete stochastic Kronecker sum applied to ``vec(V)``;
-* continuous: a truncated Taylor series for ``e^(tL)`` applied to d-by-d
+* continuous: truncated Taylor series for ``e^(tL)`` applied to d-by-d
   matrices, ``L(V) = A V + V A* + sum_k B_k V B_k*``, versus the matrix
   exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
+  Each grid gap picks its Taylor degree (at most 55) and substep count by
+  Al-Mohy and Higham's action-of-the-exponential algorithm, from a bound on
+  |C - mu I|_1 or, for larger norms, from 1-norm estimates of the powers of
+  C - mu I taken through the d-by-d maps; C is never formed.
 
 The second-moment trace obeys geometric/exponential envelopes driven by the
 extreme eigenvalues of the Hermitian companion matrices; those envelopes are
@@ -23,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kronsum import (
+    adjoint_moment_map,
     bound_report,
     build_continuous_sum,
     build_discrete_sum,
@@ -38,12 +43,42 @@ from .matrices import (
     _require_square,
 )
 
-#: Largest 1-norm theta of X = tau (C - mu I) over one Taylor substep, so the
-#: terms grow by at most e**theta and cancellation costs a few roundoffs.  The
-#: tail sum_{j>J} X^j/j! has 1-norm at most theta^(J+1)/(J+1)! e^theta, under
-#: 2**-53 first at J = 18 (e/19! = 2.2e-17; e/18! = 4.3e-16): 19 terms.
-_THETA = 1.0
-_TAYLOR_TERMS = 18
+#: theta_m of Al-Mohy and Higham, "Computing the action of the matrix
+#: exponential", SIAM J. Sci. Comput. 33(2), 2011, Table A.3 for unit roundoff
+#: 2**-53: when a substep's alpha (see :func:`_taylor_on_grid`) is at most
+#: theta_m, its degree-m Taylor polynomial is e^X up to a relative backward
+#: error of 2**-53.  Degrees 1-30 and every fifth to 55.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+_DEGREES = np.array(list(_THETA))
+_THETAS = np.array(list(_THETA.values()))
+
+#: Their p_max and m_max: alpha_p for p = 2..p_max, needing |X^p|_1 up to
+#: p = p_max + 1, and degrees up to m_max.
+_P_MAX = 8
+_M_MAX = 55
+
+#: Their condition (3.13) for 2 estimator columns: up to this h beta (63.4)
+#: the plan from beta alone costs too little for norm estimates to pay.
+_ESTIMATE_ABOVE = 4.0 * _THETA[_M_MAX] * _P_MAX * (_P_MAX + 3) / _M_MAX
+
+#: Iterations of the block 1-norm estimator per power: each takes one product
+#: with (C - mu I)**p on a stack of 2 matrices, and all but the last one
+#: with its adjoint.
+_NORMEST_ITERATIONS = 5
+
+#: Most map applications the estimates take (792), a stacked pair counted as two.
+_NORMEST_APPLICATIONS = 2 * (2 * _NORMEST_ITERATIONS - 1) * sum(range(2, _P_MAX + 2))
+
+#: A substep's series stops once two consecutive terms fall under this
+#: fraction of the partial sum (1-norms of the matrices' entries).
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 #: Multiply-adds charged for each d-by-d product of a map application, on top
 #: of its d**3: numpy's per-call overhead, about 4.5 us against 0.13-0.2 ns per
@@ -51,10 +86,13 @@ _TAYLOR_TERMS = 18
 #: about as much as one at d = 32.
 _PRODUCT_OVERHEAD = 32 ** 3
 
-#: Most multiply-adds one Taylor propagation may take, charged as substeps x J
-#: map applications x (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD) and
-#: checked before the first substep: about 10-35 s of work at any d.  The
-#: largest run in use (criterion 4, d = 3, m = 3, 189 substeps) costs 8.9e8.
+#: Most multiply-adds one Taylor propagation may take, charged as map
+#: applications x (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD), with the
+#: applications those of the plan from beta alone (which bounds every plan the
+#: norm estimates can choose) plus :data:`_NORMEST_APPLICATIONS` when the
+#: estimates run; checked before the first map is built: about 10-35 s of work
+#: at any d.  The largest run in use (criterion 4, d = 5, m = 3, 1,672
+#: applications) costs 4.4e8.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -224,14 +262,12 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     return result
 
 
-def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
-    """``e^(tL) V0`` at each grid time: e^(mu tau) sum_{j<=J} (tau (L - mu))^j/j! per substep.
+def _shift(spec: SystemSpec) -> tuple[float, np.ndarray, float]:
+    """mu = tr(C)/d**2, the drift A - mu/2 I of the system whose generator is L - mu, and beta.
 
-    mu = tr(C)/d**2 = 2 Re tr(A)/d + sum_k |tr B_k|**2/d**2, and L - mu is the
-    generator of (A - mu/2 I, B_k), so |C - mu I|_1 <= beta = 2 |A - mu/2 I|_1 +
-    sum_k |B_k|_1**2.  A grid gap h takes ceil(h beta/theta) substeps tau.  Over
-    :data:`_MAX_TAYLOR_WORK` in all, or with mu or beta not finite, it is a
-    ``RuntimeError`` before any work.
+    mu = 2 Re tr(A)/d + sum_k |tr B_k|**2/d**2, and beta = 2 |A - mu/2 I|_1 +
+    sum_k |B_k|_1**2 bounds |C - mu I|_1 without forming C.  Either may
+    overflow; the caller checks.
     """
     d = spec.d
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,27 +276,150 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
         shifted = spec.a - (mu / 2.0) * np.eye(d)
         beta = float(2.0 * np.linalg.norm(shifted, 1)
                      + sum(np.linalg.norm(b, 1) ** 2 for b in spec.noise_mats))
-        gaps = np.diff(t_grid, prepend=0.0)
-        # every positive gap takes one substep at least, even when beta = 0
-        substeps = np.maximum(np.ceil(gaps * beta / _THETA), gaps > 0)
-        total = float(np.sum(substeps))
-        work = total * _TAYLOR_TERMS * (2 * spec.m + 2) * (d ** 3 + _PRODUCT_OVERHEAD)
+    return mu, shifted, beta
+
+
+def _power(apply, x: np.ndarray, p: int) -> np.ndarray:
+    for _ in range(p):
+        x = apply(x)
+    return x
+
+
+def _normest(forward, backward, p: int, x: np.ndarray) -> float:
+    """Block 1-norm estimate of ``forward**p``, a linear map on stacks of d-by-d matrices.
+
+    Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21(4), 2000, Algorithm
+    2.4 for complex matrices, from the columns of ``x`` (a (t, d, d) stack of
+    unit 1-norm), with ``backward`` the adjoint of ``forward``: at most
+    :data:`_NORMEST_ITERATIONS` products with ``forward**p``, each after the
+    first taken on unit matrices that a product with ``backward**p`` picks.
+    The estimate is the 1-norm of an image of a unit vector, so it never
+    exceeds the norm.
+    """
+    t, d, _ = x.shape
+    n = d * d
+    used = np.zeros(n, dtype=bool)
+    est, ind, best = 0.0, None, 0
+    for k in range(_NORMEST_ITERATIONS):
+        y = _power(forward, x, p).reshape(len(x), n)
+        sums = np.abs(y).sum(axis=1)
+        j = int(np.argmax(sums))
+        if k and not sums[j] > est:
+            break
+        est = float(sums[j])
+        if ind is not None:
+            best = ind[j]
+        if k == _NORMEST_ITERATIONS - 1:
+            break
+        mag = np.abs(y)
+        sign = np.divide(y, mag, out=np.ones_like(y), where=mag > 0)
+        h = np.abs(_power(backward, sign.reshape(len(x), d, d), p).reshape(len(x), n)).max(axis=0)
+        order = np.argsort(-h, kind="stable")
+        if (k and h[order[0]] <= h[best]) or used[order[:t]].all():
+            break
+        ind = order[~used[order]][:t]
+        used[ind] = True
+        x = np.zeros((len(ind), n), dtype=np.complex128)
+        x[np.arange(len(ind)), ind] = 1.0
+        x = x.reshape(len(ind), d, d)
+    return est
+
+
+def _power_norms(system: SystemSpec) -> np.ndarray:
+    """Estimates of |X**p|_1 for p = 2..p_max + 1, X the generator of ``system``.
+
+    One :func:`_normest` per power, started from the all-ones matrix and a
+    +/-1 checkerboard (no random draws, so reruns are identical), both
+    scaled to unit 1-norm.
+    """
+    d = system.d
+    forward = second_moment_map(system, "continuous")
+    backward = adjoint_moment_map(system, "continuous")
+    start = np.ones((2, d, d), dtype=np.complex128) / d ** 2
+    start[1, :, 1::2] *= -1.0
+    start[1, 1::2, :] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([_normest(forward, backward, p, start) for p in range(2, _P_MAX + 2)])
+
+
+def _alpha_by_degree(system: SystemSpec, beta: float) -> np.ndarray:
+    """The unit-time alpha each tabulated degree m may use, from :func:`_power_norms`.
+
+    alpha_p = max(d_p, d_(p+1)) with d_p = |X**p|_1**(1/p), clamped at beta;
+    degree m takes the least alpha_p over the p <= p_max with p(p - 1) - 1 <= m
+    (Al-Mohy and Higham, Theorem 4.2 and Code Fragment 3.1).
+    """
+    powers = np.arange(2, _P_MAX + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _power_norms(system) ** (1.0 / powers)
+    alpha = np.fmin(np.maximum(roots[:-1], roots[1:]), beta)
+    allowed = (powers[:-1] * (powers[:-1] - 1) - 1)[:, None] <= _DEGREES
+    return np.where(allowed, alpha[:, None], np.inf).min(axis=0)
+
+
+def _plan(gaps: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree m and substep count s for each grid gap h: the tabulated m minimising m s.
+
+    s = max(ceil(h alpha_m/theta_m), 1), with ``alpha`` the unit-time alpha
+    per degree (one row for all gaps, or one per gap); ties go to the least
+    m, and a zero gap takes no substeps.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.maximum(np.ceil(gaps[:, None] * alpha / _THETAS), 1.0) * (gaps[:, None] > 0)
+    pick = np.argmin(_DEGREES * steps, axis=1)
+    return _DEGREES[pick], steps[np.arange(len(gaps)), pick]
+
+
+def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
+    """``e^(tL) V0`` at each grid time, by Al-Mohy and Higham's Algorithm 3.2.
+
+    Shifted by mu (:func:`_shift`), each grid gap h takes s substeps
+    tau = h/s of e^(mu tau) sum_{j<=m} (tau (L - mu))^j/j!, with the degree
+    m <= 55 and s chosen by :func:`_plan` to minimise m s.  The plan uses
+    alpha = h beta while h beta <= 63.4, and otherwise
+    h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) estimated once
+    per call through the d-by-d maps (:func:`_alpha_by_degree`).  A
+    substep's series stops early once two consecutive terms fall under
+    2**-53 of the sum.  Over :data:`_MAX_TAYLOR_WORK` in all, or with mu or
+    beta not finite, it is a ``RuntimeError`` before any map is built.
+    """
+    d = spec.d
+    mu, shifted, beta = _shift(spec)
+    gaps = np.diff(t_grid, prepend=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        large = gaps * beta > _ESTIMATE_ABOVE
+        degrees, substeps = _plan(gaps, np.full(len(_THETAS), beta))
+        applications = float(degrees @ substeps) + large.any() * _NORMEST_APPLICATIONS
+        work = applications * (2 * spec.m + 2) * (d ** 3 + _PRODUCT_OVERHEAD)
     if not (math.isfinite(mu) and math.isfinite(beta) and work <= _MAX_TAYLOR_WORK):
         raise RuntimeError(
-            f"Taylor propagation needs {total:.3g} substeps, {work:.3g} multiply-adds "
-            f"(beta = {beta:.3g}, mu = {mu:.3g}), over the budget of {_MAX_TAYLOR_WORK:g}"
+            f"Taylor propagation needs {applications:.3g} map applications, {work:.3g} "
+            f"multiply-adds (beta = {beta:.3g}, mu = {mu:.3g}), over the budget of "
+            f"{_MAX_TAYLOR_WORK:g}"
         )
-    apply = second_moment_map(SystemSpec(shifted, spec.noise_mats), "continuous")
+    system = SystemSpec(shifted, spec.noise_mats)
+    apply = second_moment_map(system, "continuous")
+    if large.any():
+        alpha = _alpha_by_degree(system, beta)
+        degrees, substeps = _plan(gaps, np.where(large[:, None], alpha, beta))
     values = []
     cur = v0
-    for t, gap, steps in zip(t_grid, gaps, substeps.astype(int)):
+    for t, gap, degree, steps in zip(t_grid, gaps, degrees, substeps.astype(int)):
         tau = gap / max(steps, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(steps):
                 term, series = cur, cur.copy()
-                for j in range(1, _TAYLOR_TERMS + 1):
+                last = total = float(np.abs(term).sum())
+                for j in range(1, degree + 1):
                     term = (tau / j) * apply(term)
                     series += term
+                    size = float(np.abs(term).sum())
+                    total += size
+                    # |series|_1 <= total, so the test can pass only when this one does
+                    if last + size <= _UNIT_ROUNDOFF * total and (
+                            last + size <= _UNIT_ROUNDOFF * float(np.abs(series).sum())):
+                        break
+                    last = size
                 cur = np.exp(mu * tau) * series
         if not np.all(np.isfinite(cur)):
             raise OverflowError(f"covariance propagation overflowed before t={t}")
@@ -287,9 +446,11 @@ def propagate_continuous(
     ``route="kronecker"`` evaluates the matrix exponential of the continuous
     stochastic Kronecker sum against ``vec(V(0))`` at each grid time;
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
-    (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, in substeps of
-    1-norm theta = 1, with J = 18 powers so the tail stays under 2**-53.  It
-    forms neither C nor its exponential, so it runs at any d.
+    (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, each grid gap in
+    the substeps and at the degree (at most 55) that minimise the map
+    applications for a backward error of 2**-53, a series stopping early
+    once its terms fall under 2**-53 of the sum.  It forms neither C nor its
+    exponential, so it runs at any d.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")

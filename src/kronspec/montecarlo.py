@@ -6,7 +6,8 @@ i.i.d. unit-variance scalar noise; continuous time applies Euler-Maruyama to
 accumulated over fixed-size path blocks, each drawing from its own substream
 keyed by ``(seed, block index)``.
 
-Blocks run in groups of W = min(usable CPUs, block count) in lockstep.  For
+Blocks run in groups of W = min(usable CPUs, block count) in lockstep, fewer
+when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  For
 each chunk of steps a thread pool draws the W blocks' noise at once (numpy's
 generators release the GIL while they fill), then the calling thread advances
 the blocks one after another, and after the last step merges their partial
@@ -47,6 +48,11 @@ _STEP_CHUNK = 256
 #: with many channels, paths or blocks a draw takes fewer steps.  Splitting
 #: the draws leaves the streams unchanged.
 _NOISE_CHUNK_BYTES = 2 ** 23
+
+#: Most bytes of path buffers one lockstep group may hold (128 MiB): three
+#: (s, d, BLOCK_PATHS) stacks per block, so at large d a wide affinity mask
+#: runs fewer blocks at once rather than more memory.
+_GROUP_BYTES = 2 ** 27
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
@@ -260,7 +266,8 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     s2 = np.zeros((d, d))
     r1 = r2 = 0.0
     blocks = -(-cfg.paths // BLOCK_PATHS)
-    width = min(_usable_cpus(), blocks)
+    block_bytes = 3 * starts.nbytes * min(BLOCK_PATHS, cfg.paths)
+    width = max(1, min(_usable_cpus(), blocks, _GROUP_BYTES // block_bytes))
     from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
 
     with ThreadPoolExecutor(width) as pool, np.errstate(over="ignore", invalid="ignore"):

@@ -170,7 +170,7 @@ class TestEvolve:
         assert code == 70
 
     def test_ode_step_budget_exits_70(self, tmp_path, capsys):
-        # beta = 2e7: the Taylor route needs 2e7 substeps to t = 1
+        # beta = 2e7: the Taylor route needs 2e6 substeps of degree 55 to t = 1
         path = _write_system(tmp_path, SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]])))
         code = main(
             ["evolve", path, "--mode=continuous", "--u", "[[1,0],[0,0]]",

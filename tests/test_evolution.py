@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ortho_group
 
+from kronspec import evolution
 from kronspec.cli import demo_system
 from kronspec.evolution import (
     discrete_covariance,
@@ -15,7 +16,10 @@ from kronspec.evolution import (
     second_moment_bounds_continuous,
     second_moment_bounds_discrete,
     _check_moment_chain,
+    _ESTIMATE_ABOVE,
     _STEP_EXTRA_BYTES,
+    _power_norms,
+    _shift,
 )
 from kronspec.kronsum import (
     adjoint_moment_map,
@@ -32,6 +36,15 @@ def _fail(*args, **kwargs):
 
 def _random_vec(rng, d):
     return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / np.sqrt(2.0)
+
+
+def _criterion4_systems():
+    """The 200 (system, u, v) triples of acceptance criterion 4, drawn the same way."""
+    rng = np.random.default_rng(424242)
+    for i in range(200):
+        d = 2 + i % 4
+        spec = random_system(rng, d, i % 4)
+        yield spec, _random_vec(rng, d), _random_vec(rng, d)
 
 
 class TestStepDiscrete:
@@ -70,6 +83,19 @@ class TestStepDiscrete:
             lhs = vec(adjoint_moment_map(spec, mode)(v))
             rhs = build(spec).conj().T @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
+
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_maps_apply_to_a_stack_as_to_each_matrix(self, rng, crandn, mode, d):
+        # the norm estimator applies the maps to stacks of matrices at once
+        spec = random_system(rng, d, 2)
+        stack = crandn(3, d, d)
+        for build in (second_moment_map, adjoint_moment_map):
+            apply = build(spec, mode)
+            image = apply(stack)
+            for k in range(3):
+                assert np.array_equal(image[k], apply(stack[k]))
 
 
 class TestPropagateDiscrete:
@@ -249,15 +275,17 @@ class TestPropagateContinuous:
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="direct")
 
     def test_step_budget_stops_large_norm_system(self, monkeypatch):
-        # mu = 0 and beta = 2e7 put t = 1 at 2e7 substeps: refused before any map is built
+        # mu = 0 and beta = 2e7 put t = 1 at 2e6 substeps of degree 55: refused
+        # before any map is built
         spec = SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]]))
         monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
         with pytest.raises(RuntimeError, match="budget"):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="ode")
 
     def test_work_budget_counts_the_dimension(self, monkeypatch):
-        # beta = 137 puts t = 100 at 13,700 substeps, fewer than rot's 2e7, but
-        # each costs 18 x 6 products at d = 256: 2.5e13 multiply-adds, hours of work
+        # beta = 137 puts t = 100 at 1,383 substeps of degree 55, fewer than rot's
+        # 2e6, but each term costs 6 products at d = 256: 7.8e12 multiply-adds,
+        # hours of work
         rng = np.random.default_rng(1)
         d = 256
         spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d) - 1.2 * np.eye(d),
@@ -274,6 +302,60 @@ class TestPropagateContinuous:
         # |A|_1 = 32.5 against a spectral abscissa of -1: e^(tA) grows a hump before decaying
         a = np.diag([-1.0, -1.5, -2.0, -2.5]) + np.diag([30.0, 30.0, 30.0], 1)
         self._check_against_expm(SystemSpec(a, (0.5 * np.eye(4)[::-1],)), rng)
+
+    def test_taylor_route_matches_scipy_expm_with_norm_estimates(self, monkeypatch):
+        # the first criterion-4 system with d = 5, m = 3 and h beta over 63.4 at t = 1
+        spec, u, v = next((spec, u, v) for spec, u, v in _criterion4_systems()
+                          if spec.m == 3 and _shift(spec)[2] > _ESTIMATE_ABOVE)
+        calls = []
+        estimate = evolution._alpha_by_degree
+        monkeypatch.setattr(evolution, "_alpha_by_degree",
+                            lambda *args: calls.append(args) or estimate(*args))
+        got = propagate_continuous(spec, u, v, [1.0], "ode").values[0]
+        assert len(calls) == 1
+        want = scipy.linalg.expm(build_continuous_sum(spec)) @ vec(np.outer(u, v.conj()))
+        assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_power_norm_estimates_bound_the_exact_norms(self):
+        # the estimates are images of unit vectors, so never above the norm;
+        # on criterion 4's systems they stay within a factor 2 of it
+        for spec, _, _ in _criterion4_systems():
+            mu, shifted, _ = _shift(spec)
+            est = _power_norms(SystemSpec(shifted, spec.noise_mats))
+            cmat = build_continuous_sum(spec) - mu * np.eye(spec.d ** 2)
+            exact = np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
+                              for p in range(2, 10)])
+            assert np.all(est <= exact * (1 + 1e-12))
+            assert np.all(est >= 0.5 * exact)
+
+    def test_taylor_route_is_deterministic(self):
+        # a system whose gap from 0.25 to 1 runs the norm estimates
+        spec, u, v = next(s for s in _criterion4_systems()
+                          if 0.75 * _shift(s[0])[2] > _ESTIMATE_ABOVE)
+        first = propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        again = propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        assert np.array_equal(first.values, again.values)
+
+    def test_criterion4_map_applications(self, monkeypatch):
+        # about 27,000 with the norm estimates included; 19 terms per substep
+        # of tau beta = 1 would take 167,058
+        count = [0]
+
+        def counting(build):
+            def make(*args):
+                apply = build(*args)
+
+                def counted(v):
+                    count[0] += 1
+                    return apply(v)
+                return counted
+            return make
+
+        monkeypatch.setattr(evolution, "second_moment_map", counting(second_moment_map))
+        monkeypatch.setattr(evolution, "adjoint_moment_map", counting(adjoint_moment_map))
+        for spec, u, v in _criterion4_systems():
+            propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        assert count[0] <= 40_000
 
     @staticmethod
     def _check_against_expm(spec, rng):

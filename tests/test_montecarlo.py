@@ -4,9 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kronspec import montecarlo
 from kronspec.cli import demo_system
-from kronspec.matrices import SystemSpec
+from kronspec.evolution import discrete_covariance
+from kronspec.matrices import SystemSpec, random_system
 from kronspec.montecarlo import (
+    _ATOL_FLOOR,
+    _GROUP_BYTES,
     BLOCK_PATHS,
     EmpiricalMoments,
     SimulationConfig,
@@ -191,6 +195,27 @@ class TestContinuous:
         moments = simulate_continuous(spec, U2, U2, cfg)
         assert compare_to_exact(moments, spec, U2, U2).all_passed
 
+    @pytest.mark.parametrize("system", ["demo", "complex d=3, m=2"])
+    def test_matches_the_exact_moments_of_the_sampled_process(self, system):
+        # Euler-Maruyama is the discrete recursion of (I + dt A, sqrt(dt) B_k),
+        # whose covariance is exact: every entry within 4 SE, no dt allowance
+        if system == "demo":
+            spec, u, v = demo_system(0.5, 0.7, 2.0), U2, U2
+        else:
+            rng = np.random.default_rng(11)
+            drawn = random_system(rng, 3, 2)
+            spec = SystemSpec(0.5 * drawn.a, tuple(0.5 * b for b in drawn.noise_mats))
+            u, v = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2.0)
+        dt, horizon = 1e-2, 1.0
+        moments = simulate_continuous(spec, u, v, SimulationConfig(
+            paths=4000, seed=23, dt=dt, horizon=horizon))
+        sampled = SystemSpec(np.eye(spec.d) + dt * spec.a,
+                             tuple(np.sqrt(dt) * b for b in spec.noise_mats))
+        exact = discrete_covariance(sampled, u, v, round(horizon / dt))
+        # the floor only absorbs roundoff on entries with no variance
+        tol = np.maximum(4.0 * moments.std_error, _ATOL_FLOOR * max(1.0, np.max(np.abs(exact))))
+        assert np.all(np.abs(moments.mean_outer - exact) <= tol)
+
     def test_requires_dt(self):
         spec = demo_system(0.5, 0.7, 2.0)
         cfg = SimulationConfig(paths=100, seed=0, horizon=1.0)
@@ -315,6 +340,33 @@ class TestParallelBlocks:
         assert np.array_equal(one.std_error, four.std_error)
         assert (one.second_moment, one.second_moment_se) == (four.second_moment,
                                                             four.second_moment_se)
+
+    def test_group_path_buffers_stay_within_the_cap(self, monkeypatch):
+        # d = 32, complex u != v: 48 MiB of path buffers per block, so eight
+        # CPUs run two blocks at a time rather than all eight at once
+        rng = np.random.default_rng(6)
+        d = 32
+        spec = random_system(rng, d, 1)
+        spec = SystemSpec(spec.a / np.sqrt(2 * d), (spec.noise_mats[0] / np.sqrt(2 * d),))
+        u, v = np.eye(d)[0], 1j * np.eye(d)[1]
+        cfg = SimulationConfig(paths=7 * BLOCK_PATHS + 2, seed=6, horizon=2)
+        groups = []
+        run_group = montecarlo._run_group
+        monkeypatch.setattr(montecarlo, "_run_group",
+                            lambda draw, rngs, *rest: groups.append(len(rngs))
+                            or run_group(draw, rngs, *rest))
+        runs = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda n=cpus: n)
+            groups.clear()
+            runs.append(simulate_discrete(spec, u, v, cfg))
+        assert sum(groups) == 8 and 1 < max(groups) < 8
+        assert max(groups) * 3 * 2 * d * BLOCK_PATHS * 16 <= _GROUP_BYTES
+        one, eight = runs
+        assert np.array_equal(one.mean_outer, eight.mean_outer)
+        assert np.array_equal(one.std_error, eight.std_error)
+        assert (one.second_moment, one.second_moment_se) == (eight.second_moment,
+                                                             eight.second_moment_se)
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_real_paths_match_complex_paths(self, mode, monkeypatch):
