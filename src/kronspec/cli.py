@@ -112,6 +112,8 @@ def _cmd_analyze(args, out) -> int:
                     "threshold": verdict.threshold,
                     "status": verdict.status.value,
                     "rung": rep.rung,
+                    "bracket_width": rep.bracket_width,
+                    "map_applications": rep.map_applications,
                     "eigenvalues": (
                         [[z.real, z.imag] for z in rep.eigenvalues]
                         if rep.eigenvalues is not None else None

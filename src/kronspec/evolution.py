@@ -70,11 +70,11 @@ _ESTIMATE_ABOVE = 4.0 * _THETA[_M_MAX] * _P_MAX * (_P_MAX + 3) / _M_MAX
 
 #: Iterations of the block 1-norm estimator per power: each takes one product
 #: with (C - mu I)**p on a stack of 2 matrices, and all but the last one
-#: with its adjoint.
+#: with its adjoint.  The first products of all powers share one chain.
 _NORMEST_ITERATIONS = 5
 
-#: Most map applications the estimates take (792), a stacked pair counted as two.
-_NORMEST_APPLICATIONS = 2 * (2 * _NORMEST_ITERATIONS - 1) * sum(range(2, _P_MAX + 2))
+#: Most map applications the estimates take (722), a stacked pair counted as two.
+_NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(range(2, _P_MAX + 2)))
 
 #: A substep's series stops once two consecutive terms fall under this
 #: fraction of the partial sum (1-norms of the matrices' entries).
@@ -91,8 +91,8 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: applications those of the plan from beta alone (which bounds every plan the
 #: norm estimates can choose) plus :data:`_NORMEST_APPLICATIONS` when the
 #: estimates run; checked before the first map is built: about 10-35 s of work
-#: at any d.  The largest run in use (criterion 4, d = 5, m = 3, 1,672
-#: applications) costs 4.4e8.
+#: at any d.  The largest run in use (criterion 4, d = 5, m = 3, 1,602
+#: applications) costs 4.2e8.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -285,23 +285,27 @@ def _power(apply, x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _normest(forward, backward, p: int, x: np.ndarray) -> float:
+def _normest(forward, backward, p: int, y: np.ndarray) -> float:
     """Block 1-norm estimate of ``forward**p``, a linear map on stacks of d-by-d matrices.
 
     Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21(4), 2000, Algorithm
-    2.4 for complex matrices, from the columns of ``x`` (a (t, d, d) stack of
-    unit 1-norm), with ``backward`` the adjoint of ``forward``: at most
-    :data:`_NORMEST_ITERATIONS` products with ``forward**p``, each after the
-    first taken on unit matrices that a product with ``backward**p`` picks.
+    2.4 for complex matrices, from ``y``, the image under ``forward**p`` of a
+    (t, d, d) stack of unit 1-norm, with ``backward`` the adjoint of
+    ``forward``: at most :data:`_NORMEST_ITERATIONS` images, each after the
+    first taken of unit matrices that a product with ``backward**p`` picks.
     The estimate is the 1-norm of an image of a unit vector, so it never
     exceeds the norm.
     """
-    t, d, _ = x.shape
+    t, d, _ = y.shape
     n = d * d
     used = np.zeros(n, dtype=bool)
     est, ind, best = 0.0, None, 0
     for k in range(_NORMEST_ITERATIONS):
-        y = _power(forward, x, p).reshape(len(x), n)
+        if k:
+            x = np.zeros((len(ind), n), dtype=np.complex128)
+            x[np.arange(len(ind)), ind] = 1.0
+            y = _power(forward, x.reshape(len(ind), d, d), p)
+        y = y.reshape(len(y), n)
         sums = np.abs(y).sum(axis=1)
         j = int(np.argmax(sums))
         if k and not sums[j] > est:
@@ -313,15 +317,12 @@ def _normest(forward, backward, p: int, x: np.ndarray) -> float:
             break
         mag = np.abs(y)
         sign = np.divide(y, mag, out=np.ones_like(y), where=mag > 0)
-        h = np.abs(_power(backward, sign.reshape(len(x), d, d), p).reshape(len(x), n)).max(axis=0)
+        h = np.abs(_power(backward, sign.reshape(len(y), d, d), p).reshape(len(y), n)).max(axis=0)
         order = np.argsort(-h, kind="stable")
         if (k and h[order[0]] <= h[best]) or used[order[:t]].all():
             break
         ind = order[~used[order]][:t]
         used[ind] = True
-        x = np.zeros((len(ind), n), dtype=np.complex128)
-        x[np.arange(len(ind)), ind] = 1.0
-        x = x.reshape(len(ind), d, d)
     return est
 
 
@@ -330,7 +331,8 @@ def _power_norms(system: SystemSpec) -> np.ndarray:
 
     One :func:`_normest` per power, started from the all-ones matrix and a
     +/-1 checkerboard (no random draws, so reruns are identical), both
-    scaled to unit 1-norm.
+    scaled to unit 1-norm; their images X**p start are one chain of p_max + 1
+    applications, shared by all the powers.
     """
     d = system.d
     forward = second_moment_map(system, "continuous")
@@ -339,7 +341,11 @@ def _power_norms(system: SystemSpec) -> np.ndarray:
     start[1, :, 1::2] *= -1.0
     start[1, 1::2, :] *= -1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([_normest(forward, backward, p, start) for p in range(2, _P_MAX + 2)])
+        images = [forward(start)]
+        for _ in range(_P_MAX):
+            images.append(forward(images[-1]))
+        return np.array([_normest(forward, backward, p, images[p - 1])
+                         for p in range(2, _P_MAX + 2)])
 
 
 def _alpha_by_degree(system: SystemSpec, beta: float) -> np.ndarray:

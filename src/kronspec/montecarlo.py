@@ -6,15 +6,15 @@ i.i.d. unit-variance scalar noise; continuous time applies Euler-Maruyama to
 accumulated over fixed-size path blocks, each drawing from its own substream
 keyed by ``(seed, block index)``.
 
-Blocks run in groups of W = min(usable CPUs, block count) in lockstep, fewer
-when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  For
-each chunk of steps a thread pool draws the W blocks' noise at once (numpy's
-generators release the GIL while they fill), then the calling thread advances
-the blocks one after another, and after the last step merges their partial
-sums in block order.  Drawing and updating never overlap, so the noise threads
-do not compete with BLAS's own threads, and since neither the streams nor the
-order of any sum depends on W, estimates are reproducible bit-for-bit at any
-core count.
+Blocks run on a thread pool of W = min(usable CPUs, block count) workers,
+fewer when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  Each
+worker takes one block at a time, drawing a chunk of its noise (numpy's
+generators release the GIL while they fill) and then advancing its paths;
+one lock keeps two blocks' BLAS updates from running at once, so draws
+overlap updates but updates do not compete for BLAS's own threads.  The
+blocks' partial sums are merged in block order, and since neither the
+streams nor the order of any sum depends on W, estimates are reproducible
+bit-for-bit at any core count.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ _STEP_CHUNK = 256
 #: the draws leaves the streams unchanged.
 _NOISE_CHUNK_BYTES = 2 ** 23
 
-#: Most bytes of path buffers one lockstep group may hold (128 MiB): three
+#: Most bytes of path buffers the blocks in flight may hold (128 MiB): three
 #: (s, d, BLOCK_PATHS) stacks per block, so at large d a wide affinity mask
 #: runs fewer blocks at once rather than more memory.
 _GROUP_BYTES = 2 ** 27
@@ -178,41 +179,34 @@ def _advance(bufs, a_step, noise_mats, noise):
     bufs[:2] = paths, nxt
 
 
-def _run_group(draw, rngs, kind, n, starts, sizes, a_step, noise_mats):
-    """Advance one group of blocks in lockstep through n steps and return their path stacks.
+def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
+    """Advance one block of ``size`` paths through n steps and return its :func:`_block_sums`.
 
-    Block i starts as ``sizes[i]`` copies of the (s, d) stack ``starts``.
-
-    ``draw`` maps a function over the blocks (a thread pool's ``map``): per
-    chunk it fills every block's noise from its own substream at once; then
-    the calling thread advances the blocks in block order.  Overflow is
-    checked every :data:`_STEP_CHUNK` steps and at step n, block by block;
-    non-finite values persist through the linear updates, so nothing escapes
-    detection.  A path is bad when its x or its y is non-finite.  The caller
-    silences numpy's overflow warnings.
+    The block starts as ``size`` copies of the (s, d) stack ``starts``.  Every
+    ``stride`` steps it draws its next noise chunk from its substream ``rng``,
+    then advances under ``lock``, so no two blocks' BLAS updates run at once
+    while draws overlap them.  Overflow is checked every :data:`_STEP_CHUNK`
+    steps and at step n; non-finite values persist through the linear
+    updates, so nothing escapes detection.  A path is bad when its x or its y
+    is non-finite.
     """
     m = len(noise_mats)
-    bufs = []
-    for size in sizes:
-        stack = np.tile(starts[:, :, None], (1, 1, size))
-        bufs.append([stack, np.empty_like(stack), np.empty_like(stack)])
-    stride = _chunk_steps(m, sum(sizes))
-    step = 0
-    while step < n:
-        chunk = min(stride, n - step)
-        noise = list(draw(lambda rng, size: _draw_noise(rng, kind, (chunk, m, size)),
-                          rngs, sizes))
-        for buf, zeta in zip(bufs, noise):
-            _advance(buf, a_step, noise_mats, zeta)
-        del noise, zeta  # free this chunk before the next one is drawn
-        step += chunk
-        if step % _STEP_CHUNK and step < n:
-            continue
-        for buf in bufs:
-            good = np.all(np.isfinite(buf[0]), axis=(0, 1))
+    stack = np.tile(starts[:, :, None], (1, 1, size))
+    bufs = [stack, np.empty_like(stack), np.empty_like(stack)]
+    # numpy's error state is per thread
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, stride):
+            zeta = _draw_noise(rng, kind, (min(stride, n - first), m, size))
+            with lock:
+                _advance(bufs, a_step, noise_mats, zeta)
+            del zeta  # free this chunk before the next one is drawn
+            step = min(first + stride, n)
+            if step % _STEP_CHUNK and step < n:
+                continue
+            good = np.all(np.isfinite(bufs[0]), axis=(0, 1))
             if not good.all():
                 raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
-    return [buf[0] for buf in bufs]
+        return _block_sums(bufs[0])
 
 
 def _step_count(count: float) -> int:
@@ -247,7 +241,7 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     Each block advances the initial vectors, stacked as (u,) when they
     coincide and as (u, v) otherwise, as one ``(s, d, paths)`` array through
     the system ``(a_step, noise_mats)``, in float64 when all of these are
-    real.  Blocks run in lockstep groups (see the module docstring); the
+    real.  Blocks run on W workers (see the module docstring); the
     running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 stay complex128 and
     float64 and are merged in block order.  The work budget
     (:data:`_MAX_MC_WORK`) is checked before any block starts.
@@ -266,21 +260,25 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     s2 = np.zeros((d, d))
     r1 = r2 = 0.0
     blocks = -(-cfg.paths // BLOCK_PATHS)
-    block_bytes = 3 * starts.nbytes * min(BLOCK_PATHS, cfg.paths)
-    width = max(1, min(_usable_cpus(), blocks, _GROUP_BYTES // block_bytes))
+    largest = min(BLOCK_PATHS, cfg.paths)
+    width = max(1, min(_usable_cpus(), blocks, _GROUP_BYTES // (3 * starts.nbytes * largest)))
+    stride = _chunk_steps(m, width * largest)
+    lock = threading.Lock()
+
+    def run(block):
+        size = min(BLOCK_PATHS, cfg.paths - block * BLOCK_PATHS)
+        return _run_block(_substream(cfg.seed, block), size, cfg.noise, steps, starts,
+                          a_step, noise_mats, stride, lock)
+
     from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
 
+    # the first error in block order cancels the blocks not yet started
     with ThreadPoolExecutor(width) as pool, np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, blocks, width):
-            group = range(first, min(first + width, blocks))
-            rngs = [_substream(cfg.seed, block) for block in group]
-            sizes = [min(BLOCK_PATHS, cfg.paths - block * BLOCK_PATHS) for block in group]
-            for xy, xxyy, sq, sq2 in map(_block_sums, _run_group(
-                    pool.map, rngs, cfg.noise, steps, starts, sizes, a_step, noise_mats)):
-                s1 += xy
-                s2 += xxyy
-                r1 += sq
-                r2 += sq2
+        for xy, xxyy, sq, sq2 in pool.map(run, range(blocks)):
+            s1 += xy
+            s2 += xxyy
+            r1 += sq
+            r2 += sq2
     if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)) and math.isfinite(r2)):
         raise SimulationOverflowError(steps)
     paths = cfg.paths

@@ -96,9 +96,13 @@ class TestAnalyze:
         modes = {r["mode"]: r for r in doc["results"]}
         assert modes["discrete"]["exact"] == pytest.approx(0.49, abs=1e-10)
         assert modes["discrete"]["rung"] == "refined"
+        assert 0.0 <= modes["discrete"]["bracket_width"] <= 1e-7
+        assert modes["discrete"]["map_applications"] > 0
         assert modes["continuous"]["status"] == "CertifiedUnstable"
         assert modes["continuous"]["rung"] == "bounds"
         assert modes["continuous"]["exact"] is None
+        assert modes["continuous"]["bracket_width"] is None
+        assert modes["continuous"]["map_applications"] == 0
 
 
 class TestEvolve:

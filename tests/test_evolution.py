@@ -337,7 +337,7 @@ class TestPropagateContinuous:
         assert np.array_equal(first.values, again.values)
 
     def test_criterion4_map_applications(self, monkeypatch):
-        # about 27,000 with the norm estimates included; 19 terms per substep
+        # 25,679 with the norm estimates included; 19 terms per substep
         # of tau beta = 1 would take 167,058
         count = [0]
 

@@ -1,5 +1,7 @@
 import os
+import sys
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -29,6 +31,22 @@ U2 = np.array([1.0, 0.0], dtype=complex)
 
 def _fail(*args):
     raise AssertionError("a block started for an over-budget run")
+
+
+def _spy_on_workers(monkeypatch):
+    """Record each thread pool's worker count and the size of each block run."""
+    widths, blocks = [], []
+
+    class Pool(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    run_block = montecarlo._run_block
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(montecarlo, "_run_block",
+                        lambda rng, size, *rest: blocks.append(size) or run_block(rng, size, *rest))
+    return widths, blocks
 
 
 class TestConfig:
@@ -350,23 +368,55 @@ class TestParallelBlocks:
         spec = SystemSpec(spec.a / np.sqrt(2 * d), (spec.noise_mats[0] / np.sqrt(2 * d),))
         u, v = np.eye(d)[0], 1j * np.eye(d)[1]
         cfg = SimulationConfig(paths=7 * BLOCK_PATHS + 2, seed=6, horizon=2)
-        groups = []
-        run_group = montecarlo._run_group
-        monkeypatch.setattr(montecarlo, "_run_group",
-                            lambda draw, rngs, *rest: groups.append(len(rngs))
-                            or run_group(draw, rngs, *rest))
+        widths, blocks = _spy_on_workers(monkeypatch)
         runs = []
         for cpus in (1, 8):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda n=cpus: n)
-            groups.clear()
+            blocks.clear()
             runs.append(simulate_discrete(spec, u, v, cfg))
-        assert sum(groups) == 8 and 1 < max(groups) < 8
-        assert max(groups) * 3 * 2 * d * BLOCK_PATHS * 16 <= _GROUP_BYTES
+            assert len(blocks) == 8
+        assert widths[0] == 1 and 1 < widths[1] < 8
+        assert widths[1] * 3 * 2 * d * BLOCK_PATHS * 16 <= _GROUP_BYTES
         one, eight = runs
         assert np.array_equal(one.mean_outer, eight.mean_outer)
         assert np.array_equal(one.std_error, eight.std_error)
         assert (one.second_moment, one.second_moment_se) == (eight.second_moment,
                                                              eight.second_moment_se)
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        # six workers over six blocks, switching threads every 10 us: any
+        # state the blocks shared would show up as a changed sum
+        spec = demo_system(0.5, 0.7, 2.0)
+        v = np.array([0.6, -0.8j])
+        cfg = SimulationConfig(paths=5 * BLOCK_PATHS + 5, seed=2, horizon=12)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        one = simulate_discrete(spec, U2, v, cfg)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+        widths, _ = _spy_on_workers(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = simulate_discrete(spec, U2, v, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert widths == [6]
+        assert np.array_equal(one.mean_outer, many.mean_outer)
+        assert np.array_equal(one.std_error, many.std_error)
+        assert (one.second_moment, one.second_moment_se) == (many.second_moment,
+                                                             many.second_moment_se)
+
+    def test_overflow_cancels_the_blocks_not_yet_started(self, monkeypatch):
+        # one worker, eight blocks: block 0 overflows by step 256, and at most
+        # the block its worker picked up meanwhile runs after it
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        _, blocks = _spy_on_workers(monkeypatch)
+        spec = SystemSpec(np.array([[1e3]]), (np.eye(1),))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=7 * BLOCK_PATHS + 8, seed=1, horizon=600)
+        with pytest.raises(SimulationOverflowError) as err:
+            simulate_discrete(spec, u1, u1, cfg)
+        assert (err.value.step, err.value.bad_paths) == (256, BLOCK_PATHS)
+        assert 1 <= len(blocks) <= 2
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_real_paths_match_complex_paths(self, mode, monkeypatch):
