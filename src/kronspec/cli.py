@@ -18,6 +18,7 @@ numerical overflow, exhausted memory or any internal ``RuntimeError``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -300,7 +301,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kronspec`` parser, built on first use and shared by later calls in the process.
+
+    Parsing leaves no state in it: each ``parse_args`` fills a new namespace
+    from the defaults.
+    """
     parser = _Parser(
         prog="kronspec",
         description=(

@@ -8,7 +8,10 @@ used as mutual oracles:
 * continuous: truncated Taylor series for ``e^(tL)`` applied to d-by-d
   matrices, ``L(V) = A V + V A* + sum_k B_k V B_k*``, versus the matrix
   exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
-  Each grid gap picks its Taylor degree (at most 55) and substep count by
+  A grid time exactly 2**i times an earlier one squares that time's
+  exponential i times rather than computing its own, where that gives the
+  same bits.  On the Taylor route
+  each grid gap picks its Taylor degree (at most 55) and substep count by
   Al-Mohy and Higham's action-of-the-exponential algorithm, from a bound on
   |C - mu I|_1 or, for larger norms, from 1-norm estimates of the powers of
   C - mu I taken through the d-by-d maps; C is never formed.
@@ -21,6 +24,7 @@ asserted here and treated as internal consistency checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +87,9 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 #: Multiply-adds charged for each d-by-d product of a map application, on top
 #: of its d**3: numpy's per-call overhead, about 4.5 us against 0.13-0.2 ns per
 #: multiply-add at large d (complex, 2 cores), so a product at d <= 32 costs
-#: about as much as one at d = 32.
+#: about as much as one at d = 32.  An application makes two stacked products
+#: (:func:`kronsum.second_moment_map`), so this overcharges small d; the
+#: charge stays so that the budget refuses the same inputs.
 _PRODUCT_OVERHEAD = 32 ** 3
 
 #: Most multiply-adds one Taylor propagation may take, charged as map
@@ -450,7 +456,15 @@ def propagate_continuous(
     """Covariance trajectory V(t) on a time grid from V(0) = u v*.
 
     ``route="kronecker"`` evaluates the matrix exponential of the continuous
-    stochastic Kronecker sum against ``vec(V(0))`` at each grid time;
+    stochastic Kronecker sum against ``vec(V(0))`` at each grid time.  A time
+    t_k = 2**i t_j for an earlier grid time t_j (``frexp(t_k/t_j)`` has
+    mantissa 1/2) with |t_j C|_1 > theta_13/2 squares e^(t_j C) i times:
+    :func:`matrix_exponential` would scale t_k C down to the same t_j C / 2**s
+    and take those squarings after its own s, so the result is the same bit
+    for bit.  Below theta_13/2 it would take fewer squarings, and each extra
+    one doubles the Pade factor's roundoff, so such a t_j seeds nothing.  One
+    exponential is kept at a time, that of the latest grid time that can seed
+    a later one, so the route holds at most one beyond the one in use.
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
     (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, each grid gap in
     the substeps and at the degree (at most 55) that minimise the map
@@ -467,8 +481,26 @@ def propagate_continuous(
         cmat = build_continuous_sum(spec)
         w0 = vec(v0)
         values = []
-        for t in t_grid:
-            w = matrix_exponential(cmat, float(t)) @ w0
+        # the latest grid time that can seed a later one, and its exponential
+        kept_t, kept = 0.0, None
+        mantissas = [math.frexp(t)[0] for t in t_grid]
+        later = Counter(mantissas)
+        cnorm = float(np.linalg.norm(cmat, 1))
+        for t, mantissa in zip(t_grid.tolist(), mantissas):
+            later[mantissa] -= 1
+            ratio = t / kept_t if kept_t else 0.0
+            if ratio > 1 and math.frexp(ratio)[0] == 0.5:
+                expo = kept
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(math.frexp(ratio)[1] - 1):
+                        expo = expo @ expo
+                if not np.all(np.isfinite(expo)):
+                    raise OverflowError(f"matrix exponential overflowed at t={t}")
+            else:
+                expo = matrix_exponential(cmat, t)
+            if later[mantissa] and t * cnorm > _THETA_13 / 2:
+                kept_t, kept = t, expo
+            w = expo @ w0
             if not np.all(np.isfinite(w)):
                 raise OverflowError(f"covariance propagation overflowed at t={t}")
             values.append(unvec(w, spec.d))

@@ -88,18 +88,26 @@ def _check_mode(mode: str) -> str:
 def second_moment_map(spec: SystemSpec, mode: str):
     """The map V -> Phi(V) (discrete) or V -> L(V) (continuous) on d-by-d matrices.
 
-    A* and each B_k* are formed once per map, not once per application.  The
-    returned function allocates its result; the input is left untouched.
+    An application is two stacked products, 2(m + 1) d**3 multiply-adds:
+    W = V [A*, B_1*, ..., B_m*] as m + 1 blocks, then [A, B_1, ..., B_m] times
+    W stacked on top of each other.  In continuous mode block 0 of W is V in
+    place of V A*, which is added afterwards.  V may also be a (t, d, d)
+    stack.  Both stacks are formed once per map, not once per application;
+    the returned function allocates its result and leaves the input untouched.
     """
     discrete = _check_mode(mode) == "discrete"
-    a = spec.a
-    ah = a.conj().T
-    pairs = [(b, b.conj().T) for b in spec.noise_mats]
+    d = spec.d
+    left = np.concatenate((spec.a, *spec.noise_mats), axis=1)
+    right = np.stack([x.conj().T for x in (spec.a, *spec.noise_mats)])
 
     def apply(v: np.ndarray) -> np.ndarray:
-        out = a @ v @ ah if discrete else a @ v + v @ ah
-        for b, bh in pairs:
-            out += b @ v @ bh
+        w = v[..., None, :, :] @ right
+        if discrete:
+            return left @ w.reshape(*w.shape[:-3], -1, d)
+        vah = w[..., 0, :, :].copy()
+        w[..., 0, :, :] = v
+        out = left @ w.reshape(*w.shape[:-3], -1, d)
+        out += vah
         return out
 
     return apply

@@ -127,7 +127,9 @@ def complex_pair(z) -> list[float]:
 
 
 def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_pair(z) for z in row] for row in np.asarray(m, dtype=np.complex128)]
+    """Nested rows of ``[re, im]`` pairs; the same floats as :func:`complex_pair` per entry."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def system_document(spec: SystemSpec) -> dict:

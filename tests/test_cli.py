@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kronspec.cli import main
+from kronspec.cli import build_parser, main
 from kronspec.sysio import SystemFileError, system_document
 from kronspec.cli import demo_system
 from kronspec.matrices import ConsistencyError, SystemSpec
@@ -312,6 +312,32 @@ def _assert_one_error_line(captured, code, want):
 def test_bad_arguments_exit_65(argv, demo_file, capsys):
     code = main([demo_file if a == "FILE" else a for a in argv])
     _assert_one_error_line(capsys.readouterr(), code, 65)
+
+
+def test_one_parser_per_process_parses_like_a_fresh_one(demo_file, capsys):
+    # a reused parser keeps no state from earlier calls: --v falls back to --u
+    # after a call that set it, and a usage error leaves the parser working
+    u, v = "[[1,0],[0,0]]", "[[0,0],[1,0]]"
+    calls = [
+        ["evolve", demo_file, "--u", u, "--v", v, "--steps", "2"],
+        ["evolve", demo_file, "--u", u, "--steps", "2"],
+        ["evolve", demo_file, "--u", u, "--steps", "x"],
+        ["evolve", demo_file, "--mode", "continuous", "--u", u, "--times", "0.5,1"],
+    ]
+    build_parser.cache_clear()
+    shared = []
+    for argv in calls:
+        code = main(argv)
+        shared.append((code, *capsys.readouterr()))
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in shared] == [0, 0, 65, 0]
+    # v = u makes the trace a second moment; distinct vectors leave it null
+    assert json.loads(shared[0][1].splitlines()[-1])["second_moment"] is None
+    assert json.loads(shared[1][1].splitlines()[-1])["second_moment"] is not None
+    for argv, result in zip(calls, shared):
+        build_parser.cache_clear()
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == result
 
 
 def test_help_still_exits_0(capsys):

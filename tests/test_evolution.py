@@ -97,6 +97,21 @@ class TestStepDiscrete:
             for k in range(3):
                 assert np.array_equal(image[k], apply(stack[k]))
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_stacked_products_match_the_dense_sum(self, rng, crandn, mode, m):
+        # one stacked product pair per application, on a matrix and on a stack
+        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
+        spec = random_system(rng, 4, m)
+        dense = build(spec)
+        apply = second_moment_map(spec, mode)
+        stack = crandn(3, 4, 4)
+        images = apply(stack)
+        assert images.shape == stack.shape
+        for v, image in [(stack[0], apply(stack[0])), *zip(stack, images)]:
+            want = dense @ vec(v)
+            assert np.max(np.abs(vec(image) - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 class TestPropagateDiscrete:
     def test_zero_steps_echoes_initial_outer(self, rng):
@@ -368,6 +383,77 @@ class TestPropagateContinuous:
         for t, got in zip(times[1:], traj.values[1:]):
             want = scipy.linalg.expm(t * cmat) @ vec(v0)
             assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+
+class TestKroneckerRouteDoubling:
+    """Grid times 2**i times an earlier t with |t C|_1 > theta_13/2 square e^(t C)."""
+
+    @staticmethod
+    def _system():
+        # d = 16, m = 2, entries of variance 1/16: |C|_1 = 61.5
+        rng = np.random.default_rng(16)
+        draw = lambda: (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) / 4
+        spec = SystemSpec(draw(), (draw(), draw()))
+        u, v = _random_vec(rng, 16), _random_vec(rng, 16)
+        return spec, u, v
+
+    @staticmethod
+    def _per_time(spec, u, v, times):
+        cmat = build_continuous_sum(spec)
+        w0 = vec(np.outer(u, v.conj()))
+        return [matrix_exponential(cmat, t) @ w0 for t in times]
+
+    @pytest.mark.parametrize("times", [
+        (0.25, 1.0), (0.5, 1.0, 2.0, 4.0), (0.3, 0.7, 1.4),
+        # |0.0625 C|_1 lies between theta_13/2 and theta_13: no halving, same bits
+        (0.0625, 1.0),
+    ])
+    def test_bitwise_equal_to_per_time_exponentials(self, times):
+        spec, u, v = self._system()
+        norm = np.linalg.norm(build_continuous_sum(spec), 1)
+        assert evolution._THETA_13 / 2 < 0.0625 * norm <= evolution._THETA_13 < 0.25 * norm
+        traj = propagate_continuous(spec, u, v, times, "kronecker")
+        for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
+            assert np.array_equal(vec(got), want)
+
+    def test_close_where_the_earlier_time_needs_no_halving(self):
+        # |0.01 C|_1 < theta_13/2, so 0.16 takes its own exponential
+        spec, u, v = self._system()
+        times = (0.01, 0.16)
+        assert 0.01 * np.linalg.norm(build_continuous_sum(spec), 1) <= evolution._THETA_13
+        traj = propagate_continuous(spec, u, v, times, "kronecker")
+        for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
+            assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("times, calls", [
+        ((0.25, 1.0), 1), ((0.5, 1.0, 2.0, 4.0), 1), ((0.3, 0.7, 1.4), 2), ((0.3, 0.7, 1.5), 3),
+        ((0.0625, 1.0), 1), ((0.01, 0.16), 2),
+    ])
+    def test_matrix_exponential_calls(self, times, calls, monkeypatch):
+        spec, u, v = self._system()
+        seen = []
+
+        def spy(a, t=1.0):
+            seen.append(t)
+            return matrix_exponential(a, t)
+
+        monkeypatch.setattr(evolution, "matrix_exponential", spy)
+        propagate_continuous(spec, u, v, times, "kronecker")
+        assert len(seen) == calls
+
+    def test_a_tiny_earlier_time_seeds_nothing(self):
+        # 900 squarings of e^(1e-300 C) would double its roundoff 900 times
+        spec, u, v = self._system()
+        times = (1e-300, 2.0 ** 900 * 1e-300)
+        traj = propagate_continuous(spec, u, v, times, "kronecker")
+        for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
+            assert np.array_equal(vec(got), want)
+
+    def test_squaring_overflow_is_reported(self):
+        # e^(C) is finite, its 2**10-th power is not
+        spec = SystemSpec(np.array([[200.0]]))
+        with pytest.raises(OverflowError, match="t=1024"):
+            propagate_continuous(spec, [1.0], [1.0], [1.0, 1024.0], "kronecker")
 
 
 class TestSecondMomentBounds:

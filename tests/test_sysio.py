@@ -130,3 +130,16 @@ class TestRoundTrip:
         pairs = json.loads(json.dumps(matrix_pairs(m)))
         back = np.array([[complex(re, im) for re, im in row] for row in pairs])
         assert np.array_equal(back, m)
+
+    def test_matrix_pairs_prints_as_the_per_entry_form(self, crandn):
+        # the stacked form must print the same JSON bytes as one complex_pair per entry
+        m = crandn(6, 6)
+        m[0, 0] = complex(-0.0, 0.0)
+        m[0, 1] = complex(0.0, -0.0)
+        m[1, 0] = complex(5e-324, -2.5e-310)
+        m[1, 1] = complex(-np.finfo(float).tiny / 3, 1e-300)
+        m[2, 2] = complex(np.finfo(float).max, -np.finfo(float).max)
+        per_entry = [[complex_pair(z) for z in row] for row in m]
+        assert json.dumps(matrix_pairs(m)) == json.dumps(per_entry)
+        assert json.dumps(matrix_pairs(m.real)) == json.dumps(
+            [[complex_pair(z) for z in row] for row in m.real])
