@@ -8,6 +8,11 @@ used as mutual oracles:
 * continuous: truncated Taylor series for ``e^(tL)`` applied to d-by-d
   matrices, ``L(V) = A V + V A* + sum_k B_k V B_k*``, versus the matrix
   exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
+  The Kronecker route exponentiates C in real Hermitian coordinates: R of
+  :func:`kronsum.real_sum`, applied to the two real columns of
+  :func:`matrices.real_vec`, a real Pade at about half the cost of a complex
+  one.  The discrete Kronecker route stays complex: its matrix-vector
+  products gain nothing from R, and the conversions would cost extra.
   A grid time exactly 2**i times an earlier one squares that time's
   exponential i times rather than computing its own, where that gives the
   same bits.  On the Taylor route
@@ -33,15 +38,17 @@ import numpy as np
 from .kronsum import (
     adjoint_moment_map,
     bound_report,
-    build_continuous_sum,
     build_discrete_sum,
+    real_sum,
     second_moment_map,
 )
 from .matrices import (
     ConsistencyError,
     SystemSpec,
-    as_complex_matrix,
     as_complex_vector,
+    as_matrix,
+    real_unvec,
+    real_vec,
     unvec,
     vec,
     _require_square,
@@ -230,7 +237,7 @@ _THETA_13 = 5.371920351148152
 
 def _pade_approx(m: np.ndarray) -> np.ndarray:
     c = _PADE_COEFFS
-    ident = np.eye(m.shape[0], dtype=np.complex128)
+    ident = np.eye(m.shape[0], dtype=m.dtype)
     m2 = m @ m
     m4 = m2 @ m2
     m6 = m2 @ m4
@@ -247,15 +254,17 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     ``t * a`` is halved ``s = max(0, ceil(log2(|t a|_1 / theta_13)))`` times,
     the approximant taken, and the result squared ``s`` times.  Accurate to
     roughly unit roundoff for well-scaled inputs; overflow of the result is
-    reported rather than returned.
+    reported rather than returned.  Real input gives a real (float64) result,
+    computed in real arithmetic; complex input is computed in complex128.
     """
-    a = _require_square(as_complex_matrix(a, "matrix_exponential input"), "matrix_exponential input")
+    name = "matrix_exponential input"
+    a = _require_square(as_matrix(a, name), name)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     m = t * a
     norm1 = float(np.linalg.norm(m, 1))
     if norm1 == 0.0:
-        return np.eye(m.shape[0], dtype=np.complex128)
+        return np.eye(m.shape[0], dtype=m.dtype)
     squarings = int(math.ceil(math.log2(max(norm1 / _THETA_13, 1.0))))
     with np.errstate(over="ignore", invalid="ignore"):
         result = _pade_approx(m / (2.0 ** squarings))
@@ -456,13 +465,17 @@ def propagate_continuous(
     """Covariance trajectory V(t) on a time grid from V(0) = u v*.
 
     ``route="kronecker"`` evaluates the matrix exponential of the continuous
-    stochastic Kronecker sum against ``vec(V(0))`` at each grid time.  A time
-    t_k = 2**i t_j for an earlier grid time t_j (``frexp(t_k/t_j)`` has
-    mantissa 1/2) with |t_j C|_1 > theta_13/2 squares e^(t_j C) i times:
-    :func:`matrix_exponential` would scale t_k C down to the same t_j C / 2**s
-    and take those squarings after its own s, so the result is the same bit
-    for bit.  Below theta_13/2 it would take fewer squarings, and each extra
-    one doubles the Pade factor's roundoff, so such a t_j seeds nothing.  One
+    stochastic Kronecker sum at each grid time, in real Hermitian
+    coordinates: V(0) = H_1 + i H_2 becomes the two real columns of
+    :func:`real_vec`, e^(tR) with R = :func:`kronsum.real_sum` (real, with the
+    spectrum of C) multiplies them, and :func:`real_unvec` maps the result
+    back.  A time t_k = 2**i t_j for an earlier grid time t_j
+    (``frexp(t_k/t_j)`` has mantissa 1/2) with |t_j R|_1 > theta_13/2 squares
+    e^(t_j R) i times: :func:`matrix_exponential` would scale t_k R down to
+    the same t_j R / 2**s and take those squarings after its own s, so the
+    result is the same bit for bit.  Below theta_13/2 it would take fewer
+    squarings, and each extra one doubles the Pade factor's roundoff, so such
+    a t_j seeds nothing.  One
     exponential is kept at a time, that of the latest grid time that can seed
     a later one, so the route holds at most one beyond the one in use.
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
@@ -478,14 +491,14 @@ def propagate_continuous(
     u, v, same = _initial_outer(spec, u, v)
     v0 = np.outer(u, v.conj())
     if route == "kronecker":
-        cmat = build_continuous_sum(spec)
-        w0 = vec(v0)
+        rmat = real_sum(spec, "continuous")
+        w0 = real_vec(v0)
         values = []
         # the latest grid time that can seed a later one, and its exponential
         kept_t, kept = 0.0, None
         mantissas = [math.frexp(t)[0] for t in t_grid]
         later = Counter(mantissas)
-        cnorm = float(np.linalg.norm(cmat, 1))
+        rnorm = float(np.linalg.norm(rmat, 1))
         for t, mantissa in zip(t_grid.tolist(), mantissas):
             later[mantissa] -= 1
             ratio = t / kept_t if kept_t else 0.0
@@ -497,13 +510,13 @@ def propagate_continuous(
                 if not np.all(np.isfinite(expo)):
                     raise OverflowError(f"matrix exponential overflowed at t={t}")
             else:
-                expo = matrix_exponential(cmat, t)
-            if later[mantissa] and t * cnorm > _THETA_13 / 2:
+                expo = matrix_exponential(rmat, t)
+            if later[mantissa] and t * rnorm > _THETA_13 / 2:
                 kept_t, kept = t, expo
             w = expo @ w0
             if not np.all(np.isfinite(w)):
                 raise OverflowError(f"covariance propagation overflowed at t={t}")
-            values.append(unvec(w, spec.d))
+            values.append(real_unvec(w, spec.d))
     else:
         values = _taylor_on_grid(spec, v0, t_grid)
     return _traj("continuous", t_grid.tolist(), values, same)

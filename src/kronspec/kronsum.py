@@ -26,6 +26,13 @@ stochastic systems,
     Phi(V) = A V A* + sum_k B_k V B_k*       L(V) = A V + V A* + sum_k B_k V B_k*
 
 (vec(Phi(V)) = D vec(V), vec(L(V)) = C vec(V)), and N = Phi*(I), M = L*(I).
+Both maps keep Hermitian matrices Hermitian, so on the real space of Hermitian
+matrices they are real-linear: :func:`real_sum` gives their real d**2-by-d**2
+matrix R = Re S + Im S Pi (S = D or C) in the coordinates of
+:func:`kronspec.matrices.real_vec`, with spec(R) = spec(S).  The dense rung takes
+the spectrum of R, and the continuous Kronecker route of
+:mod:`kronspec.evolution` exponentiates it; a real eigensolve or Pade product
+costs about half its complex counterpart.
 
 The companions are the case V = I of a Collatz-Wielandt bracket.  Phi is
 positive and L resolvent-positive, so for every Hermitian V > 0 with Cholesky
@@ -42,7 +49,7 @@ decides, and records the deciding rung in :attr:`BoundReport.rung`:
    the rightmost Ritz value as V.  It decides once the bracket is narrower
    than ``1e-7`` relative and clears the threshold by more than
    :data:`BOUNDARY_TOL`.
-4. ``dense``: the d**2-by-d**2 spectrum, when rung 3 has not converged within
+4. ``dense``: the d**2-by-d**2 spectrum of R, when rung 3 has not converged within
    its budget or its bracket touches the threshold band (a singular Perron
    matrix, for instance, has no V > 0 to converge to).  Past d = 64 it raises
    ``ValueError`` before building D or C (``spectral.DENSE_CEILING``).
@@ -91,12 +98,19 @@ def second_moment_map(spec: SystemSpec, mode: str):
     An application is two stacked products, 2(m + 1) d**3 multiply-adds:
     W = V [A*, B_1*, ..., B_m*] as m + 1 blocks, then [A, B_1, ..., B_m] times
     W stacked on top of each other.  In continuous mode block 0 of W is V in
-    place of V A*, which is added afterwards.  V may also be a (t, d, d)
-    stack.  Both stacks are formed once per map, not once per application;
-    the returned function allocates its result and leaves the input untouched.
+    place of V A*, which is added afterwards.  With m = 0 the stacks are plain
+    products, A (V A*) or A V + V A*, with the same bits and less overhead.
+    V may also be a (t, d, d) stack.  Both stacks are formed once per map,
+    not once per application; the returned function allocates its result
+    and leaves the input untouched.
     """
     discrete = _check_mode(mode) == "discrete"
     d = spec.d
+    if not spec.noise_mats:
+        a, ah = spec.a, spec.a.conj().T
+        if discrete:
+            return lambda v: a @ (v @ ah)
+        return lambda v: a @ v + v @ ah
     left = np.concatenate((spec.a, *spec.noise_mats), axis=1)
     right = np.stack([x.conj().T for x in (spec.a, *spec.noise_mats)])
 
@@ -151,8 +165,29 @@ def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
     return _finite(out, "stochastic Kronecker sum C")
 
 
+def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:
+    """D (discrete) or C (continuous) as the real d**2-by-d**2 matrix R = Re S + Im S Pi.
+
+    Pi is the permutation with vec(X^T) = Pi vec(X).  R is the matrix of Phi
+    or L in the Hermitian coordinates x = vec(Re H + Im H) of
+    :func:`kronspec.matrices.real_vec`, an isometry, so spec(R) = spec(S) and
+    e^(tR) is e^(tC) in those coordinates.  A real system gives R = Re S bit
+    for bit.  S comes from :func:`build_discrete_sum` or
+    :func:`build_continuous_sum`, with their ceiling and overflow checks.
+    """
+    discrete = _check_mode(mode) == "discrete"
+    s = build_discrete_sum(spec) if discrete else build_continuous_sum(spec)
+    n, d = s.shape[0], spec.d
+    out = s.real.copy()
+    columns = out.reshape(n, d, d)  # a view: column j d + i at [:, j, i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # column j d + i of Im S Pi is column i d + j of Im S
+        columns += s.imag.reshape(n, d, d).swapaxes(1, 2)
+    return _finite(out, f"real form of {'D' if discrete else 'C'}")
+
+
 def _finite(out: np.ndarray, name: str) -> np.ndarray:
-    """The one overflow rule of the four builders: a non-finite entry is an ``OverflowError``."""
+    """The one overflow rule of the builders: a non-finite entry is an ``OverflowError``."""
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"{name} overflowed")
     return out
@@ -419,7 +454,6 @@ def classify_stability(
         threshold = verdict.threshold
         if upper < threshold - BOUNDARY_TOL or lower > threshold + BOUNDARY_TOL:
             return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined"))
-    discrete = mode == "discrete"
-    summary = summarize(build_discrete_sum(spec) if discrete else build_continuous_sum(spec))
-    return _decide(replace(report, exact=summary.radius if discrete else summary.abscissa,
+    summary = summarize(real_sum(spec, mode))
+    return _decide(replace(report, exact=summary.radius if mode == "discrete" else summary.abscissa,
                            eigenvalues=summary.eigenvalues, rung="dense"))

@@ -1,8 +1,9 @@
 """Dense complex matrix primitives: validation, vec/unvec, structural checks, systems.
 
-Everything downstream works on plain ``numpy`` ``complex128`` arrays; the
-helpers here validate shape and finiteness at the boundary so the numerical
-code can assume clean inputs.
+Everything downstream works on plain ``numpy`` ``complex128`` arrays, apart
+from the real forms of D and C (:func:`real_vec`); the helpers here validate
+shape and finiteness at the boundary so the numerical code can assume clean
+inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,17 @@ class ConsistencyError(RuntimeError):
 
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce ``data`` to a finite complex128 2-D array."""
-    arr = np.asarray(data, dtype=np.complex128)
+    return _finite_2d(np.asarray(data, dtype=np.complex128), name)
+
+
+def as_matrix(data, name: str = "matrix") -> np.ndarray:
+    """Coerce ``data`` to a finite 2-D array: complex128 if it is complex, else float64."""
+    arr = np.asarray(data)
+    return _finite_2d(arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                                 copy=False), name)
+
+
+def _finite_2d(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -69,6 +80,34 @@ def unvec(v, d: int) -> np.ndarray:
     if v.shape[0] != d * d:
         raise ValueError(f"unvec input has length {v.shape[0]}, expected {d * d}")
     return v.reshape((d, d), order="F")
+
+
+def real_vec(v: np.ndarray) -> np.ndarray:
+    """The d-by-d complex V as two real columns: the Hermitian coordinates of its parts.
+
+    V = H_1 + i H_2 with the Hermitian H_1 = (V + V*)/2 and H_2 = (V - V*)/(2i),
+    and column j is x_j = vec(Re H_j + Im H_j).  For Hermitian H the map
+    H -> vec(Re H + Im H) is an isometry onto R**(d**2) (Re H is symmetric,
+    Im H skew), and the matrix of a Hermitian-preserving map such as Phi or L
+    in these coordinates is the real d**2-by-d**2 matrix of
+    :func:`kronspec.kronsum.real_sum`.  :func:`real_unvec` inverts it.
+    """
+    s, e = v.real + v.imag, v.real - v.imag
+    # Re H_1 + Im H_1 = (s + e^T)/2, Re H_2 + Im H_2 = (s^T - e)/2, and vec(X) = X^T raveled
+    return np.column_stack((((s.T + e) / 2.0).ravel(), ((s - e.T) / 2.0).ravel()))
+
+
+def real_unvec(x: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`real_vec`: H_j = sym(X_j) + i skew(X_j) for x_j = vec(X_j), V = H_1 + i H_2.
+
+    With P = X_1 + X_2^T and Q = X_1^T - X_2 this is V = (P + Q)/2 + i (P - Q)/2.
+    """
+    x1t, x2t = x[:, 0].reshape(d, d), x[:, 1].reshape(d, d)  # X_1^T and X_2^T
+    p, q = x1t.T + x2t, x1t - x2t.T
+    out = np.empty((d, d), dtype=np.complex128)
+    out.real = (p + q) / 2.0
+    out.imag = (p - q) / 2.0
+    return out
 
 
 def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:

@@ -25,9 +25,17 @@ from kronspec.kronsum import (
     adjoint_moment_map,
     build_continuous_sum,
     build_discrete_sum,
+    real_sum,
     second_moment_map,
 )
-from kronspec.matrices import ConsistencyError, SystemSpec, random_system, vec
+from kronspec.matrices import (
+    ConsistencyError,
+    SystemSpec,
+    random_system,
+    real_unvec,
+    real_vec,
+    vec,
+)
 
 
 def _fail(*args, **kwargs):
@@ -96,6 +104,26 @@ class TestStepDiscrete:
             image = apply(stack)
             for k in range(3):
                 assert np.array_equal(image[k], apply(stack[k]))
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_noise_free_map_has_the_bits_of_the_stacked_form(self, rng, crandn, mode, d):
+        # m = 0 takes plain products, A (V A*) or A V + V A*; the stacked
+        # product pair they replace, written out, gives the same bits
+        spec = random_system(rng, d, 0)
+        left = np.concatenate((spec.a,), axis=1)
+        right = np.stack([spec.a.conj().T])
+        apply = second_moment_map(spec, mode)
+        for v in (crandn(d, d), crandn(3, d, d)):
+            w = v[..., None, :, :] @ right
+            if mode == "discrete":
+                want = left @ w.reshape(*w.shape[:-3], -1, d)
+            else:
+                vah = w[..., 0, :, :].copy()
+                w[..., 0, :, :] = v
+                want = left @ w.reshape(*w.shape[:-3], -1, d)
+                want += vah
+            assert np.array_equal(apply(v), want)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -241,6 +269,24 @@ class TestMatrixExponential:
         with pytest.raises(OverflowError):
             matrix_exponential(np.diag([1000.0, 0.0]), 1.0)
 
+    def test_real_input_stays_real(self, crandn):
+        # float64 in, float64 out, in real arithmetic; the same matrix as
+        # complex128 is computed in complex arithmetic, with exact zero
+        # imaginary parts, and agrees to roundoff
+        for n, t in ((1, 0.3), (4, 0.7), (9, 3.0)):
+            a = crandn(n, n).real
+            real = matrix_exponential(a, t)
+            assert real.dtype == np.float64
+            cplx = matrix_exponential(a.astype(np.complex128), t)
+            assert cplx.dtype == np.complex128
+            assert not np.any(cplx.imag)
+            assert np.max(np.abs(real - cplx.real)) <= 1e-13 * np.max(np.abs(real))
+            ref = scipy.linalg.expm(t * a)
+            assert np.max(np.abs(real - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert matrix_exponential(np.zeros((2, 2)), 1.0).dtype == np.float64
+        assert matrix_exponential([[1, 2], [3, 4]], 0.1).dtype == np.float64
+        assert matrix_exponential(crandn(3, 3), 0.0).dtype == np.complex128
+
 
 class TestPropagateContinuous:
     def test_time_zero_echoes_initial_outer(self, rng):
@@ -372,6 +418,20 @@ class TestPropagateContinuous:
             propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
         assert count[0] <= 40_000
 
+    def test_kronecker_route_matches_scipy_expm_of_complex_c(self):
+        # criterion 4's systems with u != v: V(0) is not Hermitian, so both of
+        # its Hermitian parts ride through e^(tR); the oracle exponentiates C
+        # itself, built complex
+        times = [0.0, 0.25, 1.0]
+        for spec, u, v in _criterion4_systems():
+            assert not np.array_equal(u, v)
+            traj = propagate_continuous(spec, u, v, times, "kronecker")
+            cmat = build_continuous_sum(spec)
+            w0 = vec(np.outer(u, v.conj()))
+            for t, got in zip(times, traj.values):
+                want = scipy.linalg.expm(t * cmat) @ w0
+                assert np.max(np.abs(vec(got) - want)) <= 1e-12 * np.max(np.abs(want)), t
+
     @staticmethod
     def _check_against_expm(spec, rng):
         times = [0.0, 1e-3, 0.25, 1.0, 5.0]
@@ -386,11 +446,14 @@ class TestPropagateContinuous:
 
 
 class TestKroneckerRouteDoubling:
-    """Grid times 2**i times an earlier t with |t C|_1 > theta_13/2 square e^(t C)."""
+    """Grid times 2**i times an earlier t with |t R|_1 > theta_13/2 square e^(t R).
+
+    R is C in real Hermitian coordinates (:func:`kronsum.real_sum`).
+    """
 
     @staticmethod
     def _system():
-        # d = 16, m = 2, entries of variance 1/16: |C|_1 = 61.5
+        # d = 16, m = 2, entries of variance 1/16: |C|_1 = 61.5, |R|_1 = 54.9
         rng = np.random.default_rng(16)
         draw = lambda: (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))) / 4
         spec = SystemSpec(draw(), (draw(), draw()))
@@ -399,28 +462,28 @@ class TestKroneckerRouteDoubling:
 
     @staticmethod
     def _per_time(spec, u, v, times):
-        cmat = build_continuous_sum(spec)
-        w0 = vec(np.outer(u, v.conj()))
-        return [matrix_exponential(cmat, t) @ w0 for t in times]
+        rmat = real_sum(spec, "continuous")
+        w0 = real_vec(np.outer(u, v.conj()))
+        return [vec(real_unvec(matrix_exponential(rmat, t) @ w0, spec.d)) for t in times]
 
     @pytest.mark.parametrize("times", [
         (0.25, 1.0), (0.5, 1.0, 2.0, 4.0), (0.3, 0.7, 1.4),
-        # |0.0625 C|_1 lies between theta_13/2 and theta_13: no halving, same bits
+        # |0.0625 R|_1 lies between theta_13/2 and theta_13: no halving, same bits
         (0.0625, 1.0),
     ])
     def test_bitwise_equal_to_per_time_exponentials(self, times):
         spec, u, v = self._system()
-        norm = np.linalg.norm(build_continuous_sum(spec), 1)
+        norm = np.linalg.norm(real_sum(spec, "continuous"), 1)
         assert evolution._THETA_13 / 2 < 0.0625 * norm <= evolution._THETA_13 < 0.25 * norm
         traj = propagate_continuous(spec, u, v, times, "kronecker")
         for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
             assert np.array_equal(vec(got), want)
 
     def test_close_where_the_earlier_time_needs_no_halving(self):
-        # |0.01 C|_1 < theta_13/2, so 0.16 takes its own exponential
+        # |0.01 R|_1 < theta_13/2, so 0.16 takes its own exponential
         spec, u, v = self._system()
         times = (0.01, 0.16)
-        assert 0.01 * np.linalg.norm(build_continuous_sum(spec), 1) <= evolution._THETA_13
+        assert 0.01 * np.linalg.norm(real_sum(spec, "continuous"), 1) <= evolution._THETA_13
         traj = propagate_continuous(spec, u, v, times, "kronecker")
         for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
             assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))

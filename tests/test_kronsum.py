@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +19,18 @@ from kronspec.kronsum import (
     build_discrete_sum,
     check_bound_chain,
     classify_stability,
+    real_sum,
+    second_moment_map,
     verdict_from_report,
 )
-from kronspec.matrices import ConsistencyError, SystemSpec, is_hermitian, random_system
+from kronspec.matrices import (
+    ConsistencyError,
+    SystemSpec,
+    is_hermitian,
+    random_system,
+    real_unvec,
+    real_vec,
+)
 from kronspec.spectral import eigenvalues, hermitian_extremes, summarize
 
 
@@ -134,6 +144,64 @@ class TestBuilders:
         spec = SystemSpec(np.array([[0.5]]), (np.array([[1e155]]),))
         with pytest.raises(OverflowError, match="overflowed"):
             build(spec)
+
+
+class TestRealSum:
+    """R = Re S + Im S Pi: D and C as real matrices in Hermitian coordinates."""
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_spectral_values_match_the_complex_sum(self, rng, mode):
+        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
+        for d in (2, 3, 5):
+            for m in range(4):
+                spec = random_system(rng, d, m)
+                rmat = real_sum(spec, mode)
+                assert rmat.dtype == np.float64
+                got, want = summarize(rmat), summarize(build(spec))
+                for key in ("radius", "abscissa"):
+                    a, b = getattr(got, key), getattr(want, key)
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (d, m, key)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_real_system_gives_the_real_part_bit_for_bit(self, rng, mode):
+        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
+        spec = SystemSpec(rng.standard_normal((4, 4)), (rng.standard_normal((4, 4)),))
+        assert np.array_equal(real_sum(spec, mode), build(spec).real)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_is_the_matrix_of_the_map_in_hermitian_coordinates(self, rng, crandn, mode):
+        # R x_j = the coordinates of Phi(H_j) or L(H_j), for both Hermitian parts of V
+        spec = random_system(rng, 4, 2)
+        v = crandn(4, 4)
+        got = real_sum(spec, mode) @ real_vec(v)
+        want = real_vec(second_moment_map(spec, mode)(v))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_coordinates_round_trip(self, rng, crandn):
+        # small integers keep every sum and halving exact, so a general
+        # complex V comes back bit for bit; Gaussian entries round to an ulp
+        v = rng.integers(-9, 10, (5, 5)) + 1j * rng.integers(-9, 10, (5, 5))
+        assert np.array_equal(real_unvec(real_vec(v), 5), v)
+        v = crandn(5, 5)
+        assert np.max(np.abs(real_unvec(real_vec(v), 5) - v)) <= 4e-16 * np.max(np.abs(v))
+
+    def test_hermitian_input_has_one_column(self, crandn):
+        x = crandn(4, 4)
+        h = x + x.conj().T
+        coords = real_vec(h)
+        assert np.array_equal(coords[:, 0], (h.real + h.imag).reshape(-1, order="F"))
+        assert not np.any(coords[:, 1])
+        # the coordinates are an isometry
+        assert np.linalg.norm(coords[:, 0]) == pytest.approx(np.linalg.norm(h), rel=1e-15)
+
+    @pytest.mark.parametrize("mode, name", [("discrete", "D"), ("continuous", "C")])
+    def test_overflow_raises(self, mode, name):
+        # |S| <= x**2 = 1.44e308 is finite, but R takes Re(b_00 conj(b_01)) +
+        # Im(b_01 conj(b_00)) = sqrt(2) x**2 into one entry
+        x = 1.2e154
+        b = np.array([[x, x * np.exp(0.25j * np.pi)], [0.0, 0.0]])
+        with pytest.raises(OverflowError, match=f"real form of {name} overflowed"):
+            real_sum(SystemSpec(np.zeros((2, 2)), (b,)), mode)
 
 
 class TestBoundReport:
@@ -270,6 +338,19 @@ class TestLadder:
             rungs.add(verdict.evidence.rung)
         assert rungs == {"bounds", "closed-form", "refined"}
 
+    def test_dense_rung_takes_the_spectrum_of_the_real_form(self):
+        # the singular-Perron demo below, padded to d = 4 and turned by a
+        # unitary: dense complex entries, still no V > 0 for rung 3
+        demo = demo_system(1.5, 0.5, 2.0)
+        u = unitary_group.rvs(4, random_state=5)
+        turn = lambda x: u @ np.pad(x, (0, 2)) @ u.conj().T
+        spec = SystemSpec(turn(demo.a), (turn(demo.noise_mats[0]),))
+        report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
+        assert report.rung == "dense"
+        want = summarize(build_discrete_sum(spec))
+        assert report.exact == pytest.approx(want.radius, rel=1e-12)
+        _assert_multiset_close(report.eigenvalues, want.eigenvalues, 1e-12)
+
     def test_singular_perron_matrix_falls_to_dense(self):
         # rho(D) = a^2 = 2.25 has the singular Perron matrix e_1 e_1*, so no
         # V > 0 narrows the bracket onto it
@@ -288,7 +369,10 @@ def _fail(*args, **kwargs):
 class TestDenseCeiling:
     """d = 65 is past the dense ceiling: d-by-d work runs, D and C are refused unbuilt."""
 
-    @pytest.mark.parametrize("build", [build_discrete_sum, build_continuous_sum])
+    @pytest.mark.parametrize("build", [
+        build_discrete_sum, build_continuous_sum,
+        partial(real_sum, mode="discrete"), partial(real_sum, mode="continuous"),
+    ], ids=lambda build: getattr(build, "__name__", None) or f"real_sum-{build.keywords['mode']}")
     def test_builders_refuse_before_kron(self, build, monkeypatch):
         monkeypatch.setattr(np, "kron", _fail)
         with pytest.raises(ValueError, match="4225 rows, over the dense ceiling of 4096"):

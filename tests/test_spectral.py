@@ -45,6 +45,18 @@ class TestEigenvalues:
         a = crandn(5, 5)
         assert np.array_equal(eigenvalues(a), eigenvalues(a))
 
+    def test_real_input_is_solved_in_real_arithmetic(self, crandn, monkeypatch):
+        # the real solver, not the complex one; the result is complex128 either way
+        seen = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.dtype) or eigvals(a))
+        a = crandn(6, 6).real
+        got = eigenvalues(a)
+        assert seen == [np.float64] and got.dtype == np.complex128
+        _assert_multiset_close(got, eigvals(a.astype(np.complex128)), 1e-12)
+        summary = summarize(np.diag([1.0, -3.0]))
+        assert seen[-1] == np.float64 and summary.radius == 3.0 and summary.abscissa == 1.0
+
 
 class TestHermitianExtremes:
     def test_demo_gram_values(self):
