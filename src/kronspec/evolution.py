@@ -475,9 +475,9 @@ def propagate_continuous(
     the same t_j R / 2**s and take those squarings after its own s, so the
     result is the same bit for bit.  Below theta_13/2 it would take fewer
     squarings, and each extra one doubles the Pade factor's roundoff, so such
-    a t_j seeds nothing.  One
-    exponential is kept at a time, that of the latest grid time that can seed
-    a later one, so the route holds at most one beyond the one in use.
+    a t_j seeds nothing.  One exponential is kept at a time, that of the
+    latest grid time that can seed a later one, so the route holds at most
+    one beyond the one in use.
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
     (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, each grid gap in
     the substeps and at the degree (at most 55) that minimise the map

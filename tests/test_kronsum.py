@@ -372,7 +372,7 @@ class TestDenseCeiling:
     @pytest.mark.parametrize("build", [
         build_discrete_sum, build_continuous_sum,
         partial(real_sum, mode="discrete"), partial(real_sum, mode="continuous"),
-    ], ids=lambda build: getattr(build, "__name__", None) or f"real_sum-{build.keywords['mode']}")
+    ], ids=["build_discrete_sum", "build_continuous_sum", "real_sum-discrete", "real_sum-continuous"])
     def test_builders_refuse_before_kron(self, build, monkeypatch):
         monkeypatch.setattr(np, "kron", _fail)
         with pytest.raises(ValueError, match="4225 rows, over the dense ceiling of 4096"):
