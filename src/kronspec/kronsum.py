@@ -44,10 +44,11 @@ decides, and records the deciding rung in :attr:`BoundReport.rung`:
 1. ``bounds``: the companion extremes clear the threshold.
 2. ``closed-form`` (m = 0): rho(D) = rho(A)**2 and alpha(C) = 2 max Re lambda(A)
    from one d-by-d eigensolve.
-3. ``refined``: restarted Arnoldi on Phi* or L* over Hermitian d-by-d
+3. ``refined``: a lean, thick-restarted Arnoldi on Phi* or L* over d-by-d
    matrices, started from V = I, narrows the bracket with the Ritz matrix of
-   the rightmost Ritz value as V.  It decides once the bracket is narrower
-   than ``1e-7`` relative and clears the threshold by more than
+   the rightmost Ritz value as V.  Each restart keeps the span of the
+   rightmost Ritz vectors.  It decides once the bracket is narrower than
+   ``1e-7`` relative and clears the threshold by more than
    :data:`BOUNDARY_TOL`.
 4. ``dense``: the d**2-by-d**2 spectrum of R, when rung 3 has not converged within
    its budget or its bracket touches the threshold band (a singular Perron
@@ -57,6 +58,7 @@ decides, and records the deciding rung in :attr:`BoundReport.rung`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -73,17 +75,15 @@ CHAIN_TOL = 1e-8
 
 _MODES = ("discrete", "continuous")
 
-#: Rung 3's Krylov dimension (capped at d**2) and its number of Arnoldi
-#: cycles: at most 240 map applications, plus one per bracket.
+#: Rung 3's Krylov dimension (capped at d**2), the Ritz directions a thick
+#: restart keeps, and its budget: at most 240 Arnoldi steps, each one map
+#: application, plus one application per bracket.
 _KRYLOV_DIM = 30
-_MAX_CYCLES = 8
+_KEEP = 8
+_MAX_STEPS = 240
 
 #: Rung 3 stops once its bracket is this narrow relative to max(1, |ends|).
 _BRACKET_RTOL = 1e-7
-
-#: A Ritz matrix that is not positive definite restarts shifted by this
-#: multiple of tr(V) I.
-_RITZ_SHIFT = 1e-8
 
 
 def _check_mode(mode: str) -> str:
@@ -343,35 +343,6 @@ def _closed_form(spec: SystemSpec, mode: str) -> float:
     return 2.0 * float(np.max(w.real))
 
 
-def _arnoldi(apply, start: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arnoldi on Hermitian d-by-d matrices under the real inner product Re tr(XY).
-
-    Returns an orthonormal Hermitian basis Q_0..Q_{j-1} (j <= dim, fewer on
-    happy breakdown) and the real j-by-j Hessenberg matrix H of ``apply`` on
-    it.  A non-finite image ends the run, leaving non-finite entries in H.
-    """
-    d = start.shape[0]
-    basis = np.empty((dim + 1, d, d), dtype=np.complex128)
-    # for Hermitian X, Re tr(XY) is the dot product of the float views
-    flat = basis.view(np.float64).reshape(dim + 1, -1)
-    hess = np.zeros((dim + 1, dim))
-    basis[0] = start / np.linalg.norm(start)
-    for j in range(dim):
-        image = apply(basis[j])
-        basis[j + 1] = (image + image.conj().T) / 2.0
-        row = flat[j + 1]
-        scale = np.linalg.norm(row)
-        for _ in range(2):  # classical Gram-Schmidt with one reorthogonalization
-            coef = flat[: j + 1] @ row
-            row -= coef @ flat[: j + 1]
-            hess[: j + 1, j] += coef
-        hess[j + 1, j] = np.linalg.norm(row)
-        if not hess[j + 1, j] > 1e-12 * scale:
-            return basis[: j + 1], hess[: j + 1, : j + 1]
-        row /= hess[j + 1, j]
-    return basis[:dim], hess[:dim, :dim]
-
-
 def _narrow(lower: float, upper: float) -> bool:
     return upper - lower <= _BRACKET_RTOL * max(1.0, abs(lower), abs(upper))
 
@@ -379,46 +350,98 @@ def _narrow(lower: float, upper: float) -> bool:
 def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] | None, int]:
     """Rung 3: the last valid Collatz-Wielandt bracket and the map applications spent.
 
-    Explicitly restarted Arnoldi on Phi* (discrete) or L* (continuous) from
-    V = I.  After each cycle the Hermitian part of the rightmost Ritz matrix,
-    signed to positive trace, is the next V; when it is positive definite,
-    V = F F* gives the bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or
-    of F^-1 L*(V) F^-*).  Since rho(D) is both the largest-modulus and the
-    rightmost eigenvalue of Phi*, one restart rule serves both modes.  The
-    bracket is None when no Ritz matrix was positive definite.
+    Thick-restarted Arnoldi on Phi* (discrete) or L* (continuous) from V = I,
+    over d-by-d matrices under the real inner product Re tr(X* Y).  A step
+    takes no Hermitian part: the basis stays Hermitian up to roundoff, and
+    its second Gram-Schmidt pass runs only when the first leaves less than
+    1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart, 1976).  After
+    each cycle the Hermitian part of the rightmost Ritz matrix, signed to
+    positive trace, is V; when it is positive definite, V = F F* gives the
+    bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or of F^-1 L*(V) F^-*).
+    Since rho(D) is both the largest-modulus and the rightmost eigenvalue of
+    Phi*, one rule serves both modes.  The next cycle keeps the span of the
+    rightmost Ritz vectors (real and imaginary parts of a conjugate pair),
+    as Krylov-Schur does with Schur vectors (Stewart, 2001), and extends it
+    from the residual.  A happy breakdown leaves an invariant subspace, whose
+    Ritz values are exact, and ends the run.  Lost orthogonality can only
+    slow convergence: each bracket comes from an explicit V.  The bracket is
+    None when no Ritz matrix was positive definite.
     """
     apply = adjoint_moment_map(spec, mode)
     d = spec.d
     dim = min(_KRYLOV_DIM, d * d)
-    v = np.eye(d, dtype=np.complex128)
-    bracket, applications = None, 0
+    basis = np.empty((dim + 1, d, d), dtype=np.complex128)
+    # Re tr(X* Y) is the dot product of the float views
+    flat = basis.view(np.float64).reshape(dim + 1, -1)
+    hess = np.zeros((dim + 1, dim))
+    basis[0] = np.eye(d) / math.sqrt(d)
+    bracket, steps, brackets, kept = None, 0, 0, 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_MAX_CYCLES):
-            basis, hess = _arnoldi(apply, v, dim)
-            applications += len(hess)
-            if not np.all(np.isfinite(hess)):
+        while True:
+            n, broke = min(dim, kept + _MAX_STEPS - steps), False
+            for j in range(kept, n):
+                basis[j + 1] = apply(basis[j])
+                row = flat[j + 1]
+                scale = math.sqrt(row @ row)
+                coef = flat[: j + 1] @ row
+                row -= coef @ flat[: j + 1]
+                norm = math.sqrt(row @ row)
+                if norm < math.sqrt(0.5) * scale:
+                    again = flat[: j + 1] @ row
+                    row -= again @ flat[: j + 1]
+                    coef += again
+                    norm = math.sqrt(row @ row)
+                hess[: j + 1, j] = coef
+                hess[j + 1, j] = norm
+                if not norm > 1e-12 * scale:  # also ends the run on a non-finite image
+                    n, broke = j + 1, True
+                    break
+                row /= norm
+            steps += n - kept
+            if not np.all(np.isfinite(hess[:n, :n])):
                 break
-            theta, y = np.linalg.eig(hess)
-            ritz = y[:, np.argmax(theta.real)]
+            theta, y = np.linalg.eig(hess[:n, :n])
+            order = np.argsort(-theta.real, kind="stable")
+            ritz = y[:, order[0]]
             ritz = ritz * np.conj(ritz[np.argmax(np.abs(ritz))])  # largest entry real
-            v = np.tensordot(ritz.real, basis, axes=1)
+            v = np.tensordot(ritz.real, basis[:n], axes=1)
             v = (v + v.conj().T) / 2.0
-            trace = float(np.trace(v).real)
-            if trace < 0:
-                v, trace = -v, -trace
+            if np.trace(v).real < 0:
+                v = -v
             try:
                 inv = np.linalg.inv(np.linalg.cholesky(v))
             except np.linalg.LinAlgError:
-                v = v + _RITZ_SHIFT * trace * np.eye(d)
-                continue
-            image = inv @ apply(v) @ inv.conj().T
-            applications += 1
-            if not np.all(np.isfinite(image)):
+                pass
+            else:
+                image = inv @ apply(v) @ inv.conj().T
+                brackets += 1
+                if not np.all(np.isfinite(image)):
+                    break
+                bracket = hermitian_extremes((image + image.conj().T) / 2.0)
+                if _narrow(*bracket):
+                    break
+            # with n <= _KEEP + 1 the kept directions would leave no room to extend
+            if broke or steps >= _MAX_STEPS or n <= _KEEP + 1:
                 break
-            bracket = hermitian_extremes((image + image.conj().T) / 2.0)
-            if _narrow(*bracket):
-                break
-    return bracket, applications
+            # thick restart: q spans an invariant subspace of H, so with
+            # Q_k = basis q the map's Krylov relation becomes
+            # apply(Q_k) = Q_k (q^T H q) + basis[n] h_(n+1,n) q[n-1]
+            cols = []
+            for i in order[:_KEEP]:
+                if theta[i].imag >= 0:  # a conjugate pair lists +imag first
+                    cols.append(y[:, i].real)
+                if theta[i].imag > 0:
+                    cols.append(y[:, i].imag)
+            q = np.linalg.qr(np.array(cols).T)[0]
+            kept = q.shape[1]
+            basis[:kept] = np.tensordot(q.T, basis[:n], axes=1)
+            basis[kept] = basis[n]
+            head = q.T @ hess[:n, :n] @ q
+            residual = hess[n, n - 1] * q[n - 1]
+            hess[:] = 0.0
+            hess[:kept, :kept] = head
+            hess[kept, :kept] = residual
+    return bracket, steps + brackets
 
 
 def _decide(report: BoundReport) -> StabilityVerdict:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
+from conftest import random_system
 from kronspec.cli import demo_system
 from kronspec.evolution import (
     max_relative_discrepancy,
@@ -29,7 +30,7 @@ from kronspec.kronsum import (
     build_discrete_sum,
     classify_stability,
 )
-from kronspec.matrices import SystemSpec, random_system
+from kronspec.matrices import SystemSpec
 from kronspec.montecarlo import SimulationConfig, compare_to_exact, simulate_continuous, simulate_discrete
 from kronspec.spectral import hermitian_extremes, summarize
 

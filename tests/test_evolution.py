@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ortho_group
 
+from conftest import random_system
 from kronspec import evolution
 from kronspec.cli import demo_system
 from kronspec.evolution import (
@@ -31,7 +32,6 @@ from kronspec.kronsum import (
 from kronspec.matrices import (
     ConsistencyError,
     SystemSpec,
-    random_system,
     real_unvec,
     real_vec,
     vec,

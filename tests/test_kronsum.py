@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
+from conftest import random_system
 from kronspec.cli import demo_system
 from kronspec.kronsum import (
     CHAIN_TOL,
@@ -27,7 +28,6 @@ from kronspec.matrices import (
     ConsistencyError,
     SystemSpec,
     is_hermitian,
-    random_system,
     real_unvec,
     real_vec,
 )
@@ -321,6 +321,23 @@ class TestLadder:
             assert applications <= 248
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_thick_restarts_keep_the_dense_value_in_the_bracket(self, mode):
+        # d = 8..12: d**2 exceeds the Krylov dimension, so rung 3 restarts
+        rng = np.random.default_rng(8)
+        counts = []
+        for i in range(48):
+            spec = random_system(rng, (8, 10, 12)[i % 3], 1 + i % 3)
+            (lower, upper), applications = _refined_bracket(spec, mode)
+            summary = summarize(real_sum(spec, mode))
+            exact = summary.radius if mode == "discrete" else summary.abscissa
+            slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
+            assert lower - slack <= exact <= upper + slack
+            assert upper - lower <= 1e-7 * max(1.0, abs(lower), abs(upper))
+            counts.append(applications)
+        assert max(counts) <= 248
+        assert max(counts) > 31  # at least one run went past its first cycle
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_closed_form_matches_dense_value(self, mode):
         for spec in _criterion3_systems():
             if spec.m == 0:
@@ -389,6 +406,24 @@ class TestDenseCeiling:
         assert verdict.evidence.lower < 1.0 < verdict.evidence.upper
         assert verdict.evidence.rung == "refined"
         assert verdict.status is StabilityStatus.EXACT_STABLE
+
+    @pytest.mark.parametrize("seed, shift, low, high", [
+        (1, 1.2, -0.212227, -0.212220), (2, 1.5, -1.10580, -1.10507),
+    ], ids=["seed1", "seed2"])
+    def test_continuous_refined_rung_decides_past_the_ceiling(self, seed, shift, low, high,
+                                                              monkeypatch):
+        # A = G/sqrt(d) - c I, B_k = 0.5 G_k/sqrt(d); [low, high] is an earlier
+        # rigorous bracket of alpha(C), too wide to decide on its own
+        rng = np.random.default_rng(seed)
+        d = 65
+        a = rng.standard_normal((d, d)) / np.sqrt(d) - shift * np.eye(d)
+        noise = tuple(0.5 * rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(2))
+        monkeypatch.setattr(np, "kron", _fail)
+        verdict = classify_stability(SystemSpec(a, noise), "continuous", allow_exact_fallback=True)
+        assert verdict.evidence.lower < 0.0 < verdict.evidence.upper
+        assert verdict.evidence.rung == "refined"
+        assert verdict.status is StabilityStatus.EXACT_STABLE
+        assert low <= verdict.evidence.exact <= high
 
     def test_singular_perron_refuses_instead_of_allocating(self, monkeypatch):
         # TestLadder's singular-Perron demo, padded with zeros to d = 65, needs rung 4

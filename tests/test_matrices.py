@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import random_system
 from kronspec.kronsum import build_discrete_gram
 from kronspec.matrices import (
     SystemSpec,
     as_complex_matrix,
     is_hermitian,
-    random_system,
     unvec,
     vec,
 )

@@ -6,10 +6,11 @@ from concurrent import futures
 import numpy as np
 import pytest
 
+from conftest import random_system
 from kronspec import montecarlo
 from kronspec.cli import demo_system
 from kronspec.evolution import discrete_covariance
-from kronspec.matrices import SystemSpec, random_system
+from kronspec.matrices import SystemSpec
 from kronspec.montecarlo import (
     _ATOL_FLOOR,
     _GROUP_BYTES,

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_system
 from kronspec.cli import main
-from kronspec.matrices import random_system
 from kronspec.sysio import (
     SystemFileError,
     complex_pair,
