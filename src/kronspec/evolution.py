@@ -21,9 +21,10 @@ used as mutual oracles:
   |C - mu I|_1 or, for larger norms, from 1-norm estimates of the powers of
   C - mu I taken through the d-by-d maps; C is never formed.
 
-The second-moment trace obeys geometric/exponential envelopes driven by the
-extreme eigenvalues of the Hermitian companion matrices; those envelopes are
-asserted here and treated as internal consistency checks.
+Every route starts from V(0) = u v*, formed in one place and checked for
+overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
+Carlo checks, and whose trace :func:`second_moment_bounds` checks against the
+envelope of the extreme eigenvalues of the Hermitian companions N and M.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kronsum import (
+    _check_mode,
+    _finite,
     adjoint_moment_map,
     bound_report,
     build_discrete_sum,
@@ -149,6 +152,19 @@ def _initial_outer(spec: SystemSpec, u, v) -> tuple[np.ndarray, np.ndarray, bool
     return u, v, same
 
 
+def _initial_covariance(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V(0) = u v*, an ``OverflowError`` when it leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.outer(u, v.conj()), "initial covariance u v*")
+
+
+def _whole_steps(n) -> int:
+    """``n`` as a step count: 3.0 runs as 3; a negative or fractional ``n`` is a ``ValueError``."""
+    if not (n >= 0 and n % 1 == 0):
+        raise ValueError(f"step count must be a nonnegative whole number, got {n}")
+    return int(n)
+
+
 def _traj(mode, index, values, same) -> CovarianceTrajectory:
     values = np.asarray(values)
     moments = np.fromiter((np.trace(m).real for m in values), float, len(values)) if same else None
@@ -168,8 +184,7 @@ def propagate_discrete(
     mutual oracles.  A trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a
     ``ValueError`` before any step.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    n = _whole_steps(n)
     if route not in ("direct", "kronecker"):
         raise ValueError(f"route must be 'direct' or 'kronecker', got {route!r}")
     size = (n + 1) * (16 * spec.d ** 2 + _STEP_EXTRA_BYTES)
@@ -180,7 +195,7 @@ def propagate_discrete(
         )
     u, v, same = _initial_outer(spec, u, v)
     values = np.empty((n + 1, spec.d, spec.d), dtype=np.complex128)
-    values[0] = np.outer(u, v.conj())
+    values[0] = _initial_covariance(u, v)
     if route == "direct":
         for j, value in enumerate(_recursion(spec, values[0], n), 1):
             values[j] = value
@@ -206,21 +221,6 @@ def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):
         if not np.all(np.isfinite(value)):
             raise OverflowError(f"covariance propagation overflowed at step {j}")
         yield value
-
-
-def discrete_covariance(spec: SystemSpec, u, v, n: int) -> np.ndarray:
-    """V(n) alone, by the one-step recursion from V(0) = u v*.
-
-    It holds one matrix at a time, so unlike :func:`propagate_discrete` it
-    has no trajectory budget.
-    """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    u, v, _ = _initial_outer(spec, u, v)
-    value = np.outer(u, v.conj())
-    for value in _recursion(spec, value, n):
-        pass
-    return value
 
 
 #: Coefficients of the degree-13 diagonal Pade approximant to exp.
@@ -489,7 +489,7 @@ def propagate_continuous(
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")
     t_grid = _check_time_grid(t_grid)
     u, v, same = _initial_outer(spec, u, v)
-    v0 = np.outer(u, v.conj())
+    v0 = _initial_covariance(u, v)
     if route == "kronecker":
         rmat = real_sum(spec, "continuous")
         w0 = real_vec(v0)
@@ -535,45 +535,47 @@ def max_relative_discrepancy(a: CovarianceTrajectory, b: CovarianceTrajectory) -
     return worst
 
 
-def second_moment_bounds_discrete(
-    spec: SystemSpec, u, n: int, rel_tol: float = 1e-8
-) -> SecondMomentBounds:
-    """Geometric envelope ``|u|^2 gamma^n <= r(n) <= |u|^2 beta^n`` plus the actual value.
+def exact_covariance(spec: SystemSpec, mode: str, u, v, horizon) -> np.ndarray:
+    """V at the horizon alone, from V(0) = u v*: the value Monte Carlo and the envelopes check.
 
-    gamma and beta are the extreme eigenvalues of the discrete Hermitian
-    companion; the actual second moment is the trace of the propagated
-    covariance.  The envelope holds for every system, so a violation beyond
-    ``rel_tol`` (scaled by the bound size) raises :class:`ConsistencyError`.
+    Discrete mode runs the one-step recursion to a whole step count (see
+    :func:`propagate_discrete`), holding one matrix at a time, so it has no
+    trajectory budget.  Continuous mode takes the Taylor route of
+    :func:`propagate_continuous` to the time ``horizon``; neither forms D or C.
     """
-    return _second_moment_bounds(spec, "discrete", u, n, rel_tol)
+    if _check_mode(mode) == "continuous":
+        return propagate_continuous(spec, u, v, [horizon], route="ode").values[0]
+    n = _whole_steps(horizon)
+    u, v, _ = _initial_outer(spec, u, v)
+    value = _initial_covariance(u, v)
+    for value in _recursion(spec, value, n):
+        pass
+    return value
 
 
-def second_moment_bounds_continuous(
-    spec: SystemSpec, u, t: float, rel_tol: float = 1e-6
+def second_moment_bounds(
+    spec: SystemSpec, mode: str, u, horizon, rel_tol: float
 ) -> SecondMomentBounds:
-    """Exponential envelope ``|u|^2 e^(gamma t) <= r(t) <= |u|^2 e^(beta t)``.
+    """The paper's envelope on r = tr V at the horizon, from V(0) = u u*, plus r itself.
 
-    gamma and beta are the extreme eigenvalues of the continuous Hermitian
-    companion (which may be negative).  Analogous to the discrete version.
+    Discrete: ``|u|^2 gamma^n <= r(n) <= |u|^2 beta^n``; continuous:
+    ``|u|^2 e^(gamma t) <= r(t) <= |u|^2 e^(beta t)``, with gamma and beta the
+    extreme eigenvalues of the Hermitian companion N or M (in continuous
+    mode they may be negative).  r comes from :func:`exact_covariance`.  The
+    envelope holds for every system, so a violation beyond ``rel_tol``
+    (scaled by the bound size) raises :class:`ConsistencyError`.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return _second_moment_bounds(spec, "continuous", u, t, rel_tol)
-
-
-def _second_moment_bounds(spec, mode, u, horizon, rel_tol) -> SecondMomentBounds:
+    actual = float(np.trace(exact_covariance(spec, mode, u, u, horizon)).real)
     u = as_complex_vector(u, "initial vector u")
     report = bound_report(spec, mode)
     u2 = float(np.sum(np.abs(u) ** 2))
     if mode == "discrete":
         lower = u2 * report.lower ** horizon
         upper = u2 * report.upper ** horizon
-        actual = float(np.trace(discrete_covariance(spec, u, u, horizon)).real)
     else:
         with np.errstate(over="ignore"):
             lower = u2 * float(np.exp(report.lower * horizon))
             upper = u2 * float(np.exp(report.upper * horizon))
-        actual = propagate_continuous(spec, u, u, [horizon], route="ode").second_moments[-1]
     _check_moment_chain(mode, lower, upper, actual, rel_tol)
     return SecondMomentBounds(lower=lower, upper=upper, actual=actual)
 

@@ -143,12 +143,7 @@ def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
-    check_dense_rows(spec.d ** 2, "stochastic Kronecker sum D")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.kron(spec.a.conj(), spec.a)
-        for b in spec.noise_mats:
-            out += np.kron(b.conj(), b)
-    return _finite(out, "stochastic Kronecker sum D")
+    return _kronecker_sum(spec, "D", lambda a, eye: np.kron(a.conj(), a))
 
 
 def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
@@ -156,13 +151,18 @@ def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
-    check_dense_rows(spec.d ** 2, "stochastic Kronecker sum C")
-    eye = np.eye(spec.d, dtype=np.complex128)
+    return _kronecker_sum(spec, "C", lambda a, eye: np.kron(a.conj(), eye) + np.kron(eye, a))
+
+
+def _kronecker_sum(spec: SystemSpec, name: str, drift) -> np.ndarray:
+    """``drift(A, I)`` + sum_k conj(B_k) (x) B_k, with the builders' ceiling and overflow checks."""
+    name = f"stochastic Kronecker sum {name}"
+    check_dense_rows(spec.d ** 2, name)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
+        out = drift(spec.a, np.eye(spec.d, dtype=np.complex128))
         for b in spec.noise_mats:
             out += np.kron(b.conj(), b)
-    return _finite(out, "stochastic Kronecker sum C")
+    return _finite(out, name)
 
 
 def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:

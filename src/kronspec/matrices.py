@@ -110,12 +110,10 @@ def real_unvec(x: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the largest-magnitude entry of ``a - a*`` is at most ``tol``."""
+def is_hermitian(a) -> bool:
+    """True iff the largest-magnitude entry of ``a - a*`` is at most :data:`DEFAULT_TOL`."""
     a = _require_square(as_complex_matrix(a, "is_hermitian input"), "is_hermitian input")
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _initial_outer, discrete_covariance, propagate_continuous
+from .evolution import _initial_outer, exact_covariance
 from .matrices import SystemSpec
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
@@ -348,17 +348,14 @@ class MomentComparison:
 
 
 def compare_to_exact(moments: EmpiricalMoments, spec: SystemSpec, u, v) -> MomentComparison:
-    """Check each empirical covariance entry against the exact value.
+    """Check each empirical covariance entry against :func:`evolution.exact_covariance`.
 
     Discrete tolerance is four standard errors; continuous adds the
     ``DT_BIAS_CONST * dt`` discretization-bias allowance.  A tiny floor
     scaled by the exact magnitude keeps deterministic zero-variance entries
     from failing on last-bit arithmetic differences.
     """
-    if moments.mode == "discrete":
-        exact = discrete_covariance(spec, u, v, moments.horizon)
-    else:
-        exact = propagate_continuous(spec, u, v, [moments.horizon], route="ode").values[0]
+    exact = exact_covariance(spec, moments.mode, u, v, moments.horizon)
     tol = 4.0 * moments.std_error
     if moments.mode == "continuous":
         tol = np.maximum(tol, DT_BIAS_CONST * moments.dt)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, as_complex_matrix, as_matrix, is_hermitian, _require_square
+from .matrices import as_complex_matrix, as_matrix, is_hermitian, _require_square
 
 #: Most rows of a dense matrix: an eigensolver input, or D and C themselves,
 #: whose d**2 rows allow systems up to d = 64.
@@ -56,13 +56,12 @@ def eigenvalues(a) -> np.ndarray:
 def hermitian_extremes(h) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
-    Rejects inputs failing :func:`is_hermitian` at ``DEFAULT_TOL`` so the
-    specialized (and much cheaper) Hermitian solver is never fed a general
-    matrix.
+    Rejects inputs failing :func:`is_hermitian` so the specialized (and much
+    cheaper) Hermitian solver is never fed a general matrix.
     """
     name = "hermitian_extremes input"
     h = _checked_square(as_complex_matrix(h, name), name)
-    if not is_hermitian(h, DEFAULT_TOL):
+    if not is_hermitian(h):
         raise ValueError("hermitian_extremes requires a Hermitian matrix")
     w = np.linalg.eigvalsh(h)
     return float(w[0]), float(w[-1])

@@ -16,8 +16,7 @@ from kronspec.evolution import (
     max_relative_discrepancy,
     propagate_continuous,
     propagate_discrete,
-    second_moment_bounds_continuous,
-    second_moment_bounds_discrete,
+    second_moment_bounds,
 )
 from kronspec.kronsum import (
     STABLE_STATUSES,
@@ -157,11 +156,11 @@ def test_criterion_5_second_moment_envelopes():
     checked = 0
     # the bound functions raise ConsistencyError themselves on violation
     for spec, u, _ in _shared_systems():
-        res = second_moment_bounds_discrete(spec, u, 10, rel_tol=1e-6)
+        res = second_moment_bounds(spec, "discrete", u, 10, rel_tol=1e-6)
         assert res.lower <= res.upper
         checked += 1
         for t in (0.25, 1.0):
-            res = second_moment_bounds_continuous(spec, u, t, rel_tol=1e-6)
+            res = second_moment_bounds(spec, "continuous", u, t, rel_tol=1e-6)
             assert res.lower <= res.upper
             checked += 1
     elapsed = time.perf_counter() - t0

@@ -401,14 +401,25 @@ def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):
          "--route", "kronecker"],
         ["evolve", "FILE", "--mode=continuous", "--u", "[[1,0]]", "--times", "1", "--route", "ode"],
         ["demo", "--a", "1e200"],
+        ["evolve", "OK", "--mode=discrete", "--u", "[[1e300,0]]", "--steps", "0",
+         "--route", "direct"],
+        ["evolve", "OK", "--mode=discrete", "--u", "[[1e300,0]]", "--steps", "1",
+         "--route", "kronecker"],
+        ["evolve", "OK", "--mode=continuous", "--u", "[[1e300,0]]", "--times", "1",
+         "--route", "both"],
     ],
-    ids=["continuous-kronecker", "continuous-ode", "demo-a-1e200"],
+    ids=["continuous-kronecker", "continuous-ode", "demo-a-1e200", "initial-outer-discrete-direct",
+         "initial-outer-discrete-kronecker", "initial-outer-continuous-both"],
 )
 def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
-    # finite entries, but B (x) B and B* B leave double range
+    # finite entries, but B (x) B and B* B leave double range (FILE), or, on
+    # a tame system (OK), the initial covariance u u* does
     path = tmp_path / "big_b.json"
     path.write_text('{"d":1,"m":1,"A":[[[0.5,0]]],"B":[[[[1e155,0]]]]}')
-    code = main([str(path) if a == "FILE" else a for a in argv])
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"d":1,"m":0,"A":[[[0.5,0]]],"B":[]}')
+    files = {"FILE": str(path), "OK": str(ok)}
+    code = main([files.get(a, a) for a in argv])
     _assert_one_error_line(capsys.readouterr(), code, 70)
 
 

@@ -9,13 +9,12 @@ from conftest import random_system
 from kronspec import evolution
 from kronspec.cli import demo_system
 from kronspec.evolution import (
-    discrete_covariance,
+    exact_covariance,
     matrix_exponential,
     max_relative_discrepancy,
     propagate_continuous,
     propagate_discrete,
-    second_moment_bounds_continuous,
-    second_moment_bounds_discrete,
+    second_moment_bounds,
     _check_moment_chain,
     _ESTIMATE_ABOVE,
     _STEP_EXTRA_BYTES,
@@ -210,16 +209,65 @@ class TestPropagateDiscrete:
             spec = random_system(rng, 2 + i % 3, i % 3)
             u, v = _random_vec(rng, spec.d), _random_vec(rng, spec.d)
             last = propagate_discrete(spec, u, v, 6, "direct").values[-1]
-            assert np.array_equal(discrete_covariance(spec, u, v, 6), last)
+            assert np.array_equal(exact_covariance(spec, "discrete", u, v, 6), last)
 
     def test_final_covariance_has_no_trajectory_budget(self):
         spec = SystemSpec(0.9 * np.eye(64))
         u = np.eye(64)[0]
         with pytest.raises(ValueError, match="budget"):
             propagate_discrete(spec, u, u, 1000)
-        got = discrete_covariance(spec, u, u, 1000)
+        got = exact_covariance(spec, "discrete", u, u, 1000)
         assert got[0, 0] == pytest.approx(0.81 ** 1000, rel=1e-10)
         assert np.count_nonzero(got) == 1
+
+    @pytest.mark.parametrize("n", [2.5, -1])
+    def test_step_count_must_be_whole_and_nonnegative(self, n):
+        spec = demo_system(0.5, 0.7, 2.0)
+        for route in ("direct", "kronecker"):
+            with pytest.raises(ValueError, match="whole number"):
+                propagate_discrete(spec, [1, 0], [1, 0], n, route)
+        with pytest.raises(ValueError, match="whole number"):
+            exact_covariance(spec, "discrete", [1, 0], [1, 0], n)
+
+    def test_whole_float_step_count_runs_as_int(self, rng):
+        spec = random_system(rng, 3, 2)
+        u, v = _random_vec(rng, 3), _random_vec(rng, 3)
+        for route in ("direct", "kronecker"):
+            got = propagate_discrete(spec, u, v, 3.0, route)
+            want = propagate_discrete(spec, u, v, 3, route)
+            assert got.index == want.index == (0, 1, 2, 3)
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(exact_covariance(spec, "discrete", u, v, 3.0),
+                              exact_covariance(spec, "discrete", u, v, 3))
+
+
+@pytest.mark.filterwarnings("error")  # an overflowing V(0) is one error, never a warning first
+class TestInitialCovarianceOverflow:
+    # finite u, but u u* = 1e600 leaves double range
+    SPEC = SystemSpec(np.array([[0.5]]))
+    U = [1e300]
+
+    @pytest.mark.parametrize("route", ["direct", "kronecker"])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_propagate_discrete(self, route, n):
+        with pytest.raises(OverflowError, match=r"initial covariance u v\* overflowed"):
+            propagate_discrete(self.SPEC, self.U, self.U, n, route)
+
+    @pytest.mark.parametrize("route", ["ode", "kronecker"])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_propagate_continuous(self, route, t):
+        with pytest.raises(OverflowError, match=r"initial covariance u v\* overflowed"):
+            propagate_continuous(self.SPEC, self.U, self.U, [t], route)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_exact_covariance(self, mode):
+        with pytest.raises(OverflowError, match=r"initial covariance u v\* overflowed"):
+            exact_covariance(self.SPEC, mode, self.U, self.U, 1)
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_second_moment_bounds(self, mode):
+        with pytest.raises(OverflowError, match=r"initial covariance u v\* overflowed"):
+            second_moment_bounds(self.SPEC, mode, self.U, 1, 1e-8)
 
 
 class TestMatrixExponential:
@@ -524,7 +572,7 @@ class TestSecondMomentBounds:
         spec = SystemSpec(ortho_group.rvs(3, random_state=rng), (ortho_group.rvs(3, random_state=rng),))
         u = np.array([1.0, 0.0, 0.0])
         for n in (0, 1, 5, 10):
-            res = second_moment_bounds_discrete(spec, u, n)
+            res = second_moment_bounds(spec, "discrete", u, n, 1e-8)
             assert res.lower == pytest.approx(2.0 ** n, rel=1e-12)
             assert res.upper == pytest.approx(2.0 ** n, rel=1e-12)
             assert res.actual == pytest.approx(2.0 ** n, rel=1e-9)
@@ -532,7 +580,7 @@ class TestSecondMomentBounds:
     def test_zero_steps_all_equal_initial_norm(self, rng):
         spec = random_system(rng, 3, 2)
         u = 2.0 * _random_vec(rng, 3)
-        res = second_moment_bounds_discrete(spec, u, 0)
+        res = second_moment_bounds(spec, "discrete", u, 0, 1e-8)
         u2 = float(np.sum(np.abs(u) ** 2))
         assert res.lower == pytest.approx(u2)
         assert res.upper == pytest.approx(u2)
@@ -542,7 +590,7 @@ class TestSecondMomentBounds:
         # u on the second coordinate never feels the noise: r(5) = b^10
         b = 0.7
         spec = demo_system(0.5, b, 2.0)
-        res = second_moment_bounds_discrete(spec, np.array([0.0, 1.0]), 5)
+        res = second_moment_bounds(spec, "discrete", np.array([0.0, 1.0]), 5, 1e-8)
         assert res.actual == pytest.approx(b ** 10, rel=1e-12)
         assert res.lower - 1e-12 <= res.actual <= res.upper + 1e-12
         assert res.lower == pytest.approx(b ** 10, rel=1e-12)  # the bound is tight here
@@ -553,7 +601,7 @@ class TestSecondMomentBounds:
         spec = SystemSpec(a_val * np.eye(3) + (g - g.T), (ortho_group.rvs(3, random_state=rng),))
         u = np.array([1.0, 0.0, 0.0])
         for t in (0.0, 0.5, 1.5):
-            res = second_moment_bounds_continuous(spec, u, t)
+            res = second_moment_bounds(spec, "continuous", u, t, 1e-6)
             want = np.exp((2 * a_val + 1) * t)
             assert res.lower == pytest.approx(want, rel=1e-9)
             assert res.upper == pytest.approx(want, rel=1e-9)
@@ -563,9 +611,9 @@ class TestSecondMomentBounds:
         for _ in range(10):
             spec = random_system(rng, 3, 2)
             u = _random_vec(rng, 3)
-            res = second_moment_bounds_discrete(spec, u, 8)
+            res = second_moment_bounds(spec, "discrete", u, 8, 1e-8)
             assert res.lower <= res.actual * (1 + 1e-8) + 1e-8
-            res_c = second_moment_bounds_continuous(spec, u, 0.5)
+            res_c = second_moment_bounds(spec, "continuous", u, 0.5, 1e-6)
             assert res_c.lower <= res_c.actual * (1 + 1e-6) + 1e-6
 
     def test_violation_raises_loudly(self):

@@ -129,7 +129,7 @@ class TestBuilders:
         for _ in range(30):
             spec = random_system(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)))
             n = build_discrete_gram(spec)
-            assert is_hermitian(n, 1e-10)
+            assert is_hermitian(n)
             lo, _ = hermitian_extremes(n)
             assert lo >= -1e-10
 

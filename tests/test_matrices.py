@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_system
 from kronspec.kronsum import build_discrete_gram
 from kronspec.matrices import (
+    DEFAULT_TOL,
     SystemSpec,
     as_complex_matrix,
     is_hermitian,
@@ -97,23 +98,24 @@ class TestKron:
 
 class TestIsHermitian:
     def test_identity_zero_tolerance(self):
-        assert is_hermitian(np.eye(3), tol=0.0)
+        assert is_hermitian(np.eye(3))
+
+    def test_tolerance_is_default_tol(self):
+        # the one tolerance: an antisymmetric part of DEFAULT_TOL / 2 passes, 2 DEFAULT_TOL fails
+        for gap, want in ((DEFAULT_TOL / 2, True), (2 * DEFAULT_TOL, False)):
+            assert is_hermitian([[1.0, gap], [0.0, 1.0]]) is want
 
     def test_skew_symmetric_fails(self):
-        assert not is_hermitian([[0, 1], [-1, 0]], tol=1e-12)
+        assert not is_hermitian([[0, 1], [-1, 0]])
 
     def test_gram_matrices_pass(self, rng):
         for _ in range(20):
             spec = random_system(rng, int(rng.integers(2, 6)), int(rng.integers(0, 4)))
-            assert is_hermitian(build_discrete_gram(spec), tol=1e-10)
+            assert is_hermitian(build_discrete_gram(spec))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             is_hermitian(np.ones((2, 3)))
-
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            is_hermitian(np.eye(2), tol=-1.0)
 
 
 class TestSystemSpec:

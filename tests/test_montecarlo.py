@@ -9,7 +9,7 @@ import pytest
 from conftest import random_system
 from kronspec import montecarlo
 from kronspec.cli import demo_system
-from kronspec.evolution import discrete_covariance
+from kronspec.evolution import exact_covariance
 from kronspec.matrices import SystemSpec
 from kronspec.montecarlo import (
     _ATOL_FLOOR,
@@ -230,7 +230,7 @@ class TestContinuous:
             paths=4000, seed=23, dt=dt, horizon=horizon))
         sampled = SystemSpec(np.eye(spec.d) + dt * spec.a,
                              tuple(np.sqrt(dt) * b for b in spec.noise_mats))
-        exact = discrete_covariance(sampled, u, v, round(horizon / dt))
+        exact = exact_covariance(sampled, "discrete", u, v, round(horizon / dt))
         # the floor only absorbs roundoff on entries with no variance
         tol = np.maximum(4.0 * moments.std_error, _ATOL_FLOOR * max(1.0, np.max(np.abs(exact))))
         assert np.all(np.abs(moments.mean_outer - exact) <= tol)
