@@ -4,22 +4,22 @@ Two independent computational routes are provided for each time direction and
 used as mutual oracles:
 
 * discrete: the one-step recursion ``V -> A V A* + sum_k B_k V B_k*`` versus
-  powers of the discrete stochastic Kronecker sum applied to ``vec(V)``;
+  powers of the discrete stochastic Kronecker sum D;
 * continuous: truncated Taylor series for ``e^(tL)`` applied to d-by-d
   matrices, ``L(V) = A V + V A* + sum_k B_k V B_k*``, versus the matrix
   exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
-  The Kronecker route exponentiates C in real Hermitian coordinates: R of
-  :func:`kronsum.real_sum`, applied to the two real columns of
-  :func:`matrices.real_vec`, a real Pade at about half the cost of a complex
-  one.  The discrete Kronecker route stays complex: its matrix-vector
-  products gain nothing from R, and the conversions would cost extra.
-  A grid time exactly 2**i times an earlier one squares that time's
-  exponential i times rather than computing its own, where that gives the
-  same bits.  On the Taylor route
-  each grid gap picks its Taylor degree (at most 55) and substep count by
-  Al-Mohy and Higham's action-of-the-exponential algorithm, from a bound on
-  |C - mu I|_1 or, for larger norms, from 1-norm estimates of the powers of
-  C - mu I taken through the d-by-d maps; C is never formed.
+
+Both Kronecker routes work in real Hermitian coordinates: D or C is the real
+R of :func:`kronsum.real_sum`, applied to the two real columns of
+:func:`matrices.real_vec`, and every V(j) or V(t) maps back through one
+checked :func:`matrices.real_unvec`.  The continuous route's real Pade costs
+about half a complex one, and a grid time exactly 2**i times an earlier one
+squares that time's exponential i times rather than computing its own, where
+that gives the same bits.  On the Taylor route each grid gap picks its Taylor
+degree (at most 55) and substep count by Al-Mohy and Higham's
+action-of-the-exponential algorithm, from a bound on |C - mu I|_1 or, for
+larger norms, from 1-norm estimates of the powers of C - mu I taken through
+the d-by-d maps; C is never formed.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -41,7 +41,6 @@ from .kronsum import (
     _finite,
     adjoint_moment_map,
     bound_report,
-    build_discrete_sum,
     real_sum,
     second_moment_map,
 )
@@ -52,8 +51,6 @@ from .matrices import (
     as_matrix,
     real_unvec,
     real_vec,
-    unvec,
-    vec,
     _require_square,
 )
 
@@ -102,13 +99,14 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 #: charge stays so that the budget refuses the same inputs.
 _PRODUCT_OVERHEAD = 32 ** 3
 
-#: Most multiply-adds one Taylor propagation may take, charged as map
-#: applications x (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD), with the
-#: applications those of the plan from beta alone (which bounds every plan the
+#: Most multiply-adds one Taylor propagation or one run of the discrete
+#: recursion may take, charged by :func:`_check_work` as map applications x
+#: (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD).  The Taylor route counts
+#: the applications of the plan from beta alone (which bounds every plan the
 #: norm estimates can choose) plus :data:`_NORMEST_APPLICATIONS` when the
-#: estimates run; checked before the first map is built: about 10-35 s of work
-#: at any d.  The largest run in use (criterion 4, d = 5, m = 3, 1,602
-#: applications) costs 4.2e8.
+#: estimates run, the recursion one per step; checked before the first map is
+#: built: about 10-35 s of work at any d.  The largest Taylor run in use
+#: (criterion 4, d = 5, m = 3, 1,602 applications) costs 4.2e8.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -178,11 +176,13 @@ def propagate_discrete(
 ) -> CovarianceTrajectory:
     """Covariance trajectory V(0..n) from V(0) = u v*.
 
-    ``route="direct"`` iterates the one-step recursion on d-by-d matrices;
-    ``route="kronecker"`` applies powers of the d**2-by-d**2 stochastic
-    Kronecker sum to ``vec(V(0))``.  The two agree to roundoff and serve as
-    mutual oracles.  A trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a
-    ``ValueError`` before any step.
+    ``route="direct"`` iterates the one-step recursion on d-by-d matrices
+    (:func:`_recursion`, with its work budget); ``route="kronecker"`` iterates
+    x <- R x on the real Hermitian coordinates x of V(0), with R the
+    d**2-by-d**2 real form of D (:func:`kronsum.real_sum`), and maps each x
+    back.  The two agree to roundoff and serve as mutual oracles.  A
+    trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a ``ValueError`` before
+    any step.
     """
     n = _whole_steps(n)
     if route not in ("direct", "kronecker"):
@@ -200,26 +200,50 @@ def propagate_discrete(
         for j, value in enumerate(_recursion(spec, values[0], n), 1):
             values[j] = value
     else:
-        dmat = build_discrete_sum(spec)
-        w = vec(values[0])
+        rmat = real_sum(spec, "discrete")
+        x = real_vec(values[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, n + 1):
-                w = dmat @ w
-                if not np.all(np.isfinite(w)):
-                    raise OverflowError(f"covariance propagation overflowed at step {j}")
-                values[j] = unvec(w, spec.d)
+                x = rmat @ x
+                values[j] = _from_real(x, spec.d, f"at step {j}")
     return _traj("discrete", range(n + 1), values, same)
 
 
+def _from_real(x: np.ndarray, d: int, where: str) -> np.ndarray:
+    """V from its real Hermitian coordinates x; an ``OverflowError`` naming ``where`` unless finite.
+
+    V, not x, is checked: finite coordinates off the diagonal may sum past double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(real_unvec(x, d), f"covariance propagation {where}")
+
+
+def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = "") -> None:
+    """Refuse ``applications`` map applications over :data:`_MAX_TAYLOR_WORK`.
+
+    Each is charged (2m + 2) products of d**3 + :data:`_PRODUCT_OVERHEAD`
+    multiply-adds; a count that is not finite is refused too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
+    if not work <= _MAX_TAYLOR_WORK:
+        raise RuntimeError(
+            f"{what} needs {applications:.3g} map applications, {work:.3g} "
+            f"multiply-adds{detail}, over the budget of {_MAX_TAYLOR_WORK:g}"
+        )
+
+
 def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):
-    """V(1), ..., V(n) of the one-step recursion from V(0) = v0, one at a time."""
+    """V(1), ..., V(n) of the one-step recursion from V(0) = v0, one at a time.
+
+    Its n map applications are priced by :func:`_check_work` before the map is built.
+    """
+    _check_work(spec, f"the recursion to step {n}", n)
     phi = second_moment_map(spec, "discrete")
     value = v0
     for j in range(1, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            value = phi(value)
-        if not np.all(np.isfinite(value)):
-            raise OverflowError(f"covariance propagation overflowed at step {j}")
+            value = _finite(phi(value), f"covariance propagation at step {j}")
         yield value
 
 
@@ -270,11 +294,7 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
         result = _pade_approx(m / (2.0 ** squarings))
         for _ in range(squarings):
             result = result @ result
-    if not np.all(np.isfinite(result)):
-        raise OverflowError(
-            f"matrix exponential overflowed (1-norm of t*a is {norm1:.3g})"
-        )
-    return result
+        return _finite(result, f"matrix exponential (1-norm of t*a is {norm1:.3g})")
 
 
 def _shift(spec: SystemSpec) -> tuple[float, np.ndarray, float]:
@@ -404,20 +424,14 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     2**-53 of the sum.  Over :data:`_MAX_TAYLOR_WORK` in all, or with mu or
     beta not finite, it is a ``RuntimeError`` before any map is built.
     """
-    d = spec.d
     mu, shifted, beta = _shift(spec)
     gaps = np.diff(t_grid, prepend=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         large = gaps * beta > _ESTIMATE_ABOVE
         degrees, substeps = _plan(gaps, np.full(len(_THETAS), beta))
+        # mu out of range puts beta out of range, and with it this count: refused below
         applications = float(degrees @ substeps) + large.any() * _NORMEST_APPLICATIONS
-        work = applications * (2 * spec.m + 2) * (d ** 3 + _PRODUCT_OVERHEAD)
-    if not (math.isfinite(mu) and math.isfinite(beta) and work <= _MAX_TAYLOR_WORK):
-        raise RuntimeError(
-            f"Taylor propagation needs {applications:.3g} map applications, {work:.3g} "
-            f"multiply-adds (beta = {beta:.3g}, mu = {mu:.3g}), over the budget of "
-            f"{_MAX_TAYLOR_WORK:g}"
-        )
+    _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
     system = SystemSpec(shifted, spec.noise_mats)
     apply = second_moment_map(system, "continuous")
     if large.any():
@@ -442,9 +456,7 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
                         break
                     last = size
                 cur = np.exp(mu * tau) * series
-        if not np.all(np.isfinite(cur)):
-            raise OverflowError(f"covariance propagation overflowed before t={t}")
-        values.append(cur)
+        values.append(_finite(cur, f"covariance propagation before t={t}"))
     return values
 
 
@@ -492,7 +504,7 @@ def propagate_continuous(
     v0 = _initial_covariance(u, v)
     if route == "kronecker":
         rmat = real_sum(spec, "continuous")
-        w0 = real_vec(v0)
+        x0 = real_vec(v0)
         values = []
         # the latest grid time that can seed a later one, and its exponential
         kept_t, kept = 0.0, None
@@ -507,16 +519,12 @@ def propagate_continuous(
                 with np.errstate(over="ignore", invalid="ignore"):
                     for _ in range(math.frexp(ratio)[1] - 1):
                         expo = expo @ expo
-                if not np.all(np.isfinite(expo)):
-                    raise OverflowError(f"matrix exponential overflowed at t={t}")
+                expo = _finite(expo, f"matrix exponential at t={t}")
             else:
                 expo = matrix_exponential(rmat, t)
             if later[mantissa] and t * rnorm > _THETA_13 / 2:
                 kept_t, kept = t, expo
-            w = expo @ w0
-            if not np.all(np.isfinite(w)):
-                raise OverflowError(f"covariance propagation overflowed at t={t}")
-            values.append(real_unvec(w, spec.d))
+            values.append(_from_real(expo @ x0, spec.d, f"at t={t}"))
     else:
         values = _taylor_on_grid(spec, v0, t_grid)
     return _traj("continuous", t_grid.tolist(), values, same)
@@ -540,8 +548,9 @@ def exact_covariance(spec: SystemSpec, mode: str, u, v, horizon) -> np.ndarray:
 
     Discrete mode runs the one-step recursion to a whole step count (see
     :func:`propagate_discrete`), holding one matrix at a time, so it has no
-    trajectory budget.  Continuous mode takes the Taylor route of
-    :func:`propagate_continuous` to the time ``horizon``; neither forms D or C.
+    trajectory budget, only the recursion's work budget.  Continuous mode
+    takes the Taylor route of :func:`propagate_continuous` to the time
+    ``horizon``; neither forms D or C.
     """
     if _check_mode(mode) == "continuous":
         return propagate_continuous(spec, u, v, [horizon], route="ode").values[0]

@@ -25,13 +25,13 @@ stochastic systems,
 
     Phi(V) = A V A* + sum_k B_k V B_k*       L(V) = A V + V A* + sum_k B_k V B_k*
 
-(vec(Phi(V)) = D vec(V), vec(L(V)) = C vec(V)), and N = Phi*(I), M = L*(I).
+(vec Phi(V) = D vec V, vec L(V) = C vec V), and N = Phi*(I), M = L*(I).
 Both maps keep Hermitian matrices Hermitian, so on the real space of Hermitian
 matrices they are real-linear: :func:`real_sum` gives their real d**2-by-d**2
 matrix R = Re S + Im S Pi (S = D or C) in the coordinates of
 :func:`kronspec.matrices.real_vec`, with spec(R) = spec(S).  The dense rung takes
-the spectrum of R, and the continuous Kronecker route of
-:mod:`kronspec.evolution` exponentiates it; a real eigensolve or Pade product
+the spectrum of R, and both Kronecker routes of :mod:`kronspec.evolution`
+apply it (its powers or its exponential); a real eigensolve or Pade product
 costs about half its complex counterpart.
 
 The companions are the case V = I of a Collatz-Wielandt bracket.  Phi is
@@ -132,7 +132,7 @@ def adjoint_moment_map(spec: SystemSpec, mode: str):
     V -> L*(V) = A* V + V A + sum_k B_k* V B_k (continuous).
 
     It is :func:`second_moment_map` of the adjoint system (A*, B_k*), so
-    vec(Phi*(V)) = D* vec(V) and vec(L*(V)) = C* vec(V).
+    vec Phi*(V) = D* vec V and vec L*(V) = C* vec V.
     """
     adjoint = SystemSpec(spec.a.conj().T, tuple(b.conj().T for b in spec.noise_mats))
     return second_moment_map(adjoint, mode)
@@ -168,8 +168,8 @@ def _kronecker_sum(spec: SystemSpec, name: str, drift) -> np.ndarray:
 def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:
     """D (discrete) or C (continuous) as the real d**2-by-d**2 matrix R = Re S + Im S Pi.
 
-    Pi is the permutation with vec(X^T) = Pi vec(X).  R is the matrix of Phi
-    or L in the Hermitian coordinates x = vec(Re H + Im H) of
+    Pi is the permutation with vec X^T = Pi vec X.  R is the matrix of Phi
+    or L in the Hermitian coordinates x = vec X, X = Re H + Im H, of
     :func:`kronspec.matrices.real_vec`, an isometry, so spec(R) = spec(S) and
     e^(tR) is e^(tC) in those coordinates.  A real system gives R = Re S bit
     for bit.  S comes from :func:`build_discrete_sum` or
@@ -188,7 +188,7 @@ def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:
 
 def _finite(out: np.ndarray, name: str) -> np.ndarray:
     """The one overflow rule of the builders: a non-finite entry is an ``OverflowError``."""
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise OverflowError(f"{name} overflowed")
     return out
 

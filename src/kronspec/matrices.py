@@ -1,9 +1,10 @@
-"""Dense complex matrix primitives: validation, vec/unvec, structural checks, systems.
+"""Dense matrix primitives: validation, real Hermitian coordinates, structural checks, systems.
 
 Everything downstream works on plain ``numpy`` ``complex128`` arrays, apart
-from the real forms of D and C (:func:`real_vec`); the helpers here validate
-shape and finiteness at the boundary so the numerical code can assume clean
-inputs.
+from the real Hermitian coordinates of :func:`real_vec`, in which D and C
+are the real R of :func:`kronspec.kronsum.real_sum`; the helpers here
+validate shape and finiteness at the boundary so the numerical code can
+assume clean inputs.
 """
 
 from __future__ import annotations
@@ -61,52 +62,36 @@ def _require_square(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def vec(x) -> np.ndarray:
-    """Stack the columns of a square matrix into a single column vector.
-
-    Entry (i, j) of a d-by-d matrix lands at position j*d + i (0-based):
-    columns are concatenated left to right.  This column-major convention is
-    what makes ``vec(B @ X @ A.T) == np.kron(A, B) @ vec(X)`` hold.
-    """
-    x = _require_square(as_complex_matrix(x, "vec input"), "vec input")
-    return x.reshape(-1, order="F")
-
-
-def unvec(v, d: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a d*d vector back into a d-by-d matrix."""
-    v = as_complex_vector(v, "unvec input")
-    if d < 1:
-        raise ValueError(f"unvec dimension must be positive, got {d}")
-    if v.shape[0] != d * d:
-        raise ValueError(f"unvec input has length {v.shape[0]}, expected {d * d}")
-    return v.reshape((d, d), order="F")
-
-
 def real_vec(v: np.ndarray) -> np.ndarray:
     """The d-by-d complex V as two real columns: the Hermitian coordinates of its parts.
 
     V = H_1 + i H_2 with the Hermitian H_1 = (V + V*)/2 and H_2 = (V - V*)/(2i),
-    and column j is x_j = vec(Re H_j + Im H_j).  For Hermitian H the map
-    H -> vec(Re H + Im H) is an isometry onto R**(d**2) (Re H is symmetric,
-    Im H skew), and the matrix of a Hermitian-preserving map such as Phi or L
-    in these coordinates is the real d**2-by-d**2 matrix of
-    :func:`kronspec.kronsum.real_sum`.  :func:`real_unvec` inverts it.
+    and column j is x_j = vec X_j with X_j = Re H_j + Im H_j (vec stacks the
+    columns).  For Hermitian H the map H -> vec X, X = Re H + Im H, is an
+    isometry onto R**(d**2) (Re H is symmetric, Im H skew), and the matrix of
+    a Hermitian-preserving map such as Phi or L in these coordinates is the
+    real d**2-by-d**2 matrix of :func:`kronspec.kronsum.real_sum`.
+    :func:`real_unvec` inverts it.
     """
-    s, e = v.real + v.imag, v.real - v.imag
-    # Re H_1 + Im H_1 = (s + e^T)/2, Re H_2 + Im H_2 = (s^T - e)/2, and vec(X) = X^T raveled
-    return np.column_stack((((s.T + e) / 2.0).ravel(), ((s - e.T) / 2.0).ravel()))
+    # halved before they are added, so no sum overflows unless its result does
+    re, im = v.real / 2.0, v.imag / 2.0
+    s, e = re + im, re - im
+    # Re H_1 + Im H_1 = s + e^T, Re H_2 + Im H_2 = s^T - e, and vec X = X^T raveled
+    return np.column_stack(((s.T + e).ravel(), (s - e.T).ravel()))
 
 
 def real_unvec(x: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`real_vec`: H_j = sym(X_j) + i skew(X_j) for x_j = vec(X_j), V = H_1 + i H_2.
+    """Inverse of :func:`real_vec`: H_j = sym(X_j) + i skew(X_j) for x_j = vec X_j, V = H_1 + i H_2.
 
-    With P = X_1 + X_2^T and Q = X_1^T - X_2 this is V = (P + Q)/2 + i (P - Q)/2.
+    With P = (X_1 + X_2^T)/2 and Q = (X_1^T - X_2)/2 this is V = P + Q + i (P - Q),
+    each X halved before the sums, so none overflows unless V does.
     """
-    x1t, x2t = x[:, 0].reshape(d, d), x[:, 1].reshape(d, d)  # X_1^T and X_2^T
+    half = x / 2.0
+    x1t, x2t = half[:, 0].reshape(d, d), half[:, 1].reshape(d, d)  # X_1^T/2 and X_2^T/2
     p, q = x1t.T + x2t, x1t - x2t.T
     out = np.empty((d, d), dtype=np.complex128)
-    out.real = (p + q) / 2.0
-    out.imag = (p - q) / 2.0
+    np.add(p, q, out=out.real)
+    np.subtract(p, q, out=out.imag)
     return out
 
 

@@ -19,6 +19,11 @@ def crandn(rng):
     return draw
 
 
+def vec(x) -> np.ndarray:
+    """Column-major vec, entry (i, j) at j d + i: the convention D and C are written in."""
+    return np.asarray(x).reshape(-1, order="F")
+
+
 def random_system(rng: np.random.Generator, d: int, m: int) -> SystemSpec:
     """Random system with i.i.d. standard complex Gaussian entries.
 

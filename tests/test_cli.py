@@ -184,6 +184,31 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "budget" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, u, v, times, rel", [
+        # V(0) = 1e308 (1 + i) and V' = 0: the two routes print the same bytes
+        ("0", "[[1e154,0]]", "[[1e154,-1e154]]", "0,1", 0.0),
+        # V' = ln 2 V: V(1) = 9.8e307 (1 + i), where the Pade route rounds one ulp off
+        ("0.34657359027997264", "[[0.7e154,0]]", "[[0.7e154,-0.7e154]]", "1", 1e-15),
+    ], ids=["zero-drift", "doubling"])
+    def test_kronecker_route_near_the_top_of_double_range(self, a, u, v, times, rel, tmp_path,
+                                                         capsys):
+        path = tmp_path / "scalar.json"
+        path.write_text(f'{{"d":1,"m":0,"A":[[[{a},0]]],"B":[]}}')
+        runs = {}
+        for route in ("kronecker", "ode"):
+            code = main(["evolve", str(path), "--mode", "continuous", "--u", u, "--v", v,
+                         "--times", times, "--route", route])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, "")
+            assert "Infinity" not in out
+            runs[route] = out
+        if rel == 0.0:
+            assert runs["kronecker"] == runs["ode"]
+        for kron_line, ode_line in zip(*(runs[r].splitlines() for r in ("kronecker", "ode"))):
+            got, want = (np.array(json.loads(line)["V"]) for line in (kron_line, ode_line))
+            assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
     def test_bad_route_exits_65(self, demo_file, capsys):
         code = main(
             ["evolve", demo_file, "--mode=discrete", "--u", "[[1,0],[0,0]]",

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ortho_group
 
-from conftest import random_system
+from conftest import random_system, vec
 from kronspec import evolution
 from kronspec.cli import demo_system
 from kronspec.evolution import (
@@ -33,7 +33,6 @@ from kronspec.matrices import (
     SystemSpec,
     real_unvec,
     real_vec,
-    vec,
 )
 
 
@@ -220,6 +219,24 @@ class TestPropagateDiscrete:
         assert got[0, 0] == pytest.approx(0.81 ** 1000, rel=1e-10)
         assert np.count_nonzero(got) == 1
 
+    def test_final_covariance_work_budget_checked_before_any_map(self, monkeypatch):
+        # 1e12 steps at d = 2, m = 1: 1.3e17 multiply-adds, refused before the map is built
+        spec = demo_system(0.5, 0.7, 2.0)
+        monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
+        with pytest.raises(RuntimeError, match="multiply-adds, over the budget"):
+            exact_covariance(spec, "discrete", [1, 0], [1, 0], 10**12)
+
+    def test_kronecker_route_matches_powers_of_complex_d(self):
+        # the route iterates the real form of D; the oracle applies D itself,
+        # built complex, to vec V(0)
+        for spec, u, v in _criterion4_systems():
+            traj = propagate_discrete(spec, u, v, 10, "kronecker")
+            dmat = build_discrete_sum(spec)
+            want = vec(np.outer(u, v.conj()))
+            for j, got in enumerate(traj.values):
+                assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want)), j
+                want = dmat @ want
+
     @pytest.mark.parametrize("n", [2.5, -1])
     def test_step_count_must_be_whole_and_nonnegative(self, n):
         spec = demo_system(0.5, 0.7, 2.0)
@@ -268,6 +285,30 @@ class TestInitialCovarianceOverflow:
     def test_second_moment_bounds(self, mode):
         with pytest.raises(OverflowError, match=r"initial covariance u v\* overflowed"):
             second_moment_bounds(self.SPEC, mode, self.U, 1, 1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+class TestCovarianceNearTheTopOfDoubleRange:
+    """Finite covariances whose coordinates take sums near 1.8e308 on the way.
+
+    V(0) = 1e308 (1 + i) with V' = 0, and V(0) = 4.9e307 (1 + i) with
+    V' = ln 2 V, so V(1) = 9.8e307 (1 + i): both Kronecker routes map them
+    through the real Hermitian coordinates and back without overflowing.
+    """
+
+    @pytest.mark.parametrize("a, scale, times", [(0.0, 1e154, [0.0, 1.0]),
+                                                 (np.log(2.0) / 2, 0.7e154, [1.0])])
+    def test_kronecker_routes_match_the_d_by_d_routes(self, a, scale, times):
+        spec = SystemSpec(np.array([[a]]))
+        u, v = [scale], [complex(scale, -scale)]
+        ode = propagate_continuous(spec, u, v, times, "ode")
+        kron_route = propagate_continuous(spec, u, v, times, "kronecker")
+        assert np.all(np.isfinite(kron_route.values))
+        assert max_relative_discrepancy(ode, kron_route) <= 1e-15
+        direct = propagate_discrete(spec, u, v, 2, "direct")
+        kron_route = propagate_discrete(spec, u, v, 2, "kronecker")
+        assert np.all(np.isfinite(kron_route.values))
+        assert max_relative_discrepancy(direct, kron_route) <= 1e-15
 
 
 class TestMatrixExponential:

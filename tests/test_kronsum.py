@@ -185,6 +185,17 @@ class TestRealSum:
         v = crandn(5, 5)
         assert np.max(np.abs(real_unvec(real_vec(v), 5) - v)) <= 4e-16 * np.max(np.abs(v))
 
+    @pytest.mark.filterwarnings("error")
+    def test_round_trip_near_the_top_of_double_range(self):
+        # every entry +-1e308 +- 1e308 i: each coordinate is finite, and so is
+        # each sum on the way when the parts are halved before they are added
+        # (off the diagonal the coordinates Re V_ij -+ Im V_ij can reach 2e308,
+        # so this V is diagonal)
+        entries = [complex(a, b) for a in (1e308, -1e308) for b in (1e308, -1e308)]
+        for v in [np.array([[z]]) for z in entries] + [np.diag(entries)]:
+            d = len(v)
+            assert np.array_equal(real_unvec(real_vec(v), d), v)
+
     def test_hermitian_input_has_one_column(self, crandn):
         x = crandn(4, 4)
         h = x + x.conj().T

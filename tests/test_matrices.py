@@ -1,80 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from conftest import random_system
+from conftest import random_system, vec
 from kronspec.kronsum import build_discrete_gram
 from kronspec.matrices import (
     DEFAULT_TOL,
     SystemSpec,
     as_complex_matrix,
     is_hermitian,
-    unvec,
-    vec,
 )
-
-
-def square_complex(max_d=4, bound=10.0):
-    return st.integers(1, max_d).flatmap(
-        lambda d: arrays(
-            np.float64,
-            (2, d, d),
-            elements=st.floats(-bound, bound, allow_nan=False),
-        ).map(lambda parts: parts[0] + 1j * parts[1])
-    )
-
-
-class TestVec:
-    def test_column_stacking_order(self):
-        assert np.array_equal(vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
-
-    def test_identity(self):
-        assert np.array_equal(vec(np.eye(2)), [1, 0, 0, 1])
-
-    def test_index_formula_3x3(self):
-        # entry (i, j) must land at position (j-1)*d + i, 1-based
-        d = 3
-        x = np.array([[10 * i + j for j in range(1, d + 1)] for i in range(1, d + 1)])
-        expected = np.zeros(d * d, dtype=complex)
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                expected[(j - 1) * d + (i - 1)] = 10 * i + j
-        assert np.array_equal(vec(x), expected)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            vec(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            vec([[1.0, np.nan], [0.0, 1.0]])
-
-
-class TestUnvec:
-    def test_inverse_of_vec_example(self):
-        assert np.array_equal(unvec([1, 3, 2, 4], 2), [[1, 2], [3, 4]])
-
-    def test_zero_vector(self):
-        assert np.array_equal(unvec(np.zeros(9), 3), np.zeros((3, 3)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            unvec(np.zeros(5), 2)
-
-    def test_round_trip_random_4x4(self, crandn):
-        for _ in range(100):
-            x = crandn(4, 4)
-            assert np.array_equal(unvec(vec(x), 4), x)
-
-    @given(square_complex())
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_property(self, x):
-        d = x.shape[0]
-        assert np.array_equal(unvec(vec(x), d), x)
-        v = vec(x)
-        assert np.array_equal(vec(unvec(v, d)), v)
 
 
 class TestKron:
