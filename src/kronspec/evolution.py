@@ -11,11 +11,14 @@ used as mutual oracles:
 
 Both Kronecker routes work in real Hermitian coordinates: D or C is the real
 R of :func:`kronsum.real_sum`, applied to the two real columns of
-:func:`matrices.real_vec`, and every V(j) or V(t) maps back through one
-checked :func:`matrices.real_unvec`.  The continuous route's real Pade costs
-about half a complex one, and a grid time exactly 2**i times an earlier one
-squares that time's exponential i times rather than computing its own, where
-that gives the same bits.  On the Taylor route each grid gap picks its Taylor
+:func:`matrices.real_vec`, and every V(j) or V(t) maps back through
+:func:`matrices.real_unvec`.  V, not its coordinates, is checked for
+overflow: finite coordinates off the diagonal may sum past double range.
+The discrete route checks its whole trajectory once, after the last step,
+and names the first step that overflowed.  The continuous route's real
+Pade costs about half a complex one, and a grid time exactly 2**i times an
+earlier one squares that time's exponential i times rather than computing
+its own, where that gives the same bits.  On the Taylor route each grid gap picks its Taylor
 degree (at most 55) and substep count by Al-Mohy and Higham's
 action-of-the-exponential algorithm, from a bound on |C - mu I|_1 or, for
 larger norms, from 1-norm estimates of the powers of C - mu I taken through
@@ -180,7 +183,8 @@ def propagate_discrete(
     (:func:`_recursion`, with its work budget); ``route="kronecker"`` iterates
     x <- R x on the real Hermitian coordinates x of V(0), with R the
     d**2-by-d**2 real form of D (:func:`kronsum.real_sum`), and maps each x
-    back.  The two agree to roundoff and serve as mutual oracles.  A
+    back; one check after the last step names the first V(j) that
+    overflowed.  The two agree to roundoff and serve as mutual oracles.  A
     trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a ``ValueError`` before
     any step.
     """
@@ -205,17 +209,14 @@ def propagate_discrete(
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, n + 1):
                 x = rmat @ x
-                values[j] = _from_real(x, spec.d, f"at step {j}")
+                values[j] = real_unvec(x, spec.d)
+        # min and max over the float view: finite exactly when every entry is,
+        # with no boolean copy of the trajectory
+        parts = values.view(np.float64)
+        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+            for j in range(1, n + 1):
+                _finite(values[j], f"covariance propagation at step {j}")
     return _traj("discrete", range(n + 1), values, same)
-
-
-def _from_real(x: np.ndarray, d: int, where: str) -> np.ndarray:
-    """V from its real Hermitian coordinates x; an ``OverflowError`` naming ``where`` unless finite.
-
-    V, not x, is checked: finite coordinates off the diagonal may sum past double range.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(real_unvec(x, d), f"covariance propagation {where}")
 
 
 def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = "") -> None:
@@ -524,22 +525,33 @@ def propagate_continuous(
                 expo = matrix_exponential(rmat, t)
             if later[mantissa] and t * rnorm > _THETA_13 / 2:
                 kept_t, kept = t, expo
-            values.append(_from_real(expo @ x0, spec.d, f"at t={t}"))
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = real_unvec(expo @ x0, spec.d)
+            values.append(_finite(value, f"covariance propagation at t={t}"))
     else:
         values = _taylor_on_grid(spec, v0, t_grid)
     return _traj("continuous", t_grid.tolist(), values, same)
 
 
 def max_relative_discrepancy(a: CovarianceTrajectory, b: CovarianceTrajectory) -> float:
-    """Largest per-index relative gap between two trajectories on the same grid."""
+    """Largest per-index relative gap between two trajectories on the same grid.
+
+    At each index the largest entry modulus of the difference is divided by
+    the larger of the two trajectories' largest entry moduli, at least 1e-300.
+    Indices are taken in blocks of about 2**16 entries, each in one pass, so
+    the temporaries stay near a megabyte however long the trajectories are.
+    """
     if a.mode != b.mode or len(a.values) != len(b.values):
         raise ValueError("trajectories are not comparable")
     if not np.allclose(np.asarray(a.index, float), np.asarray(b.index, float)):
         raise ValueError("trajectories use different grids")
     worst = 0.0
-    for va, vb in zip(a.values, b.values):
-        scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
+    block = max(1, 2 ** 16 // math.prod(a.values.shape[1:]))
+    for lo in range(0, len(a.values), block):
+        va, vb = a.values[lo:lo + block], b.values[lo:lo + block]
+        scale = np.maximum(np.maximum(np.abs(va).max(axis=(1, 2)),
+                                      np.abs(vb).max(axis=(1, 2))), 1e-300)
+        worst = max(worst, float((np.abs(va - vb).max(axis=(1, 2)) / scale).max()))
     return worst
 
 

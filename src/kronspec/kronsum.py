@@ -143,7 +143,7 @@ def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
-    return _kronecker_sum(spec, "D", lambda a, eye: np.kron(a.conj(), a))
+    return _kronecker_sum(spec, "D", [(spec.a.conj(), spec.a)])
 
 
 def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
@@ -151,18 +151,33 @@ def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
-    return _kronecker_sum(spec, "C", lambda a, eye: np.kron(a.conj(), eye) + np.kron(eye, a))
+    eye = np.eye(spec.d, dtype=np.complex128)
+    return _kronecker_sum(spec, "C", [(spec.a.conj(), eye), (eye, spec.a)])
 
 
-def _kronecker_sum(spec: SystemSpec, name: str, drift) -> np.ndarray:
-    """``drift(A, I)`` + sum_k conj(B_k) (x) B_k, with the builders' ceiling and overflow checks."""
+def _kronecker_sum(spec: SystemSpec, name: str, drift: list) -> np.ndarray:
+    """The sum of x (x) y over the ``drift`` pairs (x, y), then of conj(B_k) (x) B_k.
+
+    The ceiling is checked before the d**2-by-d**2 sum is allocated.  The sum
+    is built in one (d, d, d, d) array, entry [i, k, j, l] = row i d + k,
+    column j d + l, and each later term is formed in one scratch array of
+    that size and added, so at most two are held.  A term is the broadcast
+    product ``np.kron`` takes, one complex multiply per entry, and the terms
+    are added in order, so the sum equals the ``np.kron`` formula bit for
+    bit.  A non-finite entry is an ``OverflowError``.
+    """
+    d = spec.d
     name = f"stochastic Kronecker sum {name}"
-    check_dense_rows(spec.d ** 2, name)
+    check_dense_rows(d ** 2, name)
+    (x, y), *rest = [*drift, *((b.conj(), b) for b in spec.noise_mats)]
+    out = np.empty((d, d, d, d), dtype=np.complex128)
+    scratch = np.empty_like(out) if rest else None
     with np.errstate(over="ignore", invalid="ignore"):
-        out = drift(spec.a, np.eye(spec.d, dtype=np.complex128))
-        for b in spec.noise_mats:
-            out += np.kron(b.conj(), b)
-    return _finite(out, name)
+        np.multiply(x[:, None, :, None], y[None, :, None, :], out=out)
+        for x, y in rest:
+            np.multiply(x[:, None, :, None], y[None, :, None, :], out=scratch)
+            out += scratch
+    return _finite(out.reshape(d * d, d * d), name)
 
 
 def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:

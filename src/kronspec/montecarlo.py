@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _initial_outer, exact_covariance
+from .evolution import _check_work, _initial_outer, exact_covariance
 from .matrices import SystemSpec
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
@@ -302,12 +302,17 @@ def simulate_discrete(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empirica
     """Empirical E[x(n) y*(n)] and E|x(n)|^2 at the horizon n = ``cfg.horizon``.
 
     The same noise draws feed the x and y recursions within each path.
-    Deterministic for a fixed config; overflow aborts the estimate.
+    Deterministic for a fixed config; overflow aborts the estimate.  The
+    exact recursion to step n that :func:`compare_to_exact` checks against
+    is priced here, before any path runs: over the work budget of
+    :func:`evolution.exact_covariance` it is that ``RuntimeError`` at once,
+    not after the simulation.
     """
     u, v, same = _initial_outer(spec, u, v)
     n = _step_count(cfg.horizon)
     if n != cfg.horizon:
         raise ValueError(f"discrete horizon must be an integer step count, got {cfg.horizon}")
+    _check_work(spec, f"the recursion to step {n}", n)
     return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, spec.noise_mats, n, None)
 
 

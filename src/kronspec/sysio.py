@@ -9,9 +9,14 @@ A system file is a JSON document::
       "B": [ ...m matrices shaped like A... ]
     }
 
-Every complex number is a two-element ``[re, im]`` array.  Parse failures
-carry a location: line/column for malformed JSON, a JSON path like ``A[0][1]``
-for structural problems.
+Every complex number is a two-element ``[re, im]`` array of JSON numbers.
+A matrix or vector of them is converted in one step: its shape is checked
+first, then its numbers are gathered in one flat list, checked to be plain
+ints and floats, and converted by one ``np.array`` call with one finiteness
+check.  Only when that fails does a per-entry walk run, to name the first
+bad entry (it also converts, one by one, real numbers of other types from a
+caller's own lists).  Parse failures carry a location: line/column for malformed JSON,
+a JSON path like ``A[0][1]`` for structural problems and bad entries.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -49,16 +55,42 @@ def _parse_complex(node, loc: str) -> complex:
     return complex(re, im)
 
 
+def _convert_pairs(entries: list, shape: tuple) -> np.ndarray | None:
+    """``entries``, flat ``[re, im]`` pairs, as a complex array of ``shape`` in one conversion.
+
+    None unless every entry is a list or tuple of two ints or floats (no
+    bools, strings or nulls, which ``np.array`` would take) and every number
+    is finite in double precision; the caller then walks the entries to
+    name the first bad one.  Real and imaginary parts are stored apart, so
+    the result equals ``complex(re, im)`` per entry bit for bit.
+    """
+    if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}):
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        parts = np.array(leaves, dtype=float).reshape(*shape, 2)
+    except OverflowError:  # an integer literal beyond double range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = parts[..., 0]
+    out.imag = parts[..., 1]
+    return out
+
+
 def _parse_matrix(node, d: int, loc: str) -> np.ndarray:
     if not isinstance(node, list) or len(node) != d:
         raise SystemFileError(f"expected {d} rows", loc)
     for i, row in enumerate(node):  # every row's shape before the d-by-d allocation
         if not isinstance(row, list) or len(row) != d:
             raise SystemFileError(f"expected {d} entries", f"{loc}[{i}]")
-    out = np.empty((d, d), dtype=np.complex128)
-    for i, row in enumerate(node):
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_complex(entry, f"{loc}[{i}][{j}]")
+    out = _convert_pairs(list(chain.from_iterable(node)), (d, d))
+    if out is None:
+        out = np.array([[_parse_complex(entry, f"{loc}[{i}][{j}]") for j, entry in enumerate(row)]
+                        for i, row in enumerate(node)])
     return out
 
 
@@ -115,7 +147,9 @@ def parse_vector(source, d: int | None = None) -> np.ndarray:
             raise SystemFileError(f"invalid vector JSON: {exc}") from exc
     if not isinstance(source, list) or not source:
         raise SystemFileError("vector must be a nonempty JSON array of [re, im] pairs")
-    out = np.array([_parse_complex(e, f"[{i}]") for i, e in enumerate(source)])
+    out = _convert_pairs(source, (len(source),))
+    if out is None:
+        out = np.array([_parse_complex(e, f"[{i}]") for i, e in enumerate(source)])
     if d is not None and out.shape[0] != d:
         raise SystemFileError(f"vector has dimension {out.shape[0]}, expected {d}")
     return out

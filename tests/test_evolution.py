@@ -246,6 +246,16 @@ class TestPropagateDiscrete:
         with pytest.raises(ValueError, match="whole number"):
             exact_covariance(spec, "discrete", [1, 0], [1, 0], n)
 
+    @pytest.mark.filterwarnings("error")
+    def test_routes_name_the_same_first_overflowing_step(self):
+        # V(j) = 100**j at (0, 0): V(154) is finite, V(155) is not, and every
+        # later step stays non-finite
+        spec = SystemSpec(10.0 * np.eye(2))
+        for route in ("direct", "kronecker"):
+            with pytest.raises(OverflowError,
+                               match=r"^covariance propagation at step 155 overflowed$"):
+                propagate_discrete(spec, [1.0, 0.0], [1.0, 0.0], 200, route)
+
     def test_whole_float_step_count_runs_as_int(self, rng):
         spec = random_system(rng, 3, 2)
         u, v = _random_vec(rng, 3), _random_vec(rng, 3)
@@ -662,6 +672,42 @@ class TestSecondMomentBounds:
             _check_moment_chain("discrete", 1.0, 2.0, 5.0, 1e-8)
         with pytest.raises(ConsistencyError):
             _check_moment_chain("discrete", 1.0, 2.0, 0.5, 1e-8)
+
+
+def _per_index_discrepancy(a, b):
+    """The per-index loop :func:`max_relative_discrepancy` replaced: the reference it must equal."""
+    worst = 0.0
+    for va, vb in zip(a.values, b.values):
+        scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
+    return worst
+
+
+class TestMaxRelativeDiscrepancy:
+    def test_equals_the_per_index_loop_on_criterion4(self):
+        for spec, u, v in _criterion4_systems():
+            pairs = [
+                (propagate_discrete(spec, u, v, 10, "direct"),
+                 propagate_discrete(spec, u, v, 10, "kronecker")),
+                (propagate_continuous(spec, u, v, [0.25, 1.0], "ode"),
+                 propagate_continuous(spec, u, v, [0.25, 1.0], "kronecker")),
+            ]
+            for a, b in pairs:
+                got = max_relative_discrepancy(a, b)
+                assert type(got) is float
+                assert got == _per_index_discrepancy(a, b) > 0.0
+
+    def test_equals_the_per_index_loop_across_blocks(self):
+        # at d = 4 a block holds 4096 indices: 10001 take three blocks
+        spec, u, v = next((spec, u, v) for spec, u, v in _criterion4_systems() if spec.d == 4)
+        spec = SystemSpec(spec.a / 4, tuple(b / 4 for b in spec.noise_mats))
+        a = propagate_discrete(spec, u, v, 10_000, "direct")
+        b = propagate_discrete(spec, u, v, 10_000, "kronecker")
+        assert max_relative_discrepancy(a, b) == _per_index_discrepancy(a, b) > 0.0
+
+    def test_zero_trajectories_compare_at_the_floor(self):
+        zero = propagate_discrete(SystemSpec(np.zeros((2, 2))), [0, 0], [0, 0], 3)
+        assert max_relative_discrepancy(zero, zero) == _per_index_discrepancy(zero, zero) == 0.0
 
 
 class TestTrajectoryInvariants:

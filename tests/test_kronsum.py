@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -144,6 +145,42 @@ class TestBuilders:
         spec = SystemSpec(np.array([[0.5]]), (np.array([[1e155]]),))
         with pytest.raises(OverflowError, match="overflowed"):
             build(spec)
+
+    @pytest.mark.parametrize("kind", ["complex", "signed zeros"])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_equal_the_kron_formula_bit_for_bit(self, rng, d, m, kind):
+        spec = random_system(rng, d, m)
+        if kind == "signed zeros":
+            def draw(x):
+                # half the real parts zeros of either sign, every imaginary part +0 or -0
+                out = np.empty((d, d), dtype=np.complex128)
+                out.real = np.where(rng.random((d, d)) < 0.5, x.real, np.copysign(0.0, x.imag))
+                out.imag = np.copysign(0.0, rng.standard_normal((d, d)))
+                return out
+            spec = SystemSpec(draw(spec.a), tuple(draw(b) for b in spec.noise_mats))
+        eye = np.eye(d, dtype=np.complex128)
+        want_d = np.kron(spec.a.conj(), spec.a)
+        want_c = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
+        for b in spec.noise_mats:
+            want_d += np.kron(b.conj(), b)
+            want_c += np.kron(b.conj(), b)
+        for got, want in ((build_discrete_sum(spec), want_d), (build_continuous_sum(spec), want_c)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_holds_at_most_two_sums_at_once(self):
+        # the sum and one scratch term, 1 MiB each at d = 16, plus numpy's
+        # broadcasting buffers (about 256 KiB at any size)
+        spec = random_system(np.random.default_rng(5), 16, 3)
+        for build in (build_discrete_sum, build_continuous_sum):
+            tracemalloc.start()
+            try:
+                build(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 16 * 16 ** 4 + 2 ** 19
 
 
 class TestRealSum:
@@ -402,9 +439,12 @@ class TestDenseCeiling:
         partial(real_sum, mode="discrete"), partial(real_sum, mode="continuous"),
     ], ids=["build_discrete_sum", "build_continuous_sum", "real_sum-discrete", "real_sum-continuous"])
     def test_builders_refuse_before_kron(self, build, monkeypatch):
+        spec = SystemSpec(np.eye(65), (np.eye(65),))
+        # the builders allocate the sum with np.empty, the oracles use np.kron
         monkeypatch.setattr(np, "kron", _fail)
+        monkeypatch.setattr(np, "empty", _fail)
         with pytest.raises(ValueError, match="4225 rows, over the dense ceiling of 4096"):
-            build(SystemSpec(np.eye(65), (np.eye(65),)))
+            build(spec)
 
     def test_refined_rung_decides_past_the_ceiling(self, monkeypatch):
         rng = np.random.default_rng(0)

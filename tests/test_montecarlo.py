@@ -180,6 +180,15 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="multiply-adds, over the budget"):
             simulate_discrete(spec, u1, u1, cfg)
 
+    def test_exact_recursion_priced_before_any_path(self, monkeypatch):
+        # 800000 steps of the demo system's exact recursion cost 1.05e11
+        # multiply-adds: refused before the paths, not after them
+        monkeypatch.setattr("kronspec.montecarlo._simulate", _fail)
+        cfg = SimulationConfig(paths=2, seed=0, horizon=800_000)
+        with pytest.raises(RuntimeError, match=r"^the recursion to step 800000 needs 8e\+05 "
+                           r"map applications, 1.05e\+11 multiply-adds, over the budget of 1e\+11$"):
+            simulate_discrete(demo_system(0.5, 0.7, 2.0), U2, U2, cfg)
+
     def test_moment_invariants(self):
         spec = demo_system(0.5, 0.7, 2.0)
         cfg = SimulationConfig(paths=5000, seed=2, horizon=5)

@@ -98,6 +98,65 @@ class TestLoad:
         assert captured.err == "error: expected 100000 entries (at A[0])\n"
 
 
+def _bits(z):
+    return np.asarray(z, dtype=np.complex128).view(np.uint64)
+
+
+#: Entries that are not finite [re, im] pairs of numbers, as JSON text, and
+#: the message each one gets.
+_NOT_A_PAIR = "complex entries must be [re, im] pairs of numbers"
+_NON_FINITE = "non-finite complex entry"
+_BAD_ENTRIES = [
+    pytest.param("[true, 0]", _NOT_A_PAIR, id="bool"),
+    pytest.param('["1.5", 0]', _NOT_A_PAIR, id="string"),
+    pytest.param("[0, null]", _NOT_A_PAIR, id="null"),
+    pytest.param("[1, 2, 3]", _NOT_A_PAIR, id="three"),
+    pytest.param(f"[{10 ** 400}, 0]", _NON_FINITE, id="int-past-double"),
+    pytest.param("[0, NaN]", _NON_FINITE, id="nan"),
+    pytest.param("[-Infinity, 0]", _NON_FINITE, id="infinity"),
+]
+
+
+class TestParseParity:
+    """One conversion per matrix or vector: the per-entry values and errors, unchanged."""
+
+    #: Every [re, im] here is a valid entry: signed zeros, the least subnormal,
+    #: integers past 2**53 and 2**64 that must round as float() rounds them,
+    #: and ints and floats mixed within one pair.
+    VALID = [[-0.0, 0.0], [0.0, -0.0], [5e-324, -5e-324], [2 ** 64 + 1, 2 ** 53 + 1],
+             [10 ** 300, -(10 ** 300)], [1, 2.5], [-3, 0], [-2.5e-310, 7]]
+
+    def test_valid_entries_equal_complex_per_entry(self):
+        entries = self.VALID + [[-0.0, -0.0]]
+        want = [complex(re, im) for re, im in entries]
+        a = [entries[:3], entries[3:6], entries[6:]]
+        doc = {"d": 3, "m": 1, "A": a, "B": [a[::-1]]}
+        spec = parse_system(json.loads(json.dumps(doc)))
+        assert np.array_equal(_bits(spec.a), _bits(np.reshape(want, (3, 3))))
+        assert np.array_equal(_bits(spec.noise_mats[0]), _bits(np.reshape(want, (3, 3))[::-1]))
+        vector = parse_vector(json.dumps(entries))
+        assert np.array_equal(_bits(vector), _bits(want))
+        assert np.array_equal(_bits(parse_vector([tuple(e) for e in entries])), _bits(want))
+
+    @pytest.mark.parametrize("text, message", _BAD_ENTRIES)
+    @pytest.mark.parametrize("where", ["A", "B[1]", "vector"])
+    def test_bad_entry_keeps_its_message_and_location(self, tmp_path, where, text, message):
+        ok = "[0.5, -0.25]"
+        rows = [[ok, ok], [ok, text]]  # the bad entry last, after good ones
+        matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+        good = "[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]"
+        if where == "vector":
+            with pytest.raises(SystemFileError) as err:
+                parse_vector(f"[{ok}, {text}]")
+            assert str(err.value) == f"{message} (at [1])"
+            return
+        a, b = (matrix, good) if where == "A" else (good, matrix)
+        path = _write(tmp_path, f'{{"d": 2, "m": 2, "A": {a}, "B": [{good}, {b}]}}')
+        with pytest.raises(SystemFileError) as err:
+            load_system(path)
+        assert str(err.value) == f"{message} (at {where}[1][1])"
+
+
 class TestVectors:
     def test_parse_from_json_text(self):
         v = parse_vector("[[1.0, 0.0], [0.0, -2.0]]")
