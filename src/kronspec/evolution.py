@@ -10,8 +10,9 @@ used as mutual oracles:
   exponential of the continuous stochastic Kronecker sum C, the dense matrix of L.
 
 Both Kronecker routes work in real Hermitian coordinates: D or C is the real
-R of :func:`kronsum.real_sum`, applied to the two real columns of
-:func:`matrices.real_vec`, and every V(j) or V(t) maps back through
+R of :func:`kronsum.build_discrete_sum` or :func:`kronsum.build_continuous_sum`,
+applied to the two real columns of :func:`matrices.real_vec`, and every V(j)
+or V(t) maps back through
 :func:`matrices.real_unvec`.  V, not its coordinates, is checked for
 overflow: finite coordinates off the diagonal may sum past double range.
 The discrete route checks its whole trajectory once, after the last step,
@@ -44,7 +45,8 @@ from .kronsum import (
     _finite,
     adjoint_moment_map,
     bound_report,
-    real_sum,
+    build_continuous_sum,
+    build_discrete_sum,
     second_moment_map,
 )
 from .matrices import (
@@ -168,7 +170,7 @@ def _whole_steps(n) -> int:
 
 def _traj(mode, index, values, same) -> CovarianceTrajectory:
     values = np.asarray(values)
-    moments = np.fromiter((np.trace(m).real for m in values), float, len(values)) if same else None
+    moments = np.trace(values, axis1=1, axis2=2).real if same else None
     return CovarianceTrajectory(
         mode=mode, index=tuple(index), values=values, second_moments=moments
     )
@@ -182,8 +184,8 @@ def propagate_discrete(
     ``route="direct"`` iterates the one-step recursion on d-by-d matrices
     (:func:`_recursion`, with its work budget); ``route="kronecker"`` iterates
     x <- R x on the real Hermitian coordinates x of V(0), with R the
-    d**2-by-d**2 real form of D (:func:`kronsum.real_sum`), and maps each x
-    back; one check after the last step names the first V(j) that
+    d**2-by-d**2 real form of D (:func:`kronsum.build_discrete_sum`), and
+    maps each x back; one check after the last step names the first V(j) that
     overflowed.  The two agree to roundoff and serve as mutual oracles.  A
     trajectory over :data:`_MAX_TRAJECTORY_BYTES` is a ``ValueError`` before
     any step.
@@ -204,7 +206,7 @@ def propagate_discrete(
         for j, value in enumerate(_recursion(spec, values[0], n), 1):
             values[j] = value
     else:
-        rmat = real_sum(spec, "discrete")
+        rmat = build_discrete_sum(spec)
         x = real_vec(values[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(1, n + 1):
@@ -278,16 +280,20 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
 
     ``t * a`` is halved ``s = max(0, ceil(log2(|t a|_1 / theta_13)))`` times,
     the approximant taken, and the result squared ``s`` times.  Accurate to
-    roughly unit roundoff for well-scaled inputs; overflow of the result is
-    reported rather than returned.  Real input gives a real (float64) result,
-    computed in real arithmetic; complex input is computed in complex128.
+    roughly unit roundoff for well-scaled inputs; a t a whose 1-norm
+    overflows, and an overflowing result, are an ``OverflowError``.  Real
+    input gives a real (float64) result, computed in real arithmetic;
+    complex input is computed in complex128.
     """
     name = "matrix_exponential input"
     a = _require_square(as_matrix(a, name), name)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    m = t * a
-    norm1 = float(np.linalg.norm(m, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = t * a
+        norm1 = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm1):
+        raise OverflowError("matrix exponential: the 1-norm of t*a overflowed")
     if norm1 == 0.0:
         return np.eye(m.shape[0], dtype=m.dtype)
     squarings = int(math.ceil(math.log2(max(norm1 / _THETA_13, 1.0))))
@@ -480,9 +486,9 @@ def propagate_continuous(
     ``route="kronecker"`` evaluates the matrix exponential of the continuous
     stochastic Kronecker sum at each grid time, in real Hermitian
     coordinates: V(0) = H_1 + i H_2 becomes the two real columns of
-    :func:`real_vec`, e^(tR) with R = :func:`kronsum.real_sum` (real, with the
-    spectrum of C) multiplies them, and :func:`real_unvec` maps the result
-    back.  A time t_k = 2**i t_j for an earlier grid time t_j
+    :func:`real_vec`, e^(tR) with R = :func:`kronsum.build_continuous_sum`
+    (real, with the spectrum of C) multiplies them, and :func:`real_unvec`
+    maps the result back.  A time t_k = 2**i t_j for an earlier grid time t_j
     (``frexp(t_k/t_j)`` has mantissa 1/2) with |t_j R|_1 > theta_13/2 squares
     e^(t_j R) i times: :func:`matrix_exponential` would scale t_k R down to
     the same t_j R / 2**s and take those squarings after its own s, so the
@@ -504,7 +510,7 @@ def propagate_continuous(
     u, v, same = _initial_outer(spec, u, v)
     v0 = _initial_covariance(u, v)
     if route == "kronecker":
-        rmat = real_sum(spec, "continuous")
+        rmat = build_continuous_sum(spec)
         x0 = real_vec(v0)
         values = []
         # the latest grid time that can seed a later one, and its exponential

@@ -27,12 +27,13 @@ stochastic systems,
 
 (vec Phi(V) = D vec V, vec L(V) = C vec V), and N = Phi*(I), M = L*(I).
 Both maps keep Hermitian matrices Hermitian, so on the real space of Hermitian
-matrices they are real-linear: :func:`real_sum` gives their real d**2-by-d**2
-matrix R = Re S + Im S Pi (S = D or C) in the coordinates of
-:func:`kronspec.matrices.real_vec`, with spec(R) = spec(S).  The dense rung takes
-the spectrum of R, and both Kronecker routes of :mod:`kronspec.evolution`
-apply it (its powers or its exponential); a real eigensolve or Pade product
-costs about half its complex counterpart.
+matrices they are real-linear.  :func:`build_discrete_sum` and
+:func:`build_continuous_sum` give D and C as their real d**2-by-d**2 matrix
+R = Re S + Im S Pi (S = D or C) in the coordinates of
+:func:`kronspec.matrices.real_vec`, with spec(R) = spec(S), without forming S.
+The dense rung takes the spectrum of R, and both Kronecker routes of
+:mod:`kronspec.evolution` apply it (its powers or its exponential); a real
+eigensolve or Pade product costs about half its complex counterpart.
 
 The companions are the case V = I of a Collatz-Wielandt bracket.  Phi is
 positive and L resolvent-positive, so for every Hermitian V > 0 with Cholesky
@@ -139,7 +140,7 @@ def adjoint_moment_map(spec: SystemSpec, mode: str):
 
 
 def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
-    """The d**2-by-d**2 matrix D = conj(A) (x) A + sum_k conj(B_k) (x) B_k.
+    """D = conj(A) (x) A + sum_k conj(B_k) (x) B_k as its real form R (:func:`_kronecker_sum`).
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
@@ -147,7 +148,7 @@ def build_discrete_sum(spec: SystemSpec) -> np.ndarray:
 
 
 def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
-    """The d**2-by-d**2 matrix C = conj(A) (x) I + I (x) A + sum_k conj(B_k) (x) B_k.
+    """C = conj(A) (x) I + I (x) A + sum_k conj(B_k) (x) B_k as its real form R.
 
     Raises ``ValueError`` past the dense ceiling and ``OverflowError`` out of double range.
     """
@@ -156,49 +157,36 @@ def build_continuous_sum(spec: SystemSpec) -> np.ndarray:
 
 
 def _kronecker_sum(spec: SystemSpec, name: str, drift: list) -> np.ndarray:
-    """The sum of x (x) y over the ``drift`` pairs (x, y), then of conj(B_k) (x) B_k.
-
-    The ceiling is checked before the d**2-by-d**2 sum is allocated.  The sum
-    is built in one (d, d, d, d) array, entry [i, k, j, l] = row i d + k,
-    column j d + l, and each later term is formed in one scratch array of
-    that size and added, so at most two are held.  A term is the broadcast
-    product ``np.kron`` takes, one complex multiply per entry, and the terms
-    are added in order, so the sum equals the ``np.kron`` formula bit for
-    bit.  A non-finite entry is an ``OverflowError``.
-    """
-    d = spec.d
-    name = f"stochastic Kronecker sum {name}"
-    check_dense_rows(d ** 2, name)
-    (x, y), *rest = [*drift, *((b.conj(), b) for b in spec.noise_mats)]
-    out = np.empty((d, d, d, d), dtype=np.complex128)
-    scratch = np.empty_like(out) if rest else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(x[:, None, :, None], y[None, :, None, :], out=out)
-        for x, y in rest:
-            np.multiply(x[:, None, :, None], y[None, :, None, :], out=scratch)
-            out += scratch
-    return _finite(out.reshape(d * d, d * d), name)
-
-
-def real_sum(spec: SystemSpec, mode: str) -> np.ndarray:
-    """D (discrete) or C (continuous) as the real d**2-by-d**2 matrix R = Re S + Im S Pi.
+    """R = Re S + Im S Pi for S the sum of x (x) y over ``drift``, then of conj(B_k) (x) B_k.
 
     Pi is the permutation with vec X^T = Pi vec X.  R is the matrix of Phi
     or L in the Hermitian coordinates x = vec X, X = Re H + Im H, of
     :func:`kronspec.matrices.real_vec`, an isometry, so spec(R) = spec(S) and
     e^(tR) is e^(tC) in those coordinates.  A real system gives R = Re S bit
-    for bit.  S comes from :func:`build_discrete_sum` or
-    :func:`build_continuous_sum`, with their ceiling and overflow checks.
+    for bit.  R is written one row slab per first Kronecker index i: slab i
+    of S, entry [k, j, l] = row i d + k, column j d + l, sums the terms in
+    order, each the broadcast complex product ``np.kron`` takes, so it has
+    the bits of the ``np.kron`` formula; slab i of R is its real part plus
+    its imaginary part with j and l swapped (column j d + l of Im S Pi is
+    column l d + j of Im S).  The ceiling is checked before anything is
+    allocated, and R is held with two complex slabs of d**3 entries.  A
+    non-finite entry, from S or from the sum of its parts, is an
+    ``OverflowError``.
     """
-    discrete = _check_mode(mode) == "discrete"
-    s = build_discrete_sum(spec) if discrete else build_continuous_sum(spec)
-    n, d = s.shape[0], spec.d
-    out = s.real.copy()
-    columns = out.reshape(n, d, d)  # a view: column j d + i at [:, j, i]
+    d = spec.d
+    check_dense_rows(d ** 2, f"stochastic Kronecker sum {name}")
+    (x0, y0), *rest = [*drift, *((b.conj(), b) for b in spec.noise_mats)]
+    out = np.empty((d, d, d, d))
+    slab = np.empty((d, d, d), dtype=np.complex128)
+    scratch = np.empty_like(slab)
     with np.errstate(over="ignore", invalid="ignore"):
-        # column j d + i of Im S Pi is column i d + j of Im S
-        columns += s.imag.reshape(n, d, d).swapaxes(1, 2)
-    return _finite(out, f"real form of {'D' if discrete else 'C'}")
+        for i in range(d):
+            np.multiply(x0[i][None, :, None], y0[:, None, :], out=slab)
+            for x, y in rest:
+                np.multiply(x[i][None, :, None], y[:, None, :], out=scratch)
+                slab += scratch
+            np.add(slab.real, slab.imag.swapaxes(1, 2), out=out[i])
+    return _finite(out.reshape(d * d, d * d), f"real form of {name}")
 
 
 def _finite(out: np.ndarray, name: str) -> np.ndarray:
@@ -492,6 +480,7 @@ def classify_stability(
         threshold = verdict.threshold
         if upper < threshold - BOUNDARY_TOL or lower > threshold + BOUNDARY_TOL:
             return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined"))
-    summary = summarize(real_sum(spec, mode))
+    summary = summarize(build_discrete_sum(spec) if mode == "discrete"
+                        else build_continuous_sum(spec))
     return _decide(replace(report, exact=summary.radius if mode == "discrete" else summary.abscissa,
                            eigenvalues=summary.eigenvalues, rung="dense"))

@@ -2,7 +2,7 @@
 
 Everything downstream works on plain ``numpy`` ``complex128`` arrays, apart
 from the real Hermitian coordinates of :func:`real_vec`, in which D and C
-are the real R of :func:`kronspec.kronsum.real_sum`; the helpers here
+are the real R that :mod:`kronspec.kronsum` builds; the helpers here
 validate shape and finiteness at the boundary so the numerical code can
 assume clean inputs.
 """
@@ -70,7 +70,7 @@ def real_vec(v: np.ndarray) -> np.ndarray:
     columns).  For Hermitian H the map H -> vec X, X = Re H + Im H, is an
     isometry onto R**(d**2) (Re H is symmetric, Im H skew), and the matrix of
     a Hermitian-preserving map such as Phi or L in these coordinates is the
-    real d**2-by-d**2 matrix of :func:`kronspec.kronsum.real_sum`.
+    real d**2-by-d**2 matrix R that :mod:`kronspec.kronsum` builds for D and C.
     :func:`real_unvec` inverts it.
     """
     # halved before they are added, so no sum overflows unless its result does

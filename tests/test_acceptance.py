@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from conftest import random_system
+from conftest import kron_sum, random_system
 from kronspec.cli import demo_system
 from kronspec.evolution import (
     max_relative_discrepancy,
@@ -59,8 +59,8 @@ def test_criterion_1_worked_example_closed_forms():
     a, b, s = 0.5, 0.7, 2.0
     spec = demo_system(a, b, s)
     got = {
-        "rho(D)": summarize(build_discrete_sum(spec)).radius,
-        "alpha(C)": summarize(build_continuous_sum(spec)).abscissa,
+        "rho(D)": summarize(kron_sum(spec, "discrete")).radius,
+        "alpha(C)": summarize(kron_sum(spec, "continuous")).abscissa,
         "min(N)": hermitian_extremes(build_discrete_gram(spec))[0],
         "max(N)": hermitian_extremes(build_discrete_gram(spec))[1],
         "min(M)": hermitian_extremes(build_continuous_gram(spec))[0],
@@ -91,7 +91,7 @@ def test_criterion_2_scalar_companion_pins_exact_values():
         d = 2 + i % 3
         a = ortho_group.rvs(d, random_state=rng)
         b = ortho_group.rvs(d, random_state=rng)
-        rho = summarize(build_discrete_sum(SystemSpec(a, (b,)))).radius
+        rho = summarize(kron_sum(SystemSpec(a, (b,)), "discrete")).radius
         worst_radius = max(worst_radius, abs(rho - 2.0))
     worst_abscissa = 0.0
     for a_val in (-1.0, 0.0, 0.3):
@@ -99,7 +99,7 @@ def test_criterion_2_scalar_companion_pins_exact_values():
             g = rng.standard_normal((d, d))
             spec = SystemSpec(a_val * np.eye(d) + (g - g.T),
                               (ortho_group.rvs(d, random_state=rng),))
-            alpha = summarize(build_continuous_sum(spec)).abscissa
+            alpha = summarize(kron_sum(spec, "continuous")).abscissa
             worst_abscissa = max(worst_abscissa, abs(alpha - (2 * a_val + 1)))
     elapsed = time.perf_counter() - t0
     ok = worst_radius <= 1e-8 and worst_abscissa <= 1e-8 and elapsed < limit
@@ -118,8 +118,8 @@ def test_criterion_3_bound_chain_property_suite():
         spec = random_system(rng, 2 + i % 4, i % 4)
         rd = bound_report(spec, "discrete")
         rc = bound_report(spec, "continuous")
-        rho = summarize(build_discrete_sum(spec)).radius
-        alpha = summarize(build_continuous_sum(spec)).abscissa
+        rho = summarize(kron_sum(spec, "discrete")).radius
+        alpha = summarize(kron_sum(spec, "continuous")).abscissa
         if not (rd.lower - slack <= rho <= rd.upper + slack):
             violations += 1
         if not (rc.lower - slack <= alpha <= rc.upper + slack):

@@ -1,13 +1,16 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from kronspec.cli import build_parser, main
+from conftest import kron_sum
+from kronspec.cli import _fmt, _print_matrix, build_parser, main
 from kronspec.sysio import SystemFileError, system_document
 from kronspec.cli import demo_system
 from kronspec.matrices import ConsistencyError, SystemSpec
 from kronspec.montecarlo import SimulationOverflowError
+from kronspec.spectral import summarize
 
 
 def _write_system(tmp_path, spec, name="system.json"):
@@ -302,6 +305,24 @@ class TestDemo:
         code = main(["demo", "--a", "0.6", "--b", "0.6", "--sigma", "1.5"])
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_prints_the_complex_sums_and_their_spectral_values(self, capsys):
+        # the demo system is real, so the real forms it prints are D and C bit
+        # for bit: the blocks and the rho(D) and alpha(C) lines are those of
+        # the np.kron formula, signed zeros included
+        for a in (-0.6, -0.0, 0.0, 0.5):
+            for b in (-0.7, -0.0, 0.0, 0.7):
+                for sigma in (-2.0, -0.0, 0.0, 1.5):
+                    main(["demo", f"--a={a}", f"--b={b}", f"--sigma={sigma}"])
+                    out = capsys.readouterr().out
+                    spec = demo_system(a, b, sigma)
+                    d_sum, c_sum = kron_sum(spec, "discrete"), kron_sum(spec, "continuous")
+                    for name, want in (("D (discrete", d_sum), ("C (continuous", c_sum)):
+                        block = io.StringIO()
+                        _print_matrix(want, block)
+                        assert f"\n{name} stochastic Kronecker sum):\n{block.getvalue()}" in out
+                    assert f"rho(D)   = {_fmt(summarize(d_sum).radius):<16} expected" in out
+                    assert f"alpha(C) = {_fmt(summarize(c_sum).abscissa):<16} expected" in out
 
 
 U = "[[1,0],[0,0]]"

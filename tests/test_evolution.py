@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ortho_group
 
-from conftest import random_system, vec
+from conftest import kron_sum, random_system, vec
 from kronspec import evolution
 from kronspec.cli import demo_system
 from kronspec.evolution import (
@@ -24,8 +24,6 @@ from kronspec.evolution import (
 from kronspec.kronsum import (
     adjoint_moment_map,
     build_continuous_sum,
-    build_discrete_sum,
-    real_sum,
     second_moment_map,
 )
 from kronspec.matrices import (
@@ -69,25 +67,23 @@ class TestStepDiscrete:
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_vectorized_form_matches(self, rng, crandn, mode, m):
         # the module's core oracle: vec(Phi(V)) == D vec(V), vec(L(V)) == C vec(V)
-        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         for _ in range(10):
             spec = random_system(rng, 3, m)
             v = crandn(3, 3)
             image = second_moment_map(spec, mode)(v)
             lhs = vec(image)
-            rhs = build(spec) @ vec(v)
+            rhs = kron_sum(spec, mode) @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
 
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_adjoint_form_matches(self, rng, crandn, mode, m):
         # vec(Phi*(V)) == D* vec(V), vec(L*(V)) == C* vec(V)
-        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         for _ in range(10):
             spec = random_system(rng, 3, m)
             v = crandn(3, 3)
             lhs = vec(adjoint_moment_map(spec, mode)(v))
-            rhs = build(spec).conj().T @ vec(v)
+            rhs = kron_sum(spec, mode).conj().T @ vec(v)
             assert np.allclose(lhs, rhs, atol=1e-12 * max(1.0, np.max(np.abs(lhs))))
 
 
@@ -127,9 +123,8 @@ class TestStepDiscrete:
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_stacked_products_match_the_dense_sum(self, rng, crandn, mode, m):
         # one stacked product pair per application, on a matrix and on a stack
-        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         spec = random_system(rng, 4, m)
-        dense = build(spec)
+        dense = kron_sum(spec, mode)
         apply = second_moment_map(spec, mode)
         stack = crandn(3, 4, 4)
         images = apply(stack)
@@ -171,6 +166,15 @@ class TestPropagateDiscrete:
         traj = propagate_discrete(spec, u, u, 5)
         for v, r in zip(traj.values, traj.second_moments):
             assert r == pytest.approx(float(np.trace(v).real), abs=1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 17, 64])
+    def test_second_moments_equal_the_per_matrix_traces_bit_for_bit(self, crandn, d):
+        # one trace over the stack sums each diagonal as np.trace does one matrix
+        values = crandn(200, d, d) * 10.0 ** crandn(200, 1, 1).real
+        moments = evolution._traj("discrete", range(200), values, True).second_moments
+        want = np.array([np.trace(m).real for m in values])
+        assert moments.dtype == np.float64
+        assert np.array_equal(moments.view(np.uint64), want.view(np.uint64))
 
     def test_overflow_reports_step(self):
         spec = SystemSpec(10.0 * np.eye(2))
@@ -231,7 +235,7 @@ class TestPropagateDiscrete:
         # built complex, to vec V(0)
         for spec, u, v in _criterion4_systems():
             traj = propagate_discrete(spec, u, v, 10, "kronecker")
-            dmat = build_discrete_sum(spec)
+            dmat = kron_sum(spec, "discrete")
             want = vec(np.outer(u, v.conj()))
             for j, got in enumerate(traj.values):
                 assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want)), j
@@ -368,6 +372,16 @@ class TestMatrixExponential:
         with pytest.raises(OverflowError):
             matrix_exponential(np.diag([1000.0, 0.0]), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, t", [
+        (np.diag([2.0, 0.0]), 1e308),           # t a overflows
+        (np.diag([2.0, 0.0]).astype(np.complex128), 1e308),
+        (np.array([[1e308, 0.0], [1e308, 0.0]]), 1.0),  # t a is finite, its 1-norm is not
+    ], ids=["real", "complex", "norm"])
+    def test_overflowing_argument_raises_without_warning(self, a, t):
+        with pytest.raises(OverflowError, match=r"1-norm of t\*a overflowed"):
+            matrix_exponential(a, t)
+
     def test_real_input_stays_real(self, crandn):
         # float64 in, float64 out, in real arithmetic; the same matrix as
         # complex128 is computed in complex arithmetic, with exact zero
@@ -473,7 +487,7 @@ class TestPropagateContinuous:
                             lambda *args: calls.append(args) or estimate(*args))
         got = propagate_continuous(spec, u, v, [1.0], "ode").values[0]
         assert len(calls) == 1
-        want = scipy.linalg.expm(build_continuous_sum(spec)) @ vec(np.outer(u, v.conj()))
+        want = scipy.linalg.expm(kron_sum(spec, "continuous")) @ vec(np.outer(u, v.conj()))
         assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_power_norm_estimates_bound_the_exact_norms(self):
@@ -482,7 +496,7 @@ class TestPropagateContinuous:
         for spec, _, _ in _criterion4_systems():
             mu, shifted, _ = _shift(spec)
             est = _power_norms(SystemSpec(shifted, spec.noise_mats))
-            cmat = build_continuous_sum(spec) - mu * np.eye(spec.d ** 2)
+            cmat = kron_sum(spec, "continuous") - mu * np.eye(spec.d ** 2)
             exact = np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
                               for p in range(2, 10)])
             assert np.all(est <= exact * (1 + 1e-12))
@@ -525,7 +539,7 @@ class TestPropagateContinuous:
         for spec, u, v in _criterion4_systems():
             assert not np.array_equal(u, v)
             traj = propagate_continuous(spec, u, v, times, "kronecker")
-            cmat = build_continuous_sum(spec)
+            cmat = kron_sum(spec, "continuous")
             w0 = vec(np.outer(u, v.conj()))
             for t, got in zip(times, traj.values):
                 want = scipy.linalg.expm(t * cmat) @ w0
@@ -538,7 +552,7 @@ class TestPropagateContinuous:
         v0 = np.outer(u, v.conj())
         traj = propagate_continuous(spec, u, v, times, "ode")
         assert np.array_equal(traj.values[0], v0)
-        cmat = build_continuous_sum(spec)
+        cmat = kron_sum(spec, "continuous")
         for t, got in zip(times[1:], traj.values[1:]):
             want = scipy.linalg.expm(t * cmat) @ vec(v0)
             assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
@@ -547,7 +561,7 @@ class TestPropagateContinuous:
 class TestKroneckerRouteDoubling:
     """Grid times 2**i times an earlier t with |t R|_1 > theta_13/2 square e^(t R).
 
-    R is C in real Hermitian coordinates (:func:`kronsum.real_sum`).
+    R is C in real Hermitian coordinates (:func:`kronsum.build_continuous_sum`).
     """
 
     @staticmethod
@@ -561,7 +575,7 @@ class TestKroneckerRouteDoubling:
 
     @staticmethod
     def _per_time(spec, u, v, times):
-        rmat = real_sum(spec, "continuous")
+        rmat = build_continuous_sum(spec)
         w0 = real_vec(np.outer(u, v.conj()))
         return [vec(real_unvec(matrix_exponential(rmat, t) @ w0, spec.d)) for t in times]
 
@@ -572,7 +586,7 @@ class TestKroneckerRouteDoubling:
     ])
     def test_bitwise_equal_to_per_time_exponentials(self, times):
         spec, u, v = self._system()
-        norm = np.linalg.norm(real_sum(spec, "continuous"), 1)
+        norm = np.linalg.norm(build_continuous_sum(spec), 1)
         assert evolution._THETA_13 / 2 < 0.0625 * norm <= evolution._THETA_13 < 0.25 * norm
         traj = propagate_continuous(spec, u, v, times, "kronecker")
         for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
@@ -582,7 +596,7 @@ class TestKroneckerRouteDoubling:
         # |0.01 R|_1 < theta_13/2, so 0.16 takes its own exponential
         spec, u, v = self._system()
         times = (0.01, 0.16)
-        assert 0.01 * np.linalg.norm(real_sum(spec, "continuous"), 1) <= evolution._THETA_13
+        assert 0.01 * np.linalg.norm(build_continuous_sum(spec), 1) <= evolution._THETA_13
         traj = propagate_continuous(spec, u, v, times, "kronecker")
         for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
             assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))

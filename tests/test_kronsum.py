@@ -1,12 +1,11 @@
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from conftest import random_system
+from conftest import kron_sum, random_system, real_form
 from kronspec.cli import demo_system
 from kronspec.kronsum import (
     CHAIN_TOL,
@@ -21,7 +20,6 @@ from kronspec.kronsum import (
     build_discrete_sum,
     check_bound_chain,
     classify_stability,
-    real_sum,
     second_moment_map,
     verdict_from_report,
 )
@@ -40,11 +38,13 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+_BUILD = {"discrete": build_discrete_sum, "continuous": build_continuous_sum}
+
+
 def _dense_value(spec, mode):
-    """The dense oracle: rho(D) or alpha(C) from the full d**2 spectrum."""
-    if mode == "discrete":
-        return summarize(build_discrete_sum(spec)).radius
-    return summarize(build_continuous_sum(spec)).abscissa
+    """The dense oracle: rho(D) or alpha(C) from the full d**2 spectrum of the np.kron formula."""
+    summary = summarize(kron_sum(spec, mode))
+    return summary.radius if mode == "discrete" else summary.abscissa
 
 
 def _assert_multiset_close(got, want, tol):
@@ -91,7 +91,7 @@ class TestBuilders:
     def test_no_noise_discrete(self, crandn):
         a = crandn(3, 3)
         spec = SystemSpec(a)
-        assert np.array_equal(build_discrete_sum(spec), np.kron(a.conj(), a))
+        assert np.array_equal(build_discrete_sum(spec), real_form(np.kron(a.conj(), a)))
 
     def test_real_system_matches_entrywise_expansion(self, rng):
         # brute-force block expansion as an independent oracle
@@ -121,9 +121,11 @@ class TestBuilders:
         assert np.allclose(c, d, atol=1e-14)
 
     def test_conjugated_system_gives_conjugated_sum(self, crandn):
+        # conj(H) = H^T has the coordinates Pi x, so conj(S) has the real form Pi R Pi
         a, b = crandn(3, 3), crandn(3, 3)
         lhs = build_discrete_sum(SystemSpec(a.conj(), (b.conj(),)))
-        rhs = build_discrete_sum(SystemSpec(a, (b,))).conj()
+        pi = np.arange(9).reshape(3, 3).T.ravel()
+        rhs = build_discrete_sum(SystemSpec(a, (b,)))[np.ix_(pi, pi)]
         assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_gram_hermitian_psd(self, rng):
@@ -146,11 +148,15 @@ class TestBuilders:
         with pytest.raises(OverflowError, match="overflowed"):
             build(spec)
 
-    @pytest.mark.parametrize("kind", ["complex", "signed zeros"])
+    @pytest.mark.parametrize("kind", ["complex", "signed zeros", "real"])
     @pytest.mark.parametrize("m", [0, 1, 3])
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 16])
     def test_equal_the_kron_formula_bit_for_bit(self, rng, d, m, kind):
+        # R against the real form of the np.kron formula, at d where a slab
+        # is one row and where it is a multi-row broadcast product
         spec = random_system(rng, d, m)
+        if kind == "real":
+            spec = SystemSpec(spec.a.real, tuple(b.real for b in spec.noise_mats))
         if kind == "signed zeros":
             def draw(x):
                 # half the real parts zeros of either sign, every imaginary part +0 or -0
@@ -159,14 +165,9 @@ class TestBuilders:
                 out.imag = np.copysign(0.0, rng.standard_normal((d, d)))
                 return out
             spec = SystemSpec(draw(spec.a), tuple(draw(b) for b in spec.noise_mats))
-        eye = np.eye(d, dtype=np.complex128)
-        want_d = np.kron(spec.a.conj(), spec.a)
-        want_c = np.kron(spec.a.conj(), eye) + np.kron(eye, spec.a)
-        for b in spec.noise_mats:
-            want_d += np.kron(b.conj(), b)
-            want_c += np.kron(b.conj(), b)
-        for got, want in ((build_discrete_sum(spec), want_d), (build_continuous_sum(spec), want_c)):
-            assert got.shape == want.shape
+        for mode, build in _BUILD.items():
+            got, want = build(spec), real_form(kron_sum(spec, mode))
+            assert got.dtype == np.float64 and got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_holds_at_most_two_sums_at_once(self):
@@ -182,35 +183,47 @@ class TestBuilders:
                 tracemalloc.stop()
             assert peak <= 2 * 16 * 16 ** 4 + 2 ** 19
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_holds_the_real_form_and_two_slabs(self, mode):
+        # R is 512 KiB at d = 16; the two complex slabs (128 KiB), the
+        # finiteness check's boolean array (64 KiB) and small temporaries
+        # came to about 280 KiB more, under the 512 KiB allowed
+        spec = random_system(np.random.default_rng(5), 16, 3)
+        tracemalloc.start()
+        try:
+            _BUILD[mode](spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 ** 4 + 2 ** 19
+
 
 class TestRealSum:
-    """R = Re S + Im S Pi: D and C as real matrices in Hermitian coordinates."""
+    """R = Re S + Im S Pi: the builders give D and C as real matrices in Hermitian coordinates."""
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_spectral_values_match_the_complex_sum(self, rng, mode):
-        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         for d in (2, 3, 5):
             for m in range(4):
                 spec = random_system(rng, d, m)
-                rmat = real_sum(spec, mode)
+                rmat = _BUILD[mode](spec)
                 assert rmat.dtype == np.float64
-                got, want = summarize(rmat), summarize(build(spec))
+                got, want = summarize(rmat), summarize(kron_sum(spec, mode))
                 for key in ("radius", "abscissa"):
                     a, b = getattr(got, key), getattr(want, key)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (d, m, key)
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_real_system_gives_the_real_part_bit_for_bit(self, rng, mode):
-        build = build_discrete_sum if mode == "discrete" else build_continuous_sum
         spec = SystemSpec(rng.standard_normal((4, 4)), (rng.standard_normal((4, 4)),))
-        assert np.array_equal(real_sum(spec, mode), build(spec).real)
+        assert np.array_equal(_BUILD[mode](spec), kron_sum(spec, mode).real)
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_is_the_matrix_of_the_map_in_hermitian_coordinates(self, rng, crandn, mode):
         # R x_j = the coordinates of Phi(H_j) or L(H_j), for both Hermitian parts of V
         spec = random_system(rng, 4, 2)
         v = crandn(4, 4)
-        got = real_sum(spec, mode) @ real_vec(v)
+        got = _BUILD[mode](spec) @ real_vec(v)
         want = real_vec(second_moment_map(spec, mode)(v))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -249,7 +262,7 @@ class TestRealSum:
         x = 1.2e154
         b = np.array([[x, x * np.exp(0.25j * np.pi)], [0.0, 0.0]])
         with pytest.raises(OverflowError, match=f"real form of {name} overflowed"):
-            real_sum(SystemSpec(np.zeros((2, 2)), (b,)), mode)
+            _BUILD[mode](SystemSpec(np.zeros((2, 2)), (b,)))
 
 
 class TestBoundReport:
@@ -376,7 +389,7 @@ class TestLadder:
         for i in range(48):
             spec = random_system(rng, (8, 10, 12)[i % 3], 1 + i % 3)
             (lower, upper), applications = _refined_bracket(spec, mode)
-            summary = summarize(real_sum(spec, mode))
+            summary = summarize(_BUILD[mode](spec))
             exact = summary.radius if mode == "discrete" else summary.abscissa
             slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
             assert lower - slack <= exact <= upper + slack
@@ -412,7 +425,7 @@ class TestLadder:
         spec = SystemSpec(turn(demo.a), (turn(demo.noise_mats[0]),))
         report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
         assert report.rung == "dense"
-        want = summarize(build_discrete_sum(spec))
+        want = summarize(kron_sum(spec, "discrete"))
         assert report.exact == pytest.approx(want.radius, rel=1e-12)
         _assert_multiset_close(report.eigenvalues, want.eigenvalues, 1e-12)
 
@@ -434,13 +447,11 @@ def _fail(*args, **kwargs):
 class TestDenseCeiling:
     """d = 65 is past the dense ceiling: d-by-d work runs, D and C are refused unbuilt."""
 
-    @pytest.mark.parametrize("build", [
-        build_discrete_sum, build_continuous_sum,
-        partial(real_sum, mode="discrete"), partial(real_sum, mode="continuous"),
-    ], ids=["build_discrete_sum", "build_continuous_sum", "real_sum-discrete", "real_sum-continuous"])
+    @pytest.mark.parametrize("build", [build_discrete_sum, build_continuous_sum],
+                             ids=["build_discrete_sum", "build_continuous_sum"])
     def test_builders_refuse_before_kron(self, build, monkeypatch):
         spec = SystemSpec(np.eye(65), (np.eye(65),))
-        # the builders allocate the sum with np.empty, the oracles use np.kron
+        # the builders allocate R with np.empty, the oracles use np.kron
         monkeypatch.setattr(np, "kron", _fail)
         monkeypatch.setattr(np, "empty", _fail)
         with pytest.raises(ValueError, match="4225 rows, over the dense ceiling of 4096"):
