@@ -22,8 +22,10 @@ earlier one squares that time's exponential i times rather than computing
 its own, where that gives the same bits.  On the Taylor route each grid gap picks its Taylor
 degree (at most 55) and substep count by Al-Mohy and Higham's
 action-of-the-exponential algorithm, from a bound on |C - mu I|_1 or, for
-larger norms, from 1-norm estimates of the powers of C - mu I taken through
-the d-by-d maps; C is never formed.
+larger norms, from the 1-norms of the powers of C - mu I taken through the
+d-by-d maps: exact at d <= 8, where the images of all d**2 unit matrices
+cost less than the block 1-norm estimator, and estimated above; C is never
+formed.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -89,7 +91,9 @@ _ESTIMATE_ABOVE = 4.0 * _THETA[_M_MAX] * _P_MAX * (_P_MAX + 3) / _M_MAX
 #: with its adjoint.  The first products of all powers share one chain.
 _NORMEST_ITERATIONS = 5
 
-#: Most map applications the estimates take (722), a stacked pair counted as two.
+#: Most map applications the estimates take (722), a stacked pair counted as
+#: two.  The exact norms take (p_max + 1) d**2 and run instead while that is
+#: no more (d <= 8), so this also prices them.
 _NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(range(2, _P_MAX + 2)))
 
 #: A substep's series stops once two consecutive terms fall under this
@@ -108,10 +112,11 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: recursion may take, charged by :func:`_check_work` as map applications x
 #: (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD).  The Taylor route counts
 #: the applications of the plan from beta alone (which bounds every plan the
-#: norm estimates can choose) plus :data:`_NORMEST_APPLICATIONS` when the
-#: estimates run, the recursion one per step; checked before the first map is
+#: power norms can choose) plus :data:`_NORMEST_APPLICATIONS` when the norms
+#: are taken, the recursion one per step; checked before the first map is
 #: built: about 10-35 s of work at any d.  The largest Taylor run in use
-#: (criterion 4, d = 5, m = 3, 1,602 applications) costs 4.2e8.
+#: (criterion 4, d = 5, m = 3) is charged 1,602 applications, 4.2e8, and
+#: takes 400, 225 of them for its exact norms.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -369,15 +374,26 @@ def _normest(forward, backward, p: int, y: np.ndarray) -> float:
 
 
 def _power_norms(system: SystemSpec) -> np.ndarray:
-    """Estimates of |X**p|_1 for p = 2..p_max + 1, X the generator of ``system``.
+    """|X**p|_1 for p = 2..p_max + 1, X the generator of ``system``: exact at d <= 8, else estimated.
 
-    One :func:`_normest` per power, started from the all-ones matrix and a
-    +/-1 checkerboard (no random draws, so reruns are identical), both
-    scaled to unit 1-norm; their images X**p start are one chain of p_max + 1
-    applications, shared by all the powers.
+    While p_max + 1 applications to all d**2 unit matrices cost no more than
+    :data:`_NORMEST_APPLICATIONS`, that stack's images are every column of
+    every power, and each norm is exact.  Otherwise one :func:`_normest` per
+    power, started from the all-ones matrix and a +/-1 checkerboard (no
+    random draws, so reruns are identical), both scaled to unit 1-norm;
+    their images X**p start are one chain of p_max + 1 applications, shared
+    by all the powers.
     """
     d = system.d
     forward = second_moment_map(system, "continuous")
+    if (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS:
+        norms = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = forward(np.eye(d * d).reshape(d * d, d, d))
+            for _ in range(_P_MAX):
+                y = forward(y)
+                norms.append(np.abs(y).sum(axis=(1, 2)).max())
+        return np.array(norms)
     backward = adjoint_moment_map(system, "continuous")
     start = np.ones((2, d, d), dtype=np.complex128) / d ** 2
     start[1, :, 1::2] *= -1.0
@@ -425,8 +441,9 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     tau = h/s of e^(mu tau) sum_{j<=m} (tau (L - mu))^j/j!, with the degree
     m <= 55 and s chosen by :func:`_plan` to minimise m s.  The plan uses
     alpha = h beta while h beta <= 63.4, and otherwise
-    h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) estimated once
-    per call through the d-by-d maps (:func:`_alpha_by_degree`).  A
+    h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) taken once per
+    call through the d-by-d maps, exact at d <= 8 and estimated above
+    (:func:`_power_norms`, :func:`_alpha_by_degree`).  A
     substep's series stops early once two consecutive terms fall under
     2**-53 of the sum.  Over :data:`_MAX_TAYLOR_WORK` in all, or with mu or
     beta not finite, it is a ``RuntimeError`` before any map is built.

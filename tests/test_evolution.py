@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,8 @@ from kronspec.evolution import (
     second_moment_bounds,
     _check_moment_chain,
     _ESTIMATE_ABOVE,
+    _NORMEST_APPLICATIONS,
+    _P_MAX,
     _STEP_EXTRA_BYTES,
     _power_norms,
     _shift,
@@ -49,6 +52,32 @@ def _criterion4_systems():
         d = 2 + i % 4
         spec = random_system(rng, d, i % 4)
         yield spec, _random_vec(rng, d), _random_vec(rng, d)
+
+
+def _estimated_system():
+    """A d = 9, m = 1 system past the exact power norms: beta = 158, so the
+    gap to t = 1, and the one from 0.25 to 1, pass h beta = 63.4; the
+    estimate of |(C - mu I)^2|_1 reads 0.84 of the norm."""
+    rng = np.random.default_rng(1)
+    spec = random_system(rng, 9, 1)
+    return spec, _random_vec(rng, 9), _random_vec(rng, 9)
+
+
+def _exact_power_norms(spec):
+    """|(C - mu I)^p|_1 for p = 2..9 from the complex C of the np.kron formula."""
+    mu = _shift(spec)[0]
+    cmat = kron_sum(spec, "continuous") - mu * np.eye(spec.d ** 2)
+    return np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
+                     for p in range(2, 10)])
+
+
+def _spy_normest(monkeypatch):
+    """Count the calls of the block 1-norm estimator."""
+    calls = []
+    estimate = evolution._normest
+    monkeypatch.setattr(evolution, "_normest",
+                        lambda *args: calls.append(args[2]) or estimate(*args))
+    return calls
 
 
 class TestStepDiscrete:
@@ -510,8 +539,34 @@ class TestPropagateContinuous:
         again = propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
         assert np.array_equal(first.values, again.values)
 
+    def test_taylor_route_matches_scipy_expm_with_estimated_norms(self, monkeypatch):
+        spec, u, v = _estimated_system()
+        calls = _spy_normest(monkeypatch)
+        got = propagate_continuous(spec, u, v, [1.0], "ode").values[0]
+        assert calls == list(range(2, _P_MAX + 2))
+        want = scipy.linalg.expm(kron_sum(spec, "continuous")) @ vec(np.outer(u, v.conj()))
+        assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_estimated_power_norms_bound_the_exact_norms(self, monkeypatch):
+        spec, _, _ = _estimated_system()
+        calls = _spy_normest(monkeypatch)
+        shifted = _shift(spec)[1]
+        est = _power_norms(SystemSpec(shifted, spec.noise_mats))
+        assert calls == list(range(2, _P_MAX + 2))
+        exact = _exact_power_norms(spec)
+        assert np.all(est <= exact * (1 + 1e-12))
+        assert np.all(est >= 0.5 * exact)
+
+    def test_taylor_route_with_estimated_norms_is_deterministic(self, monkeypatch):
+        spec, u, v = _estimated_system()
+        calls = _spy_normest(monkeypatch)
+        first = propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        assert calls
+        again = propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        assert np.array_equal(first.values, again.values)
+
     def test_criterion4_map_applications(self, monkeypatch):
-        # 25,679 with the norm estimates included; 19 terms per substep
+        # 19,211 with the power norms included; 19 terms per substep
         # of tau beta = 1 would take 167,058
         count = [0]
 
@@ -556,6 +611,64 @@ class TestPropagateContinuous:
         for t, got in zip(times[1:], traj.values[1:]):
             want = scipy.linalg.expm(t * cmat) @ vec(v0)
             assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+
+class TestPowerNorms:
+    """While (p_max + 1) d**2 unit-matrix images cost no more than the
+    estimator's most applications (d <= 8), the power norms are exact."""
+
+    #: the largest d that takes the exact norms
+    EXACT_UP_TO = math.isqrt(_NORMEST_APPLICATIONS // (_P_MAX + 1))
+
+    def test_boundary_follows_from_the_estimator_price(self):
+        assert self.EXACT_UP_TO == 8
+
+    def test_exact_on_criterion4_systems(self):
+        for spec, _, _ in _criterion4_systems():
+            shifted = _shift(spec)[1]
+            got = _power_norms(SystemSpec(shifted, spec.noise_mats))
+            exact = _exact_power_norms(spec)
+            assert np.all(np.abs(got - exact) <= 1e-12 * exact)
+
+    @pytest.mark.parametrize("offset, estimated", [(0, False), (1, True)])
+    def test_estimator_runs_only_past_the_boundary(self, monkeypatch, offset, estimated):
+        calls = _spy_normest(monkeypatch)
+        _power_norms(random_system(np.random.default_rng(2), self.EXACT_UP_TO + offset, 3))
+        assert bool(calls) == estimated
+
+    def test_exact_norms_stay_within_the_estimator_price(self, monkeypatch):
+        # counts stacked matrices, not calls: the norms take 9 calls on a
+        # stack of d**2 = 64 matrices
+        count = [0]
+        build = evolution.second_moment_map
+
+        def counting(*args):
+            apply = build(*args)
+
+            def counted(v):
+                count[0] += v.shape[0] if v.ndim == 3 else 1
+                return apply(v)
+            return counted
+
+        monkeypatch.setattr(evolution, "second_moment_map", counting)
+        calls = _spy_normest(monkeypatch)
+        _power_norms(random_system(np.random.default_rng(2), self.EXACT_UP_TO, 3))
+        assert not calls
+        assert count[0] == (_P_MAX + 1) * self.EXACT_UP_TO ** 2
+        assert count[0] <= _NORMEST_APPLICATIONS
+
+    def test_forced_estimates_give_criterion4_the_same_bits(self, monkeypatch):
+        # on these systems the estimator finds each power's largest column,
+        # so both plans, and the trajectories, are the same
+        systems = list(_criterion4_systems())
+        exact = [propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
+                 for spec, u, v in systems]
+        monkeypatch.setattr(evolution, "_NORMEST_APPLICATIONS", 0)
+        calls = _spy_normest(monkeypatch)
+        for (spec, u, v), want in zip(systems, exact):
+            got = propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
+            assert np.array_equal(got, want)
+        assert calls
 
 
 class TestKroneckerRouteDoubling:
