@@ -21,11 +21,13 @@ Pade costs about half a complex one, and a grid time exactly 2**i times an
 earlier one squares that time's exponential i times rather than computing
 its own, where that gives the same bits.  On the Taylor route each grid gap picks its Taylor
 degree (at most 55) and substep count by Al-Mohy and Higham's
-action-of-the-exponential algorithm, from a bound on |C - mu I|_1 or, for
-larger norms, from the 1-norms of the powers of C - mu I taken through the
-d-by-d maps: exact at d <= 8, where the images of all d**2 unit matrices
-cost less than the block 1-norm estimator, and estimated above; C is never
-formed.
+action-of-the-exponential algorithm, from a bound beta on |C - mu I|_1 or,
+once some gap needs more, from the 1-norms of the powers of C - mu I, which
+then plan every gap.  At d <= 8 these are exact and taken as soon as beta
+alone needs a second substep: the plan reads them off the d**2-by-d**2
+matrix of the map, built by applying the map to all d**2 unit matrices.
+Above d = 8 the block 1-norm estimator takes them through the d-by-d maps,
+past a larger h beta.  The values never use that matrix, nor C.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -83,7 +85,9 @@ _P_MAX = 8
 _M_MAX = 55
 
 #: Their condition (3.13) for 2 estimator columns: up to this h beta (63.4)
-#: the plan from beta alone costs too little for norm estimates to pay.
+#: the plan from beta alone costs too little for norm estimates to pay.  At
+#: d <= 8 the norms are exact and cheaper, and are taken once h beta passes
+#: theta_55, where beta alone needs a second substep.
 _ESTIMATE_ABOVE = 4.0 * _THETA[_M_MAX] * _P_MAX * (_P_MAX + 3) / _M_MAX
 
 #: Iterations of the block 1-norm estimator per power: each takes one product
@@ -92,8 +96,11 @@ _ESTIMATE_ABOVE = 4.0 * _THETA[_M_MAX] * _P_MAX * (_P_MAX + 3) / _M_MAX
 _NORMEST_ITERATIONS = 5
 
 #: Most map applications the estimates take (722), a stacked pair counted as
-#: two.  The exact norms take (p_max + 1) d**2 and run instead while that is
-#: no more (d <= 8), so this also prices them.
+#: two.  The exact norms (:func:`_exact_norms`) run instead while
+#: (p_max + 1) d**2 is no more (d <= 8), so this prices them with room to
+#: spare: they apply the map to the d**2 unit matrices once, and their p_max
+#: dense d**2-by-d**2 products take less time than p_max more applications
+#: to that stack would.
 _NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(range(2, _P_MAX + 2)))
 
 #: A substep's series stops once two consecutive terms fall under this
@@ -114,9 +121,9 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: the applications of the plan from beta alone (which bounds every plan the
 #: power norms can choose) plus :data:`_NORMEST_APPLICATIONS` when the norms
 #: are taken, the recursion one per step; checked before the first map is
-#: built: about 10-35 s of work at any d.  The largest Taylor run in use
-#: (criterion 4, d = 5, m = 3) is charged 1,602 applications, 4.2e8, and
-#: takes 400, 225 of them for its exact norms.
+#: built: about 10-35 s of work at any d.  The largest charge in use
+#: (criterion 4, d = 5, m = 3) is 1,602 applications, 4.2e8, for a run that
+#: takes 138, 25 of them for its exact norms.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -373,27 +380,44 @@ def _normest(forward, backward, p: int, y: np.ndarray) -> float:
     return est
 
 
-def _power_norms(system: SystemSpec) -> np.ndarray:
-    """|X**p|_1 for p = 2..p_max + 1, X the generator of ``system``: exact at d <= 8, else estimated.
+def _takes_exact_norms(d: int) -> bool:
+    """Whether :func:`_exact_norms` serves dimension d: while (p_max + 1) d**2
+    <= :data:`_NORMEST_APPLICATIONS`, that is at d <= 8 (see there)."""
+    return (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS
 
-    While p_max + 1 applications to all d**2 unit matrices cost no more than
-    :data:`_NORMEST_APPLICATIONS`, that stack's images are every column of
-    every power, and each norm is exact.  Otherwise one :func:`_normest` per
-    power, started from the all-ones matrix and a +/-1 checkerboard (no
-    random draws, so reruns are identical), both scaled to unit 1-norm;
-    their images X**p start are one chain of p_max + 1 applications, shared
-    by all the powers.
+
+def _exact_norms(system: SystemSpec) -> np.ndarray:
+    """|X**p|_1 for p = 2..p_max + 1, X the generator of ``system``, read off its matrix K.
+
+    One stacked application of X to the d**2 unit matrices gives every
+    column of K, the d**2-by-d**2 matrix of X in vec coordinates; |X**p|_1 is
+    the largest column sum of |K**p|, from p_max dense products.  K is built
+    by the map, not by :func:`kronsum.build_continuous_sum`, and only steers
+    the plan.
     """
     d = system.d
     forward = second_moment_map(system, "continuous")
-    if (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS:
-        norms = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = forward(np.eye(d * d).reshape(d * d, d, d))
-            for _ in range(_P_MAX):
-                y = forward(y)
-                norms.append(np.abs(y).sum(axis=(1, 2)).max())
-        return np.array(norms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row k is the image of the k-th unit matrix: K transposed, so the
+        # rows of its powers are the columns of K's
+        rows = forward(np.eye(d * d).reshape(d * d, d, d)).reshape(d * d, d * d)
+        power, norms = rows, []
+        for _ in range(_P_MAX):
+            power = power @ rows
+            norms.append(np.abs(power).sum(axis=1).max())
+    return np.array(norms)
+
+
+def _estimated_norms(system: SystemSpec) -> np.ndarray:
+    """Lower estimates of |X**p|_1 for p = 2..p_max + 1, X the generator of ``system``.
+
+    One :func:`_normest` per power, started from the all-ones matrix and a
+    +/-1 checkerboard (no random draws, so reruns are identical), both
+    scaled to unit 1-norm; their images X**p start are one chain of
+    p_max + 1 applications, shared by all the powers.
+    """
+    d = system.d
+    forward = second_moment_map(system, "continuous")
     backward = adjoint_moment_map(system, "continuous")
     start = np.ones((2, d, d), dtype=np.complex128) / d ** 2
     start[1, :, 1::2] *= -1.0
@@ -404,6 +428,13 @@ def _power_norms(system: SystemSpec) -> np.ndarray:
             images.append(forward(images[-1]))
         return np.array([_normest(forward, backward, p, images[p - 1])
                          for p in range(2, _P_MAX + 2)])
+
+
+def _power_norms(system: SystemSpec) -> np.ndarray:
+    """|X**p|_1 for p = 2..p_max + 1: :func:`_exact_norms` at d <= 8, else :func:`_estimated_norms`."""
+    if _takes_exact_norms(system.d):
+        return _exact_norms(system)
+    return _estimated_norms(system)
 
 
 def _alpha_by_degree(system: SystemSpec, beta: float) -> np.ndarray:
@@ -425,8 +456,8 @@ def _plan(gaps: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Degree m and substep count s for each grid gap h: the tabulated m minimising m s.
 
     s = max(ceil(h alpha_m/theta_m), 1), with ``alpha`` the unit-time alpha
-    per degree (one row for all gaps, or one per gap); ties go to the least
-    m, and a zero gap takes no substeps.
+    per degree, one for all gaps; ties go to the least m, and a zero gap
+    takes no substeps.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.maximum(np.ceil(gaps[:, None] * alpha / _THETAS), 1.0) * (gaps[:, None] > 0)
@@ -440,27 +471,29 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     Shifted by mu (:func:`_shift`), each grid gap h takes s substeps
     tau = h/s of e^(mu tau) sum_{j<=m} (tau (L - mu))^j/j!, with the degree
     m <= 55 and s chosen by :func:`_plan` to minimise m s.  The plan uses
-    alpha = h beta while h beta <= 63.4, and otherwise
-    h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) taken once per
-    call through the d-by-d maps, exact at d <= 8 and estimated above
-    (:func:`_power_norms`, :func:`_alpha_by_degree`).  A
-    substep's series stops early once two consecutive terms fall under
-    2**-53 of the sum.  Over :data:`_MAX_TAYLOR_WORK` in all, or with mu or
-    beta not finite, it is a ``RuntimeError`` before any map is built.
+    alpha = h beta, unless some gap has h beta over theta_55 at d <= 8 (beta
+    alone needs a second substep) or over 63.4 above: then every gap takes
+    alpha = h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) taken
+    once per call, exact at d <= 8 and estimated above
+    (:func:`_power_norms`, :func:`_alpha_by_degree`).  That alpha is at
+    most h beta, so no gap's plan grows.  A substep's series stops early
+    once two consecutive terms fall under 2**-53 of the sum.  Over
+    :data:`_MAX_TAYLOR_WORK` in all, or with mu or beta not finite, it is a
+    ``RuntimeError`` before any map is built.
     """
     mu, shifted, beta = _shift(spec)
     gaps = np.diff(t_grid, prepend=0.0)
+    above = _THETA[_M_MAX] if _takes_exact_norms(spec.d) else _ESTIMATE_ABOVE
     with np.errstate(over="ignore", invalid="ignore"):
-        large = gaps * beta > _ESTIMATE_ABOVE
+        take_norms = bool((gaps * beta > above).any())
         degrees, substeps = _plan(gaps, np.full(len(_THETAS), beta))
         # mu out of range puts beta out of range, and with it this count: refused below
-        applications = float(degrees @ substeps) + large.any() * _NORMEST_APPLICATIONS
+        applications = float(degrees @ substeps) + take_norms * _NORMEST_APPLICATIONS
     _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
     system = SystemSpec(shifted, spec.noise_mats)
     apply = second_moment_map(system, "continuous")
-    if large.any():
-        alpha = _alpha_by_degree(system, beta)
-        degrees, substeps = _plan(gaps, np.where(large[:, None], alpha, beta))
+    if take_norms:
+        degrees, substeps = _plan(gaps, _alpha_by_degree(system, beta))
     values = []
     cur = v0
     for t, gap, degree, steps in zip(t_grid, gaps, degrees, substeps.astype(int)):
@@ -519,7 +552,8 @@ def propagate_continuous(
     the substeps and at the degree (at most 55) that minimise the map
     applications for a backward error of 2**-53, a series stopping early
     once its terms fall under 2**-53 of the sum.  It forms neither C nor its
-    exponential, so it runs at any d.
+    exponential, so it runs at any d; at d <= 8 its plan may read norms off
+    the matrix of L, built by applying L, but the values never use it.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")

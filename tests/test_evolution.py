@@ -18,9 +18,11 @@ from kronspec.evolution import (
     second_moment_bounds,
     _check_moment_chain,
     _ESTIMATE_ABOVE,
+    _M_MAX,
     _NORMEST_APPLICATIONS,
     _P_MAX,
     _STEP_EXTRA_BYTES,
+    _THETA,
     _power_norms,
     _shift,
 )
@@ -77,6 +79,15 @@ def _spy_normest(monkeypatch):
     estimate = evolution._normest
     monkeypatch.setattr(evolution, "_normest",
                         lambda *args: calls.append(args[2]) or estimate(*args))
+    return calls
+
+
+def _spy_alpha(monkeypatch):
+    """Record the calls of ``_alpha_by_degree``, which takes the power norms."""
+    calls = []
+    alpha = evolution._alpha_by_degree
+    monkeypatch.setattr(evolution, "_alpha_by_degree",
+                        lambda *args: calls.append(args) or alpha(*args))
     return calls
 
 
@@ -510,10 +521,7 @@ class TestPropagateContinuous:
         # the first criterion-4 system with d = 5, m = 3 and h beta over 63.4 at t = 1
         spec, u, v = next((spec, u, v) for spec, u, v in _criterion4_systems()
                           if spec.m == 3 and _shift(spec)[2] > _ESTIMATE_ABOVE)
-        calls = []
-        estimate = evolution._alpha_by_degree
-        monkeypatch.setattr(evolution, "_alpha_by_degree",
-                            lambda *args: calls.append(args) or estimate(*args))
+        calls = _spy_alpha(monkeypatch)
         got = propagate_continuous(spec, u, v, [1.0], "ode").values[0]
         assert len(calls) == 1
         want = scipy.linalg.expm(kron_sum(spec, "continuous")) @ vec(np.outer(u, v.conj()))
@@ -566,7 +574,7 @@ class TestPropagateContinuous:
         assert np.array_equal(first.values, again.values)
 
     def test_criterion4_map_applications(self, monkeypatch):
-        # 19,211 with the power norms included; 19 terms per substep
+        # 12,784 with the power norms included; 19 terms per substep
         # of tau beta = 1 would take 167,058
         count = [0]
 
@@ -614,8 +622,9 @@ class TestPropagateContinuous:
 
 
 class TestPowerNorms:
-    """While (p_max + 1) d**2 unit-matrix images cost no more than the
-    estimator's most applications (d <= 8), the power norms are exact."""
+    """While (p_max + 1) d**2 is no more than the estimator's most
+    applications (d <= 8), the power norms are exact, read off the matrix of
+    the map."""
 
     #: the largest d that takes the exact norms
     EXACT_UP_TO = math.isqrt(_NORMEST_APPLICATIONS // (_P_MAX + 1))
@@ -637,8 +646,8 @@ class TestPowerNorms:
         assert bool(calls) == estimated
 
     def test_exact_norms_stay_within_the_estimator_price(self, monkeypatch):
-        # counts stacked matrices, not calls: the norms take 9 calls on a
-        # stack of d**2 = 64 matrices
+        # counts stacked matrices, not calls: the norms take one call on the
+        # stack of d**2 = 64 unit matrices, and the powers are dense products
         count = [0]
         build = evolution.second_moment_map
 
@@ -654,21 +663,93 @@ class TestPowerNorms:
         calls = _spy_normest(monkeypatch)
         _power_norms(random_system(np.random.default_rng(2), self.EXACT_UP_TO, 3))
         assert not calls
-        assert count[0] == (_P_MAX + 1) * self.EXACT_UP_TO ** 2
+        assert count[0] == self.EXACT_UP_TO ** 2
         assert count[0] <= _NORMEST_APPLICATIONS
 
     def test_forced_estimates_give_criterion4_the_same_bits(self, monkeypatch):
         # on these systems the estimator finds each power's largest column,
-        # so both plans, and the trajectories, are the same
+        # so both plans, and the trajectories, are the same; only the norms
+        # are forced, so the norms are taken for the same grids
         systems = list(_criterion4_systems())
         exact = [propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
                  for spec, u, v in systems]
-        monkeypatch.setattr(evolution, "_NORMEST_APPLICATIONS", 0)
+        monkeypatch.setattr(evolution, "_exact_norms", evolution._estimated_norms)
         calls = _spy_normest(monkeypatch)
         for (spec, u, v), want in zip(systems, exact):
             got = propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
             assert np.array_equal(got, want)
         assert calls
+
+
+class TestTaylorPlan:
+    """Once the power norms are taken they plan every grid gap, and at
+    d <= 8 they are taken as soon as beta alone needs a second substep."""
+
+    @staticmethod
+    def _spy_plan(monkeypatch):
+        """Record (alpha, applications per gap) for each call of ``_plan``."""
+        calls = []
+        plan = evolution._plan
+
+        def recorded(gaps, alpha):
+            degrees, substeps = plan(gaps, alpha)
+            calls.append((alpha, degrees * substeps))
+            return degrees, substeps
+
+        monkeypatch.setattr(evolution, "_plan", recorded)
+        return calls
+
+    @pytest.mark.parametrize("system", ["d9", "criterion4"])
+    def test_norms_plan_every_gap(self, monkeypatch, system):
+        # the d = 9 system's first gap has h beta = 39.5, under 63.4, and
+        # the d = 5 one's 30.8; the gap from 0.25 to 1 takes the norms, and
+        # both gaps then plan with them: 220 applications fall to 35 on
+        # the first, and 200 to 35
+        spec, u, v = _estimated_system() if system == "d9" else next(
+            s for s in _criterion4_systems()
+            if s[0].d == 5 and s[0].m == 3 and 0.75 * _shift(s[0])[2] > _ESTIMATE_ABOVE)
+        _, shifted, beta = _shift(spec)
+        assert 0.25 * beta <= _ESTIMATE_ABOVE
+        plans = self._spy_plan(monkeypatch)
+        propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        (by_beta, beta_work), (by_alpha, alpha_work) = plans
+        assert np.array_equal(by_beta, np.full(len(_THETA), beta))
+        # one row of alpha for every gap
+        want = evolution._alpha_by_degree(SystemSpec(shifted, spec.noise_mats), beta)
+        assert np.array_equal(by_alpha, want)
+        assert np.all(alpha_work <= beta_work)
+        assert alpha_work[0] < beta_work[0]
+
+    @pytest.mark.parametrize("scale, taken", [(0.99, False), (1.01, True)])
+    def test_exact_norms_taken_past_theta_55(self, monkeypatch, scale, taken):
+        spec, u, v = next(s for s in _criterion4_systems() if s[0].d == 5 and s[0].m == 3)
+        t = scale * _THETA[_M_MAX] / _shift(spec)[2]
+        calls = _spy_alpha(monkeypatch)
+        propagate_continuous(spec, u, v, [t], "ode")
+        assert len(calls) == taken
+
+    @pytest.mark.parametrize("scale, taken", [(0.99, False), (1.01, True)])
+    def test_estimates_taken_past_63_4_at_d9(self, monkeypatch, scale, taken):
+        # below 63.4 the d = 9 gap is far past theta_55 = 9.9 and still
+        # plans from beta alone
+        spec, u, v = _estimated_system()
+        t = scale * _ESTIMATE_ABOVE / _shift(spec)[2]
+        assert t * _shift(spec)[2] > _THETA[_M_MAX]
+        calls = _spy_alpha(monkeypatch)
+        estimates = _spy_normest(monkeypatch)
+        propagate_continuous(spec, u, v, [t], "ode")
+        assert len(calls) == taken
+        assert estimates == (list(range(2, _P_MAX + 2)) if taken else [])
+
+    def test_criterion4_matches_scipy_expm(self):
+        times = [0.25, 1.0]
+        for spec, u, v in _criterion4_systems():
+            traj = propagate_continuous(spec, u, v, times, "ode")
+            cmat = kron_sum(spec, "continuous")
+            w0 = vec(np.outer(u, v.conj()))
+            for t, got in zip(times, traj.values):
+                want = scipy.linalg.expm(t * cmat) @ w0
+                assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
 
 
 class TestKroneckerRouteDoubling:
