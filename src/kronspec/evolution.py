@@ -24,10 +24,13 @@ degree (at most 55) and substep count by Al-Mohy and Higham's
 action-of-the-exponential algorithm, from a bound beta on |C - mu I|_1 or,
 once some gap needs more, from the 1-norms of the powers of C - mu I, which
 then plan every gap.  At d <= 8 these are exact and taken as soon as beta
-alone needs a second substep: the plan reads them off the d**2-by-d**2
-matrix of the map, built by applying the map to all d**2 unit matrices.
+alone needs a second substep: the plan reads them off K, the
+d**2-by-d**2 matrix of the map, built by applying the map to all d**2 unit
+matrices, and the series then takes each term as one product with K.
 Above d = 8 the block 1-norm estimator takes them through the d-by-d maps,
-past a larger h beta.  The values never use that matrix, nor C.
+past a larger h beta; there, and wherever the norms are not taken, each
+term is a map application.  The Taylor route never builds C, and its
+values come from the map alone, since K's columns are the map's images.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -98,9 +101,9 @@ _NORMEST_ITERATIONS = 5
 #: Most map applications the estimates take (722), a stacked pair counted as
 #: two.  The exact norms (:func:`_exact_norms`) run instead while
 #: (p_max + 1) d**2 is no more (d <= 8), so this prices them with room to
-#: spare: they apply the map to the d**2 unit matrices once, and their p_max
-#: dense d**2-by-d**2 products take less time than p_max more applications
-#: to that stack would.
+#: spare: they apply the map to the d**2 unit matrices once
+#: (:func:`_generator_rows`), and their p_max dense d**2-by-d**2 products
+#: take less time than p_max more applications to that stack would.
 _NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(range(2, _P_MAX + 2)))
 
 #: A substep's series stops once two consecutive terms fall under this
@@ -123,7 +126,8 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: are taken, the recursion one per step; checked before the first map is
 #: built: about 10-35 s of work at any d.  The largest charge in use
 #: (criterion 4, d = 5, m = 3) is 1,602 applications, 4.2e8, for a run that
-#: takes 138, 25 of them for its exact norms.
+#: applies the map once, to its 25 unit matrices, and takes its 113 series
+#: terms as products with K (see :func:`_taylor_on_grid`).
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -386,21 +390,27 @@ def _takes_exact_norms(d: int) -> bool:
     return (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS
 
 
-def _exact_norms(system: SystemSpec) -> np.ndarray:
-    """|X**p|_1 for p = 2..p_max + 1, X the generator of ``system``, read off its matrix K.
+def _generator_rows(system: SystemSpec) -> np.ndarray:
+    """K transposed, K the d**2-by-d**2 matrix of X, the generator of ``system``.
 
-    One stacked application of X to the d**2 unit matrices gives every
-    column of K, the d**2-by-d**2 matrix of X in vec coordinates; |X**p|_1 is
-    the largest column sum of |K**p|, from p_max dense products.  K is built
-    by the map, not by :func:`kronsum.build_continuous_sum`, and only steers
-    the plan.
+    Row k is X(E_k) raveled, E_k the k-th unit matrix, so that
+    X(V).ravel() = V.ravel() @ rows: one stacked application of X to the d**2
+    unit matrices.  K is built by the map, not by
+    :func:`kronsum.build_continuous_sum`.
     """
     d = system.d
-    forward = second_moment_map(system, "continuous")
     with np.errstate(over="ignore", invalid="ignore"):
-        # row k is the image of the k-th unit matrix: K transposed, so the
-        # rows of its powers are the columns of K's
-        rows = forward(np.eye(d * d).reshape(d * d, d, d)).reshape(d * d, d * d)
+        units = np.eye(d * d).reshape(d * d, d, d)
+        return second_moment_map(system, "continuous")(units).reshape(d * d, d * d)
+
+
+def _exact_norms(rows: np.ndarray) -> np.ndarray:
+    """|X**p|_1 for p = 2..p_max + 1, read off K from ``rows``, its transpose.
+
+    |X**p|_1 is the largest column sum of |K**p|, so the largest row sum of
+    |rows**p|, from p_max dense products.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         power, norms = rows, []
         for _ in range(_P_MAX):
             power = power @ rows
@@ -430,23 +440,29 @@ def _estimated_norms(system: SystemSpec) -> np.ndarray:
                          for p in range(2, _P_MAX + 2)])
 
 
-def _power_norms(system: SystemSpec) -> np.ndarray:
-    """|X**p|_1 for p = 2..p_max + 1: :func:`_exact_norms` at d <= 8, else :func:`_estimated_norms`."""
+def _power_norms(system: SystemSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """|X**p|_1 for p = 2..p_max + 1 and the rows they were read off.
+
+    At d <= 8 these are :func:`_exact_norms` of :func:`_generator_rows`, and
+    the rows come back with them; above, :func:`_estimated_norms` and None.
+    """
     if _takes_exact_norms(system.d):
-        return _exact_norms(system)
-    return _estimated_norms(system)
+        rows = _generator_rows(system)
+        return _exact_norms(rows), rows
+    return _estimated_norms(system), None
 
 
-def _alpha_by_degree(system: SystemSpec, beta: float) -> np.ndarray:
-    """The unit-time alpha each tabulated degree m may use, from :func:`_power_norms`.
+def _alpha_by_degree(norms: np.ndarray, beta: float) -> np.ndarray:
+    """The unit-time alpha each tabulated degree m may use, from the power norms.
 
+    ``norms`` holds |X**p|_1 for p = 2..p_max + 1 (:func:`_power_norms`);
     alpha_p = max(d_p, d_(p+1)) with d_p = |X**p|_1**(1/p), clamped at beta;
     degree m takes the least alpha_p over the p <= p_max with p(p - 1) - 1 <= m
     (Al-Mohy and Higham, Theorem 4.2 and Code Fragment 3.1).
     """
     powers = np.arange(2, _P_MAX + 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        roots = _power_norms(system) ** (1.0 / powers)
+        roots = norms ** (1.0 / powers)
     alpha = np.fmin(np.maximum(roots[:-1], roots[1:]), beta)
     allowed = (powers[:-1] * (powers[:-1] - 1) - 1)[:, None] <= _DEGREES
     return np.where(allowed, alpha[:, None], np.inf).min(axis=0)
@@ -476,8 +492,11 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     alpha = h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) taken
     once per call, exact at d <= 8 and estimated above
     (:func:`_power_norms`, :func:`_alpha_by_degree`).  That alpha is at
-    most h beta, so no gap's plan grows.  A substep's series stops early
-    once two consecutive terms fall under 2**-53 of the sum.  Over
+    most h beta, so no gap's plan grows.  Where the exact norms are taken,
+    every term is one product of K, which they were read off, with the flat
+    V (:func:`_generator_rows`); elsewhere it is a map application.
+    A substep's series stops early once two consecutive terms fall under
+    2**-53 of the sum, and each grid time's V is checked for overflow.  Over
     :data:`_MAX_TAYLOR_WORK` in all, or with mu or beta not finite, it is a
     ``RuntimeError`` before any map is built.
     """
@@ -491,11 +510,17 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
         applications = float(degrees @ substeps) + take_norms * _NORMEST_APPLICATIONS
     _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
     system = SystemSpec(shifted, spec.noise_mats)
-    apply = second_moment_map(system, "continuous")
+    rows = None
     if take_norms:
-        degrees, substeps = _plan(gaps, _alpha_by_degree(system, beta))
+        norms, rows = _power_norms(system)
+        degrees, substeps = _plan(gaps, _alpha_by_degree(norms, beta))
+    # K, once built for the norms, takes each term as one product with the
+    # flat V; otherwise each term is a map application
+    if rows is None:
+        cur, apply = v0, second_moment_map(system, "continuous")
+    else:
+        cur, apply = v0.ravel(), lambda x: x @ rows
     values = []
-    cur = v0
     for t, gap, degree, steps in zip(t_grid, gaps, degrees, substeps.astype(int)):
         tau = gap / max(steps, 1)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -513,7 +538,7 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
                         break
                     last = size
                 cur = np.exp(mu * tau) * series
-        values.append(_finite(cur, f"covariance propagation before t={t}"))
+        values.append(_finite(cur.reshape(v0.shape), f"covariance propagation before t={t}"))
     return values
 
 
@@ -552,8 +577,9 @@ def propagate_continuous(
     the substeps and at the degree (at most 55) that minimise the map
     applications for a backward error of 2**-53, a series stopping early
     once its terms fall under 2**-53 of the sum.  It forms neither C nor its
-    exponential, so it runs at any d; at d <= 8 its plan may read norms off
-    the matrix of L, built by applying L, but the values never use it.
+    exponential, so it runs at any d.  At d <= 8, once its plan reads norms
+    off K, the matrix of L built by applying L to the d**2 unit matrices, its
+    terms are products with K; otherwise each is an application of L.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from scipy.stats import ortho_group
 
 from conftest import kron_sum, random_system, vec
 from kronspec import evolution
-from kronspec.cli import demo_system
+from kronspec.cli import demo_system, main
 from kronspec.evolution import (
     exact_covariance,
     matrix_exponential,
@@ -37,6 +38,7 @@ from kronspec.matrices import (
     real_unvec,
     real_vec,
 )
+from kronspec.sysio import system_document
 
 
 def _fail(*args, **kwargs):
@@ -532,7 +534,7 @@ class TestPropagateContinuous:
         # on criterion 4's systems they stay within a factor 2 of it
         for spec, _, _ in _criterion4_systems():
             mu, shifted, _ = _shift(spec)
-            est = _power_norms(SystemSpec(shifted, spec.noise_mats))
+            est = _power_norms(SystemSpec(shifted, spec.noise_mats))[0]
             cmat = kron_sum(spec, "continuous") - mu * np.eye(spec.d ** 2)
             exact = np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
                               for p in range(2, 10)])
@@ -559,8 +561,9 @@ class TestPropagateContinuous:
         spec, _, _ = _estimated_system()
         calls = _spy_normest(monkeypatch)
         shifted = _shift(spec)[1]
-        est = _power_norms(SystemSpec(shifted, spec.noise_mats))
+        est, rows = _power_norms(SystemSpec(shifted, spec.noise_mats))
         assert calls == list(range(2, _P_MAX + 2))
+        assert rows is None
         exact = _exact_power_norms(spec)
         assert np.all(est <= exact * (1 + 1e-12))
         assert np.all(est >= 0.5 * exact)
@@ -574,8 +577,9 @@ class TestPropagateContinuous:
         assert np.array_equal(first.values, again.values)
 
     def test_criterion4_map_applications(self, monkeypatch):
-        # 12,784 with the power norms included; 19 terms per substep
-        # of tau beta = 1 would take 167,058
+        # 2,256 with the power norms included, where the series terms of
+        # 10,528 more are products with K; 19 terms per substep of
+        # tau beta = 1 would take 167,058
         count = [0]
 
         def counting(build):
@@ -635,7 +639,7 @@ class TestPowerNorms:
     def test_exact_on_criterion4_systems(self):
         for spec, _, _ in _criterion4_systems():
             shifted = _shift(spec)[1]
-            got = _power_norms(SystemSpec(shifted, spec.noise_mats))
+            got = _power_norms(SystemSpec(shifted, spec.noise_mats))[0]
             exact = _exact_power_norms(spec)
             assert np.all(np.abs(got - exact) <= 1e-12 * exact)
 
@@ -669,13 +673,16 @@ class TestPowerNorms:
     def test_forced_estimates_give_criterion4_the_same_bits(self, monkeypatch):
         # on these systems the estimator finds each power's largest column,
         # so both plans, and the trajectories, are the same; only the norms
-        # are forced, so the norms are taken for the same grids
+        # are forced, so the norms are taken for the same grids, and K is
+        # built and takes the terms in both runs
         systems = list(_criterion4_systems())
         exact = [propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
                  for spec, u, v in systems]
-        monkeypatch.setattr(evolution, "_exact_norms", evolution._estimated_norms)
         calls = _spy_normest(monkeypatch)
         for (spec, u, v), want in zip(systems, exact):
+            system = SystemSpec(_shift(spec)[1], spec.noise_mats)
+            monkeypatch.setattr(evolution, "_exact_norms",
+                                lambda rows: evolution._estimated_norms(system))
             got = propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
             assert np.array_equal(got, want)
         assert calls
@@ -715,7 +722,7 @@ class TestTaylorPlan:
         (by_beta, beta_work), (by_alpha, alpha_work) = plans
         assert np.array_equal(by_beta, np.full(len(_THETA), beta))
         # one row of alpha for every gap
-        want = evolution._alpha_by_degree(SystemSpec(shifted, spec.noise_mats), beta)
+        want = evolution._alpha_by_degree(_power_norms(SystemSpec(shifted, spec.noise_mats))[0], beta)
         assert np.array_equal(by_alpha, want)
         assert np.all(alpha_work <= beta_work)
         assert alpha_work[0] < beta_work[0]
@@ -750,6 +757,126 @@ class TestTaylorPlan:
             for t, got in zip(times, traj.values):
                 want = scipy.linalg.expm(t * cmat) @ w0
                 assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+
+class _CountedRows:
+    """K's rows behind a counter of the products ``x @ rows``."""
+
+    __array_ufunc__ = None  # numpy defers x @ self to __rmatmul__
+
+    def __init__(self, rows):
+        self.rows, self.products = rows, 0
+
+    def __rmatmul__(self, x):
+        self.products += 1
+        return x @ self.rows
+
+
+class TestTaylorOperator:
+    """Once the exact norms have built K, every series term is one product
+    with K; otherwise every term is a map application."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the shape of every map input and the K built for the norms."""
+        shapes, ks = [], []
+        build, norms = evolution.second_moment_map, evolution._power_norms
+
+        def counting(*args):
+            apply = build(*args)
+            return lambda v: shapes.append(v.shape) or apply(v)
+
+        def counted_norms(system):
+            got, rows = norms(system)
+            if rows is not None:
+                ks.append(_CountedRows(rows))
+                rows = ks[-1]
+            return got, rows
+
+        monkeypatch.setattr(evolution, "second_moment_map", counting)
+        monkeypatch.setattr(evolution, "_power_norms", counted_norms)
+        return shapes, ks
+
+    @staticmethod
+    def _on_the_map(monkeypatch):
+        """Make the Taylor route drop K, so the same plan runs on the map."""
+        norms = evolution._power_norms
+        monkeypatch.setattr(evolution, "_power_norms", lambda system: (norms(system)[0], None))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_terms_are_products_with_k_once_the_norms_are_taken(self, monkeypatch, d):
+        # criterion 4's first system of dimension d whose gap from 0.25 to 1
+        # takes the norms (none does at d = 2), or a d = 8 one with beta = 265
+        if d == 8:
+            rng = np.random.default_rng(2)
+            spec, u, v = random_system(rng, 8, 3), _random_vec(rng, 8), _random_vec(rng, 8)
+        else:
+            spec, u, v = next(s for s in _criterion4_systems()
+                              if s[0].d == d and 0.75 * _shift(s[0])[2] > _THETA[_M_MAX])
+        with monkeypatch.context() as patch:
+            self._on_the_map(patch)
+            shapes, _ = self._spy(patch)
+            propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+            # K is still built for the norms, then the terms run on the map
+            assert shapes[0] == (d * d, d, d)
+            terms = len(shapes) - 1
+            assert set(shapes[1:]) == {(d, d)}
+        shapes, ks = self._spy(monkeypatch)
+        propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        # one application, to the stack of unit matrices, builds K
+        assert shapes == [(d * d, d, d)]
+        (k,) = ks
+        assert k.products == terms > 0
+
+    def test_terms_go_through_the_map_below_theta_55(self, monkeypatch):
+        spec, u, v = next(s for s in _criterion4_systems() if s[0].d == 5 and s[0].m == 3)
+        t = 0.99 * _THETA[_M_MAX] / _shift(spec)[2]
+        shapes, ks = self._spy(monkeypatch)
+        propagate_continuous(spec, u, v, [t], "ode")
+        assert not ks
+        assert shapes and set(shapes) == {(5, 5)}
+
+    def test_terms_go_through_the_map_at_d9(self, monkeypatch):
+        # the estimator applies the map to stacks; the terms, to one matrix each
+        spec, u, v = _estimated_system()
+        shapes, ks = self._spy(monkeypatch)
+        estimates = _spy_normest(monkeypatch)
+        propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
+        assert estimates and not ks
+        assert (9, 9) in shapes
+
+    def test_criterion4_matches_the_map(self, monkeypatch):
+        times = [0.25, 1.0]
+        systems = list(_criterion4_systems())
+        with_k = [propagate_continuous(spec, u, v, times, "ode") for spec, u, v in systems]
+        self._on_the_map(monkeypatch)
+        for (spec, u, v), got in zip(systems, with_k):
+            want = propagate_continuous(spec, u, v, times, "ode")
+            assert max_relative_discrepancy(got, want) <= 1e-13
+
+    @pytest.mark.filterwarnings("error")  # overflow is one error line, never a warning first
+    def test_overflow_names_the_same_grid_time_as_the_map(self, monkeypatch, tmp_path, capsys):
+        # mu = 700 and beta = 40.25: the gaps of 0.5 pass theta_55, so K is
+        # built; V grows like e^(740 t), past double range before t = 1
+        spec = SystemSpec(np.diag([370.0, 330.0]), (0.5 * np.eye(2)[::-1],))
+        path = tmp_path / "grows.json"
+        path.write_text(json.dumps(system_document(spec)))
+        argv = ["evolve", str(path), "--mode=continuous", "--u", "[[1,0],[0,0]]",
+                "--times", "0.5,1,1.5", "--route", "ode"]
+        errors = []
+        for on_the_map in (False, True):
+            if on_the_map:
+                self._on_the_map(monkeypatch)
+            _, ks = self._spy(monkeypatch)
+            assert main(argv) == 70
+            assert bool(ks) != on_the_map
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+            with pytest.raises(OverflowError, match=r"before t=1\.0 overflowed"):
+                propagate_continuous(spec, [1, 0], [1, 0], [0.5, 1.0, 1.5], "ode")
+        assert errors[0] == errors[1]
+        assert "t=1.0" in errors[0]
 
 
 class TestKroneckerRouteDoubling:
