@@ -24,13 +24,16 @@ degree (at most 55) and substep count by Al-Mohy and Higham's
 action-of-the-exponential algorithm, from a bound beta on |C - mu I|_1 or,
 once some gap needs more, from the 1-norms of the powers of C - mu I, which
 then plan every gap.  At d <= 8 these are exact and taken as soon as beta
-alone needs a second substep: the plan reads them off K, the
-d**2-by-d**2 matrix of the map, built by applying the map to all d**2 unit
-matrices, and the series then takes each term as one product with K.
-Above d = 8 the block 1-norm estimator takes them through the d-by-d maps,
-past a larger h beta; there, and wherever the norms are not taken, each
-term is a map application.  The Taylor route never builds C, and its
-values come from the map alone, since K's columns are the map's images.
+alone needs a second substep: the plan reads them off the powers K, ...,
+K**9 of K, the d**2-by-d**2 matrix of the map, built by applying the map to
+all d**2 unit matrices, and each substep's Taylor polynomial is then summed
+on those powers by Paterson and Stockmeyer's method, with Horner steps on
+K**9 (powers scaled by 2**-e near 1/|K|_1, so that none overflows).  Above
+d = 8 the block 1-norm estimator takes them through the d-by-d maps, past a
+larger h beta; there, and wherever the norms are not taken, each term is a
+map application and a substep's series stops once its terms fall under
+2**-53 of the sum.  The Taylor route never builds C, and its values come
+from the map alone, since K's columns are the map's images.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -102,12 +106,12 @@ _NORMEST_ITERATIONS = 5
 #: two.  The exact norms (:func:`_exact_norms`) run instead while
 #: (p_max + 1) d**2 is no more (d <= 8), so this prices them with room to
 #: spare: they apply the map to the d**2 unit matrices once
-#: (:func:`_generator_rows`), and their p_max dense d**2-by-d**2 products
+#: (:func:`_generator_powers`), and their p_max dense d**2-by-d**2 products
 #: take less time than p_max more applications to that stack would.
 _NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(range(2, _P_MAX + 2)))
 
-#: A substep's series stops once two consecutive terms fall under this
-#: fraction of the partial sum (1-norms of the matrices' entries).
+#: A substep's series on the map stops once two consecutive terms fall under
+#: this fraction of the partial sum (1-norms of the matrices' entries).
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 #: Multiply-adds charged for each d-by-d product of a map application, on top
@@ -126,8 +130,10 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: are taken, the recursion one per step; checked before the first map is
 #: built: about 10-35 s of work at any d.  The largest charge in use
 #: (criterion 4, d = 5, m = 3) is 1,602 applications, 4.2e8, for a run that
-#: applies the map once, to its 25 unit matrices, and takes its 113 series
-#: terms as products with K (see :func:`_taylor_on_grid`).
+#: applies the map once, to its 25 unit matrices, and sums the polynomials
+#: of its 3 substeps, of degree 40 and 50 (140 terms), on the powers of K
+#: with 3 stacked products and 14 Horner products (see
+#: :func:`_taylor_on_grid`).
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -390,32 +396,41 @@ def _takes_exact_norms(d: int) -> bool:
     return (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS
 
 
-def _generator_rows(system: SystemSpec) -> np.ndarray:
-    """K transposed, K the d**2-by-d**2 matrix of X, the generator of ``system``.
+def _generator_powers(system: SystemSpec) -> tuple[np.ndarray, int]:
+    """S, S**2, ..., S**(p_max + 1) stacked, and e, where S = 2**-e K^T and K
+    is the d**2-by-d**2 matrix of X, the generator of ``system``.
 
-    Row k is X(E_k) raveled, E_k the k-th unit matrix, so that
-    X(V).ravel() = V.ravel() @ rows: one stacked application of X to the d**2
-    unit matrices.  K is built by the map, not by
-    :func:`kronsum.build_continuous_sum`.
+    Row k of K^T is X(E_k) raveled, E_k the k-th unit matrix, so that
+    X(V).ravel() = V.ravel() @ K^T: one stacked application of X to the d**2
+    unit matrices builds it, not :func:`kronsum.build_continuous_sum`.  e is
+    the binary exponent of |K|_1, so |S|_1 < 1 and no power overflows, while
+    each S**p, from p_max dense products, is (K^T)**p scaled by 2**(-e p),
+    exactly but for entries that fall under 2**-1022.
     """
     d = system.d
+    n = d * d
     with np.errstate(over="ignore", invalid="ignore"):
-        units = np.eye(d * d).reshape(d * d, d, d)
-        return second_moment_map(system, "continuous")(units).reshape(d * d, d * d)
+        units = np.eye(n).reshape(n, d, d)
+        rows = second_moment_map(system, "continuous")(units).reshape(n, n)
+        e = math.frexp(float(np.abs(rows).sum(axis=1).max()))[1]
+        powers = np.empty((_P_MAX + 1, n, n), dtype=rows.dtype)
+        # ldexp on the float view scales real and imaginary parts alike
+        powers[0] = np.ldexp(rows.view(np.float64), -e).view(rows.dtype)
+        for p in range(1, _P_MAX + 1):
+            np.matmul(powers[p - 1], powers[0], out=powers[p])
+    return powers, e
 
 
-def _exact_norms(rows: np.ndarray) -> np.ndarray:
-    """|X**p|_1 for p = 2..p_max + 1, read off K from ``rows``, its transpose.
+def _exact_norms(powers: tuple[np.ndarray, int]) -> np.ndarray:
+    """|X**p|_1 for p = 2..p_max + 1, read off the (stack, e) of :func:`_generator_powers`.
 
-    |X**p|_1 is the largest column sum of |K**p|, so the largest row sum of
-    |rows**p|, from p_max dense products.
+    |X**p|_1 is the largest column sum of |K**p|, so 2**(e p) times the
+    largest row sum of |S**p|: the norms of the unscaled powers bit for bit,
+    and inf where those overflow.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        power, norms = rows, []
-        for _ in range(_P_MAX):
-            power = power @ rows
-            norms.append(np.abs(power).sum(axis=1).max())
-    return np.array(norms)
+    stack, e = powers
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.abs(stack[1:]).sum(axis=2).max(axis=1), e * np.arange(2, _P_MAX + 2))
 
 
 def _estimated_norms(system: SystemSpec) -> np.ndarray:
@@ -440,15 +455,16 @@ def _estimated_norms(system: SystemSpec) -> np.ndarray:
                          for p in range(2, _P_MAX + 2)])
 
 
-def _power_norms(system: SystemSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """|X**p|_1 for p = 2..p_max + 1 and the rows they were read off.
+def _power_norms(system: SystemSpec) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:
+    """|X**p|_1 for p = 2..p_max + 1 and the powers they were read off.
 
-    At d <= 8 these are :func:`_exact_norms` of :func:`_generator_rows`, and
-    the rows come back with them; above, :func:`_estimated_norms` and None.
+    At d <= 8 these are :func:`_exact_norms` of :func:`_generator_powers`,
+    and its (stack, e) comes back with them; above, :func:`_estimated_norms`
+    and None.
     """
     if _takes_exact_norms(system.d):
-        rows = _generator_rows(system)
-        return _exact_norms(rows), rows
+        powers = _generator_powers(system)
+        return _exact_norms(powers), powers
     return _estimated_norms(system), None
 
 
@@ -481,6 +497,62 @@ def _plan(gaps: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _DEGREES[pick], steps[np.arange(len(gaps)), pick]
 
 
+def _substeps_on_map(apply, x: np.ndarray, tau: float, degree: int, steps: int,
+                     growth: float) -> np.ndarray:
+    """``steps`` substeps x <- growth sum_{j<=degree} (tau X)^j x/j! by ``apply``, X's map.
+
+    Each term is one map application, and a substep's series stops early
+    once two consecutive terms fall under 2**-53 of the sum.
+    """
+    for _ in range(steps):
+        term, series = x, x.copy()
+        last = total = float(np.abs(term).sum())
+        for j in range(1, degree + 1):
+            term = (tau / j) * apply(term)
+            series += term
+            size = float(np.abs(term).sum())
+            total += size
+            # |series|_1 <= total, so the test can pass only when this one does
+            if last + size <= _UNIT_ROUNDOFF * total and (
+                    last + size <= _UNIT_ROUNDOFF * float(np.abs(series).sum())):
+                break
+            last = size
+        x = growth * series
+    return x
+
+
+def _substeps_on_powers(powers: tuple[np.ndarray, int], x: np.ndarray, tau: float,
+                        degree: int, steps: int, growth: float) -> np.ndarray:
+    """``steps`` substeps x <- growth sum_{j<=degree} (tau^j/j!) x (K^T)^j, x the flat V.
+
+    ``powers`` is the (stack, e) of :func:`_generator_powers`, S**1..S**q with
+    q = p_max + 1 and S = 2**-e K^T, so the coefficients (2**e tau)^j/j!
+    carry the scale.  Paterson and Stockmeyer (SIAM J. Comput. 2(1), 1973):
+    with j = q k + i, the polynomial is sum_k b_k S^(q k), b_k = sum_{i<q}
+    c_(q k + i) x S^i, so one stacked product forms the basis x S^i, one
+    product of the coefficient blocks with it every b_k, and
+    ceil((degree + 1)/q) - 1 Horner steps y <- y S^q + b_k finish the sum.
+    """
+    stack, e = powers
+    q = len(stack)
+    blocks = -(-(degree + 1) // q)
+    width = min(degree + 1, q)
+    coeffs = np.zeros(blocks * q)
+    coeffs[0] = 1.0
+    coeffs[1:degree + 1] = np.cumprod(math.ldexp(tau, e) / np.arange(1, degree + 1))
+    coeffs = coeffs.reshape(blocks, q)[:, :width]
+    basis = np.empty((width, x.size), dtype=np.result_type(x, stack))
+    for _ in range(steps):
+        basis[0] = x
+        np.matmul(x, stack[:width - 1], out=basis[1:])
+        parts = coeffs @ basis
+        x = parts[-1]
+        for part in parts[-2::-1]:
+            x = x @ stack[-1] + part
+        x = growth * x
+    return x
+
+
 def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
     """``e^(tL) V0`` at each grid time, by Al-Mohy and Higham's Algorithm 3.2.
 
@@ -493,12 +565,13 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     once per call, exact at d <= 8 and estimated above
     (:func:`_power_norms`, :func:`_alpha_by_degree`).  That alpha is at
     most h beta, so no gap's plan grows.  Where the exact norms are taken,
-    every term is one product of K, which they were read off, with the flat
-    V (:func:`_generator_rows`); elsewhere it is a map application.
-    A substep's series stops early once two consecutive terms fall under
-    2**-53 of the sum, and each grid time's V is checked for overflow.  Over
-    :data:`_MAX_TAYLOR_WORK` in all, or with mu or beta not finite, it is a
-    ``RuntimeError`` before any map is built.
+    each substep sums its whole polynomial on the flat V with the powers of
+    K they were read off (:func:`_substeps_on_powers`); elsewhere each term
+    is a map application, and a substep's series stops early once two
+    consecutive terms fall under 2**-53 of the sum (:func:`_substeps_on_map`).
+    Each grid time's V is checked for overflow.  Over :data:`_MAX_TAYLOR_WORK`
+    in all, or with mu or beta not finite, it is a ``RuntimeError`` before
+    any map is built.
     """
     mu, shifted, beta = _shift(spec)
     gaps = np.diff(t_grid, prepend=0.0)
@@ -510,34 +583,21 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
         applications = float(degrees @ substeps) + take_norms * _NORMEST_APPLICATIONS
     _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
     system = SystemSpec(shifted, spec.noise_mats)
-    rows = None
+    powers = None
     if take_norms:
-        norms, rows = _power_norms(system)
+        norms, powers = _power_norms(system)
         degrees, substeps = _plan(gaps, _alpha_by_degree(norms, beta))
-    # K, once built for the norms, takes each term as one product with the
-    # flat V; otherwise each term is a map application
-    if rows is None:
-        cur, apply = v0, second_moment_map(system, "continuous")
+    # the powers of K, once formed for the norms, sum each substep's
+    # polynomial; otherwise its terms are map applications
+    if powers is None:
+        cur, advance = v0, partial(_substeps_on_map, second_moment_map(system, "continuous"))
     else:
-        cur, apply = v0.ravel(), lambda x: x @ rows
+        cur, advance = v0.ravel(), partial(_substeps_on_powers, powers)
     values = []
     for t, gap, degree, steps in zip(t_grid, gaps, degrees, substeps.astype(int)):
         tau = gap / max(steps, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(steps):
-                term, series = cur, cur.copy()
-                last = total = float(np.abs(term).sum())
-                for j in range(1, degree + 1):
-                    term = (tau / j) * apply(term)
-                    series += term
-                    size = float(np.abs(term).sum())
-                    total += size
-                    # |series|_1 <= total, so the test can pass only when this one does
-                    if last + size <= _UNIT_ROUNDOFF * total and (
-                            last + size <= _UNIT_ROUNDOFF * float(np.abs(series).sum())):
-                        break
-                    last = size
-                cur = np.exp(mu * tau) * series
+            cur = advance(cur, tau, degree, steps, np.exp(mu * tau))
         values.append(_finite(cur.reshape(v0.shape), f"covariance propagation before t={t}"))
     return values
 
@@ -575,11 +635,13 @@ def propagate_continuous(
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
     (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, each grid gap in
     the substeps and at the degree (at most 55) that minimise the map
-    applications for a backward error of 2**-53, a series stopping early
-    once its terms fall under 2**-53 of the sum.  It forms neither C nor its
+    applications for a backward error of 2**-53.  It forms neither C nor its
     exponential, so it runs at any d.  At d <= 8, once its plan reads norms
-    off K, the matrix of L built by applying L to the d**2 unit matrices, its
-    terms are products with K; otherwise each is an application of L.
+    off the powers of K, the matrix of L built by applying L to the d**2 unit
+    matrices, each substep's polynomial is summed on those powers by
+    Paterson and Stockmeyer's method; otherwise each term is an application
+    of L, and a substep's series stops early once its terms fall under
+    2**-53 of the sum.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")

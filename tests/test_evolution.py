@@ -577,9 +577,9 @@ class TestPropagateContinuous:
         assert np.array_equal(first.values, again.values)
 
     def test_criterion4_map_applications(self, monkeypatch):
-        # 2,256 with the power norms included, where the series terms of
-        # 10,528 more are products with K; 19 terms per substep of
-        # tau beta = 1 would take 167,058
+        # 2,256 with the power norms included, where the substeps that take
+        # them sum their polynomials on the powers of K instead; 19 terms per
+        # substep of tau beta = 1 would take 167,058
         count = [0]
 
         def counting(build):
@@ -673,8 +673,8 @@ class TestPowerNorms:
     def test_forced_estimates_give_criterion4_the_same_bits(self, monkeypatch):
         # on these systems the estimator finds each power's largest column,
         # so both plans, and the trajectories, are the same; only the norms
-        # are forced, so the norms are taken for the same grids, and K is
-        # built and takes the terms in both runs
+        # are forced, so the norms are taken for the same grids, and the
+        # powers of K are formed and sum the polynomials in both runs
         systems = list(_criterion4_systems())
         exact = [propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
                  for spec, u, v in systems]
@@ -682,7 +682,7 @@ class TestPowerNorms:
         for (spec, u, v), want in zip(systems, exact):
             system = SystemSpec(_shift(spec)[1], spec.noise_mats)
             monkeypatch.setattr(evolution, "_exact_norms",
-                                lambda rows: evolution._estimated_norms(system))
+                                lambda powers: evolution._estimated_norms(system))
             got = propagate_continuous(spec, u, v, [0.25, 1.0], "ode").values
             assert np.array_equal(got, want)
         assert calls
@@ -759,26 +759,35 @@ class TestTaylorPlan:
                 assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want)), t
 
 
-class _CountedRows:
-    """K's rows behind a counter of the products ``x @ rows``."""
+class _CountedProducts(np.ndarray):
+    """The stack of K's powers, logging the operand dimensions of every
+    product it, or a slice of it, takes part in."""
 
-    __array_ufunc__ = None  # numpy defers x @ self to __rmatmul__
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
 
-    def __init__(self, rows):
-        self.rows, self.products = rows, 0
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(tuple(np.ndim(x) for x in inputs))
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedProducts) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
 
-    def __rmatmul__(self, x):
-        self.products += 1
-        return x @ self.rows
+
+def _overflow_edge():
+    """A rotation at rate 1e36 with noise B = 1e17 I: beta = 2.02e36, so
+    |K^9|_1 overflows while V stays finite, tr V(t) = e^(1e34 t)."""
+    spec = SystemSpec(1e36 * np.array([[0.0, 1.0], [-1.0, 0.0]]), (1e17 * np.eye(2),))
+    return spec, np.array([1.0, 0.0]), np.array([1.0, 0.0]), [1e-35, 2e-35]
 
 
 class TestTaylorOperator:
-    """Once the exact norms have built K, every series term is one product
-    with K; otherwise every term is a map application."""
+    """Once the exact norms have formed the powers of K, each substep's
+    polynomial is summed on them by Paterson and Stockmeyer; otherwise every
+    term is a map application."""
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record the shape of every map input and the K built for the norms."""
+        """Record the shape of every map input and the powers formed for the norms."""
         shapes, ks = [], []
         build, norms = evolution.second_moment_map, evolution._power_norms
 
@@ -787,11 +796,13 @@ class TestTaylorOperator:
             return lambda v: shapes.append(v.shape) or apply(v)
 
         def counted_norms(system):
-            got, rows = norms(system)
-            if rows is not None:
-                ks.append(_CountedRows(rows))
-                rows = ks[-1]
-            return got, rows
+            got, powers = norms(system)
+            if powers is not None:
+                stack, e = powers
+                ks.append(stack.view(_CountedProducts))
+                ks[-1].log = []
+                powers = ks[-1], e
+            return got, powers
 
         monkeypatch.setattr(evolution, "second_moment_map", counting)
         monkeypatch.setattr(evolution, "_power_norms", counted_norms)
@@ -799,12 +810,12 @@ class TestTaylorOperator:
 
     @staticmethod
     def _on_the_map(monkeypatch):
-        """Make the Taylor route drop K, so the same plan runs on the map."""
+        """Make the Taylor route drop K's powers, so the same plan runs on the map."""
         norms = evolution._power_norms
         monkeypatch.setattr(evolution, "_power_norms", lambda system: (norms(system)[0], None))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
-    def test_terms_are_products_with_k_once_the_norms_are_taken(self, monkeypatch, d):
+    def test_polynomials_run_on_the_powers_of_k_once_the_norms_are_taken(self, monkeypatch, d):
         # criterion 4's first system of dimension d whose gap from 0.25 to 1
         # takes the norms (none does at d = 2), or a d = 8 one with beta = 265
         if d == 8:
@@ -813,20 +824,25 @@ class TestTaylorOperator:
         else:
             spec, u, v = next(s for s in _criterion4_systems()
                               if s[0].d == d and 0.75 * _shift(s[0])[2] > _THETA[_M_MAX])
-        with monkeypatch.context() as patch:
-            self._on_the_map(patch)
-            shapes, _ = self._spy(patch)
-            propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
-            # K is still built for the norms, then the terms run on the map
-            assert shapes[0] == (d * d, d, d)
-            terms = len(shapes) - 1
-            assert set(shapes[1:]) == {(d, d)}
+        plans = []
+        plan = evolution._plan
+        monkeypatch.setattr(evolution, "_plan",
+                            lambda *args: plans.append(plan(*args)) or plans[-1])
         shapes, ks = self._spy(monkeypatch)
         propagate_continuous(spec, u, v, [0.25, 1.0], "ode")
-        # one application, to the stack of unit matrices, builds K
+        # one application, to the stack of unit matrices, builds K, whose
+        # p_max = 8 dense products form K^2..K^9
         assert shapes == [(d * d, d, d)]
         (k,) = ks
-        assert k.products == terms > 0
+        assert k.shape == (_P_MAX + 1, d * d, d * d)
+        # per substep: one stacked product for the basis V K^i, i < 9, then
+        # ceil((m + 1)/9) - 1 Horner products with K^9
+        degrees, substeps = plans[-1]
+        want = []
+        for degree, steps in zip(degrees, substeps.astype(int)):
+            want += steps * ([(1, 3)] + [(1, 2)] * (-(-(degree + 1) // 9) - 1))
+        assert k.log == want
+        assert (1, 2) in want
 
     def test_terms_go_through_the_map_below_theta_55(self, monkeypatch):
         spec, u, v = next(s for s in _criterion4_systems() if s[0].d == 5 and s[0].m == 3)
@@ -846,13 +862,36 @@ class TestTaylorOperator:
         assert (9, 9) in shapes
 
     def test_criterion4_matches_the_map(self, monkeypatch):
-        times = [0.25, 1.0]
-        systems = list(_criterion4_systems())
-        with_k = [propagate_continuous(spec, u, v, times, "ode") for spec, u, v in systems]
+        # plus the d = 8 system with beta = 265 and the overflow edge
+        rng = np.random.default_rng(2)
+        systems = [(*s, [0.25, 1.0]) for s in _criterion4_systems()] + [
+            (random_system(rng, 8, 3), _random_vec(rng, 8), _random_vec(rng, 8), [0.25, 1.0]),
+            _overflow_edge()]
+        with_k = [propagate_continuous(*s, "ode") for s in systems]
         self._on_the_map(monkeypatch)
-        for (spec, u, v), got in zip(systems, with_k):
-            want = propagate_continuous(spec, u, v, times, "ode")
+        for s, got in zip(systems, with_k):
+            want = propagate_continuous(*s, "ode")
             assert max_relative_discrepancy(got, want) <= 1e-13
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_where_the_powers_of_k_overflow(self, monkeypatch, tmp_path, capsys):
+        # |K^9|_1 is inf, yet the polynomial, summed on the scaled powers,
+        # keeps every V finite and matches the Kronecker route
+        spec, u, v, times = _overflow_edge()
+        calls = _spy_alpha(monkeypatch)
+        traj = propagate_continuous(spec, u, v, times, "ode")
+        assert len(calls) == 1
+        mu, shifted, beta = _shift(spec)
+        assert beta > 2e36
+        assert _power_norms(SystemSpec(shifted, spec.noise_mats))[0][-1] == np.inf
+        assert np.allclose(traj.second_moments, np.exp([0.1, 0.2]), rtol=1e-13, atol=0)
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(system_document(spec)))
+        assert main(["evolve", str(path), "--mode=continuous", "--u", "[[1,0],[0,0]]",
+                     "--times", "1e-35,2e-35", "--route", "both"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out.splitlines()[-1])["max_route_discrepancy"] <= 1e-10
 
     @pytest.mark.filterwarnings("error")  # overflow is one error line, never a warning first
     def test_overflow_names_the_same_grid_time_as_the_map(self, monkeypatch, tmp_path, capsys):
