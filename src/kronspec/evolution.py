@@ -128,12 +128,7 @@ _PRODUCT_OVERHEAD = 32 ** 3
 #: the applications of the plan from beta alone (which bounds every plan the
 #: power norms can choose) plus :data:`_NORMEST_APPLICATIONS` when the norms
 #: are taken, the recursion one per step; checked before the first map is
-#: built: about 10-35 s of work at any d.  The largest charge in use
-#: (criterion 4, d = 5, m = 3) is 1,602 applications, 4.2e8, for a run that
-#: applies the map once, to its 25 unit matrices, and sums the polynomials
-#: of its 3 substeps, of degree 40 and 50 (140 terms), on the powers of K
-#: with 3 stacked products and 14 Horner products (see
-#: :func:`_taylor_on_grid`).
+#: built: about 10-35 s of work at any d.
 _MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
@@ -390,12 +385,6 @@ def _normest(forward, backward, p: int, y: np.ndarray) -> float:
     return est
 
 
-def _takes_exact_norms(d: int) -> bool:
-    """Whether :func:`_exact_norms` serves dimension d: while (p_max + 1) d**2
-    <= :data:`_NORMEST_APPLICATIONS`, that is at d <= 8 (see there)."""
-    return (_P_MAX + 1) * d ** 2 <= _NORMEST_APPLICATIONS
-
-
 def _generator_powers(system: SystemSpec) -> tuple[np.ndarray, int]:
     """S, S**2, ..., S**(p_max + 1) stacked, and e, where S = 2**-e K^T and K
     is the d**2-by-d**2 matrix of X, the generator of ``system``.
@@ -455,23 +444,11 @@ def _estimated_norms(system: SystemSpec) -> np.ndarray:
                          for p in range(2, _P_MAX + 2)])
 
 
-def _power_norms(system: SystemSpec) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:
-    """|X**p|_1 for p = 2..p_max + 1 and the powers they were read off.
-
-    At d <= 8 these are :func:`_exact_norms` of :func:`_generator_powers`,
-    and its (stack, e) comes back with them; above, :func:`_estimated_norms`
-    and None.
-    """
-    if _takes_exact_norms(system.d):
-        powers = _generator_powers(system)
-        return _exact_norms(powers), powers
-    return _estimated_norms(system), None
-
-
 def _alpha_by_degree(norms: np.ndarray, beta: float) -> np.ndarray:
     """The unit-time alpha each tabulated degree m may use, from the power norms.
 
-    ``norms`` holds |X**p|_1 for p = 2..p_max + 1 (:func:`_power_norms`);
+    ``norms`` holds |X**p|_1 for p = 2..p_max + 1 (:func:`_exact_norms` or
+    :func:`_estimated_norms`);
     alpha_p = max(d_p, d_(p+1)) with d_p = |X**p|_1**(1/p), clamped at beta;
     degree m takes the least alpha_p over the p <= p_max with p(p - 1) - 1 <= m
     (Al-Mohy and Higham, Theorem 4.2 and Code Fragment 3.1).
@@ -553,6 +530,26 @@ def _substeps_on_powers(powers: tuple[np.ndarray, int], x: np.ndarray, tau: floa
     return x
 
 
+def _taylor_plan(spec: SystemSpec, mu: float, beta: float,
+                 gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Degree and substep count per grid gap from beta alone, and the power norms to take.
+
+    The norms are ``"exact"`` at d <= 8, where (p_max + 1) d**2 is within
+    :data:`_NORMEST_APPLICATIONS`, ``"estimated"`` above, or None where no
+    gap passes the trigger of :func:`_taylor_on_grid`.  The plan's map
+    applications, plus :data:`_NORMEST_APPLICATIONS` when norms are taken,
+    are priced by :func:`_check_work`; nothing here builds a map.
+    """
+    exact = (_P_MAX + 1) * spec.d ** 2 <= _NORMEST_APPLICATIONS
+    with np.errstate(over="ignore", invalid="ignore"):
+        take = bool((gaps * beta > (_THETA[_M_MAX] if exact else _ESTIMATE_ABOVE)).any())
+        degrees, substeps = _plan(gaps, np.full(len(_THETAS), beta))
+        # mu out of range puts beta out of range, and with it this count: refused below
+        applications = float(degrees @ substeps) + take * _NORMEST_APPLICATIONS
+    _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
+    return degrees, substeps, ("exact" if exact else "estimated") if take else None
+
+
 def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
     """``e^(tL) V0`` at each grid time, by Al-Mohy and Higham's Algorithm 3.2.
 
@@ -562,37 +559,29 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     alpha = h beta, unless some gap has h beta over theta_55 at d <= 8 (beta
     alone needs a second substep) or over 63.4 above: then every gap takes
     alpha = h min_p max(d_p, d_(p+1)), d_p = |(C - mu I)^p|_1^(1/p) taken
-    once per call, exact at d <= 8 and estimated above
-    (:func:`_power_norms`, :func:`_alpha_by_degree`).  That alpha is at
-    most h beta, so no gap's plan grows.  Where the exact norms are taken,
-    each substep sums its whole polynomial on the flat V with the powers of
-    K they were read off (:func:`_substeps_on_powers`); elsewhere each term
-    is a map application, and a substep's series stops early once two
-    consecutive terms fall under 2**-53 of the sum (:func:`_substeps_on_map`).
+    once per call, exact at d <= 8 and estimated above (:func:`_taylor_plan`,
+    :func:`_alpha_by_degree`).  That alpha is at most h beta, so no gap's
+    plan grows.  Where the exact norms are taken, each substep sums its whole
+    polynomial on the flat V with the powers of K they were read off
+    (:func:`_substeps_on_powers`); elsewhere each term is a map application,
+    and a substep's series stops early once two consecutive terms fall under
+    2**-53 of the sum (:func:`_substeps_on_map`).
     Each grid time's V is checked for overflow.  Over :data:`_MAX_TAYLOR_WORK`
     in all, or with mu or beta not finite, it is a ``RuntimeError`` before
     any map is built.
     """
     mu, shifted, beta = _shift(spec)
     gaps = np.diff(t_grid, prepend=0.0)
-    above = _THETA[_M_MAX] if _takes_exact_norms(spec.d) else _ESTIMATE_ABOVE
-    with np.errstate(over="ignore", invalid="ignore"):
-        take_norms = bool((gaps * beta > above).any())
-        degrees, substeps = _plan(gaps, np.full(len(_THETAS), beta))
-        # mu out of range puts beta out of range, and with it this count: refused below
-        applications = float(degrees @ substeps) + take_norms * _NORMEST_APPLICATIONS
-    _check_work(spec, "Taylor propagation", applications, f" (beta = {beta:.3g}, mu = {mu:.3g})")
+    degrees, substeps, source = _taylor_plan(spec, mu, beta, gaps)
     system = SystemSpec(shifted, spec.noise_mats)
-    powers = None
-    if take_norms:
-        norms, powers = _power_norms(system)
-        degrees, substeps = _plan(gaps, _alpha_by_degree(norms, beta))
-    # the powers of K, once formed for the norms, sum each substep's
-    # polynomial; otherwise its terms are map applications
-    if powers is None:
-        cur, advance = v0, partial(_substeps_on_map, second_moment_map(system, "continuous"))
+    if source == "exact":
+        powers = _generator_powers(system)
+        norms, cur, advance = _exact_norms(powers), v0.ravel(), partial(_substeps_on_powers, powers)
     else:
-        cur, advance = v0.ravel(), partial(_substeps_on_powers, powers)
+        norms = _estimated_norms(system) if source else None
+        cur, advance = v0, partial(_substeps_on_map, second_moment_map(system, "continuous"))
+    if source:
+        degrees, substeps = _plan(gaps, _alpha_by_degree(norms, beta))
     values = []
     for t, gap, degree, steps in zip(t_grid, gaps, degrees, substeps.astype(int)):
         tau = gap / max(steps, 1)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _check_work, _initial_outer, exact_covariance
+from .evolution import _check_work, _initial_outer, _shift, _taylor_plan, exact_covariance
 from .matrices import SystemSpec
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
@@ -325,6 +325,10 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
     scheme's covariance bias is O(dt); comparisons against exact propagation
     should allow max(4*SE, c*dt).
     ``cfg.dt`` is adjusted to divide the horizon into a whole number of steps.
+    The Taylor propagation to the horizon that :func:`compare_to_exact`
+    checks against is priced here, before any path runs: over the work
+    budget of :func:`evolution.exact_covariance` it is that ``RuntimeError``
+    at once, not after the simulation.
     """
     u, v, same = _initial_outer(spec, u, v)
     if cfg.dt is None:
@@ -333,6 +337,8 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
     steps = _step_count(horizon / cfg.dt)
     if steps == 0 and horizon > 0:
         raise ValueError(f"dt={cfg.dt} rounds to zero steps over the horizon {horizon}")
+    mu, _, beta = _shift(spec)
+    _taylor_plan(spec, mu, beta, np.array([horizon]))
     dt = horizon / steps if steps > 0 else float(cfg.dt)
     a_step = np.eye(spec.d, dtype=np.complex128) + dt * spec.a
     noise_mats = tuple(math.sqrt(dt) * b for b in spec.noise_mats)

@@ -351,9 +351,12 @@ def _assert_one_error_line(captured, code, want):
         ["evolve", "FILE", "--u", U, "--steps", "x"],
         ["analyze", "FILE", "--mode", "sideways"],
         ["evolve", "FILE", "--mode", "discrete", "--u", U, "--steps", "1000000000000"],
+        ["evolve", "FILE", "--mode", "discrete", "--u", U],
+        ["evolve", "FILE", "--mode", "continuous", "--u", U],
     ],
     ids=["demo-sigma-nan", "bench-unknown-command", "analyze-unknown-option", "analyze-no-file",
-         "evolve-no-u", "evolve-steps-x", "analyze-mode-sideways", "evolve-steps-over-budget"],
+         "evolve-no-u", "evolve-steps-x", "analyze-mode-sideways", "evolve-steps-over-budget",
+         "evolve-discrete-no-steps", "evolve-continuous-no-times"],
 )
 def test_bad_arguments_exit_65(argv, demo_file, capsys):
     code = main([demo_file if a == "FILE" else a for a in argv])
@@ -476,6 +479,23 @@ def test_simulate_paths_over_budget_exits_65(demo_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     _assert_one_error_line(captured, code, 65)
     assert "multiply-adds, over the budget" in captured.err
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("discrete", ["--horizon", "800000"]),
+    ("continuous", ["--dt", "1e-6", "--horizon", "1"]),
+])
+def test_simulate_exact_side_budget_precedes_the_paths_budget(mode, extra, tmp_path, monkeypatch,
+                                                              capsys):
+    # over both budgets: the exact side, priced first, exits 70 rather than 65
+    monkeypatch.setattr("kronspec.montecarlo._simulate", _fail)
+    spec = (demo_system(0.5, 0.7, 2.0) if mode == "discrete"
+            else SystemSpec(np.diag([-4e5, 0.0]), (1e-3 * np.eye(2),)))
+    code = main(["simulate", _write_system(tmp_path, spec), f"--mode={mode}", "--u", U,
+                 "--paths", "1000000000000", *extra])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 70)
+    assert "map applications" in captured.err
 
 
 @pytest.mark.filterwarnings("error")

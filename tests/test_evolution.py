@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,8 +26,11 @@ from kronspec.evolution import (
     _P_MAX,
     _STEP_EXTRA_BYTES,
     _THETA,
-    _power_norms,
+    _estimated_norms,
+    _exact_norms,
+    _generator_powers,
     _shift,
+    _taylor_plan,
 )
 from kronspec.kronsum import (
     adjoint_moment_map,
@@ -82,6 +87,26 @@ def _spy_normest(monkeypatch):
     monkeypatch.setattr(evolution, "_normest",
                         lambda *args: calls.append(args[2]) or estimate(*args))
     return calls
+
+
+def _normest_exits(run):
+    """The tests before each ``break`` of :func:`evolution._normest` that ``run()`` takes."""
+    lines, first = inspect.getsourcelines(evolution._normest)
+    code = evolution._normest.__code__
+    taken = set()
+
+    def local(frame, event, arg):
+        if event == "line" and lines[frame.f_lineno - first].strip() == "break":
+            taken.add(lines[frame.f_lineno - first - 1].strip())
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(before)
+    return taken
 
 
 def _spy_alpha(monkeypatch):
@@ -177,6 +202,15 @@ class TestStepDiscrete:
 
 
 class TestPropagateDiscrete:
+    @pytest.mark.parametrize("call", [
+        lambda spec, u: propagate_discrete(spec, u, u, 1),
+        lambda spec, u: propagate_continuous(spec, u, u, [1.0], "ode"),
+        lambda spec, u: exact_covariance(spec, "continuous", u, u, 1.0),
+    ], ids=["discrete", "continuous", "exact"])
+    def test_initial_vector_of_the_wrong_dimension_refused(self, call):
+        with pytest.raises(ValueError, match=r"^initial vectors must have dimension 2, got 3 and 3$"):
+            call(demo_system(0.5, 0.7, 2.0), [1.0, 0.0, 0.0])
+
     def test_zero_steps_echoes_initial_outer(self, rng):
         spec = random_system(rng, 3, 1)
         u, v = _random_vec(rng, 3), _random_vec(rng, 3)
@@ -371,6 +405,11 @@ class TestMatrixExponential:
     def test_zero_time_gives_identity(self, crandn):
         assert np.array_equal(matrix_exponential(crandn(3, 3), 0.0), np.eye(3))
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            matrix_exponential(np.eye(2), t)
+
     def test_diagonal_matrix(self):
         a = np.diag([0.3 - 1.0j, -2.0 + 0.5j])
         for t in (0.1, 1.0, 7.3):
@@ -534,7 +573,7 @@ class TestPropagateContinuous:
         # on criterion 4's systems they stay within a factor 2 of it
         for spec, _, _ in _criterion4_systems():
             mu, shifted, _ = _shift(spec)
-            est = _power_norms(SystemSpec(shifted, spec.noise_mats))[0]
+            est = _estimated_norms(SystemSpec(shifted, spec.noise_mats))
             cmat = kron_sum(spec, "continuous") - mu * np.eye(spec.d ** 2)
             exact = np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
                               for p in range(2, 10)])
@@ -558,12 +597,15 @@ class TestPropagateContinuous:
         assert np.max(np.abs(vec(got) - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_estimated_power_norms_bound_the_exact_norms(self, monkeypatch):
-        spec, _, _ = _estimated_system()
+        spec, u, v = _estimated_system()
+        mu, shifted, beta = _shift(spec)
+        assert _taylor_plan(spec, mu, beta, np.array([1.0]))[2] == "estimated"
+        # and no K is built at d = 9
+        monkeypatch.setattr(evolution, "_generator_powers", _fail)
+        propagate_continuous(spec, u, v, [1.0], "ode")
         calls = _spy_normest(monkeypatch)
-        shifted = _shift(spec)[1]
-        est, rows = _power_norms(SystemSpec(shifted, spec.noise_mats))
+        est = _estimated_norms(SystemSpec(shifted, spec.noise_mats))
         assert calls == list(range(2, _P_MAX + 2))
-        assert rows is None
         exact = _exact_power_norms(spec)
         assert np.all(est <= exact * (1 + 1e-12))
         assert np.all(est >= 0.5 * exact)
@@ -639,19 +681,45 @@ class TestPowerNorms:
     def test_exact_on_criterion4_systems(self):
         for spec, _, _ in _criterion4_systems():
             shifted = _shift(spec)[1]
-            got = _power_norms(SystemSpec(shifted, spec.noise_mats))[0]
+            got = _exact_norms(_generator_powers(SystemSpec(shifted, spec.noise_mats)))
             exact = _exact_power_norms(spec)
             assert np.all(np.abs(got - exact) <= 1e-12 * exact)
 
     @pytest.mark.parametrize("offset, estimated", [(0, False), (1, True)])
     def test_estimator_runs_only_past_the_boundary(self, monkeypatch, offset, estimated):
+        # a grid time past both triggers: the plan takes the norms on either side
+        d = self.EXACT_UP_TO + offset
+        spec = random_system(np.random.default_rng(2), d, 3)
+        mu, _, beta = _shift(spec)
+        t = 1.01 * _ESTIMATE_ABOVE / beta
+        source = _taylor_plan(spec, mu, beta, np.array([t]))[2]
+        assert source == ("estimated" if estimated else "exact")
         calls = _spy_normest(monkeypatch)
-        _power_norms(random_system(np.random.default_rng(2), self.EXACT_UP_TO + offset, 3))
+        propagate_continuous(spec, np.eye(d)[0], np.eye(d)[0], [t], "ode")
         assert bool(calls) == estimated
+
+    @pytest.mark.parametrize("seed, d, m, rule", [
+        (1228, 3, 1, "if k and not sums[j] > est:"),
+        (19819, 6, 0, "if k == _NORMEST_ITERATIONS - 1:"),
+    ], ids=["no-increase", "last-iteration"])
+    def test_estimates_bound_the_norms_at_each_stopping_rule(self, seed, d, m, rule):
+        # small real systems, estimated directly (the route estimates only at
+        # d >= 9), on which some power's estimate stops by the given rule
+        rng = np.random.default_rng(seed)
+        spec = SystemSpec(rng.standard_normal((d, d)),
+                          tuple(0.5 * rng.standard_normal((d, d)) for _ in range(m)))
+        est = []
+        assert rule in _normest_exits(lambda: est.append(_estimated_norms(spec)))
+        cmat = kron_sum(spec, "continuous")
+        exact = np.array([np.linalg.norm(np.linalg.matrix_power(cmat, p), 1)
+                          for p in range(2, _P_MAX + 2)])
+        assert np.all(est[0] <= exact * (1 + 1e-12))
+        assert np.all(est[0] >= 0.5 * exact)
 
     def test_exact_norms_stay_within_the_estimator_price(self, monkeypatch):
         # counts stacked matrices, not calls: the norms take one call on the
-        # stack of d**2 = 64 unit matrices, and the powers are dense products
+        # stack of d**2 = 64 unit matrices, the powers are dense products,
+        # and so are the substeps, summed on those powers
         count = [0]
         build = evolution.second_moment_map
 
@@ -665,7 +733,10 @@ class TestPowerNorms:
 
         monkeypatch.setattr(evolution, "second_moment_map", counting)
         calls = _spy_normest(monkeypatch)
-        _power_norms(random_system(np.random.default_rng(2), self.EXACT_UP_TO, 3))
+        d = self.EXACT_UP_TO
+        spec = random_system(np.random.default_rng(2), d, 3)
+        t = 1.01 * _THETA[_M_MAX] / _shift(spec)[2]
+        propagate_continuous(spec, np.eye(d)[0], np.eye(d)[0], [t], "ode")
         assert not calls
         assert count[0] == self.EXACT_UP_TO ** 2
         assert count[0] <= _NORMEST_APPLICATIONS
@@ -722,10 +793,34 @@ class TestTaylorPlan:
         (by_beta, beta_work), (by_alpha, alpha_work) = plans
         assert np.array_equal(by_beta, np.full(len(_THETA), beta))
         # one row of alpha for every gap
-        want = evolution._alpha_by_degree(_power_norms(SystemSpec(shifted, spec.noise_mats))[0], beta)
+        system = SystemSpec(shifted, spec.noise_mats)
+        norms = (_estimated_norms(system) if spec.d > 8
+                 else _exact_norms(_generator_powers(system)))
+        want = evolution._alpha_by_degree(norms, beta)
         assert np.array_equal(by_alpha, want)
         assert np.all(alpha_work <= beta_work)
         assert alpha_work[0] < beta_work[0]
+
+    def test_plan_prices_a_grid_before_any_map_is_built(self, monkeypatch):
+        for name in ("second_moment_map", "_generator_powers", "_estimated_norms"):
+            monkeypatch.setattr(evolution, name, _fail)
+        d5 = next(s[0] for s in _criterion4_systems()
+                  if s[0].d == 5 and s[0].m == 3 and 0.75 * _shift(s[0])[2] > _ESTIMATE_ABOVE)
+        d9 = _estimated_system()[0]
+        for spec, grid, source in [(d5, [0.25, 1.0], "exact"), (d9, [0.25, 1.0], "estimated"),
+                                   (d5, [0.5 * _THETA[_M_MAX] / _shift(d5)[2]], None)]:
+            mu, _, beta = _shift(spec)
+            gaps = np.diff(grid, prepend=0.0)
+            degrees, substeps, got = _taylor_plan(spec, mu, beta, gaps)
+            assert got == source
+            want = evolution._plan(gaps, np.full(len(_THETA), beta))
+            assert np.array_equal(degrees, want[0]) and np.array_equal(substeps, want[1])
+        # the rotation at rate 1e7: 1.11e8 map applications to t = 1
+        rot = SystemSpec(1e7 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        mu, _, beta = _shift(rot)
+        with pytest.raises(RuntimeError, match=r"^Taylor propagation needs 1\.11e\+08 map "
+                           r"applications, 7\.28e\+12 multiply-adds .* over the budget of 1e\+11$"):
+            _taylor_plan(rot, mu, beta, np.array([1.0]))
 
     @pytest.mark.parametrize("scale, taken", [(0.99, False), (1.01, True)])
     def test_exact_norms_taken_past_theta_55(self, monkeypatch, scale, taken):
@@ -789,30 +884,35 @@ class TestTaylorOperator:
     def _spy(monkeypatch):
         """Record the shape of every map input and the powers formed for the norms."""
         shapes, ks = [], []
-        build, norms = evolution.second_moment_map, evolution._power_norms
+        build, powers = evolution.second_moment_map, evolution._generator_powers
 
         def counting(*args):
             apply = build(*args)
             return lambda v: shapes.append(v.shape) or apply(v)
 
-        def counted_norms(system):
-            got, powers = norms(system)
-            if powers is not None:
-                stack, e = powers
-                ks.append(stack.view(_CountedProducts))
-                ks[-1].log = []
-                powers = ks[-1], e
-            return got, powers
+        def counted_powers(system):
+            stack, e = powers(system)
+            ks.append(stack.view(_CountedProducts))
+            ks[-1].log = []
+            return ks[-1], e
 
         monkeypatch.setattr(evolution, "second_moment_map", counting)
-        monkeypatch.setattr(evolution, "_power_norms", counted_norms)
+        monkeypatch.setattr(evolution, "_generator_powers", counted_powers)
         return shapes, ks
 
     @staticmethod
     def _on_the_map(monkeypatch):
-        """Make the Taylor route drop K's powers, so the same plan runs on the map."""
-        norms = evolution._power_norms
-        monkeypatch.setattr(evolution, "_power_norms", lambda system: (norms(system)[0], None))
+        """Make the Taylor route plan with the exact norms but take the
+        estimated branch, so the same plan runs on the map and no K is kept."""
+        plan = evolution._taylor_plan
+
+        def estimated(*args):
+            degrees, substeps, source = plan(*args)
+            return degrees, substeps, source and "estimated"
+
+        monkeypatch.setattr(evolution, "_taylor_plan", estimated)
+        monkeypatch.setattr(evolution, "_estimated_norms",
+                            lambda system: _exact_norms(_generator_powers(system)))
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_polynomials_run_on_the_powers_of_k_once_the_norms_are_taken(self, monkeypatch, d):
@@ -883,7 +983,7 @@ class TestTaylorOperator:
         assert len(calls) == 1
         mu, shifted, beta = _shift(spec)
         assert beta > 2e36
-        assert _power_norms(SystemSpec(shifted, spec.noise_mats))[0][-1] == np.inf
+        assert _exact_norms(_generator_powers(SystemSpec(shifted, spec.noise_mats)))[-1] == np.inf
         assert np.allclose(traj.second_moments, np.exp([0.1, 0.2]), rtol=1e-13, atol=0)
         path = tmp_path / "edge.json"
         path.write_text(json.dumps(system_document(spec)))
@@ -1082,6 +1182,19 @@ class TestMaxRelativeDiscrepancy:
     def test_zero_trajectories_compare_at_the_floor(self):
         zero = propagate_discrete(SystemSpec(np.zeros((2, 2))), [0, 0], [0, 0], 3)
         assert max_relative_discrepancy(zero, zero) == _per_index_discrepancy(zero, zero) == 0.0
+
+    @pytest.mark.parametrize("other, message", [
+        (lambda spec: propagate_discrete(spec, [1, 0], [1, 0], 1), "are not comparable"),
+        (lambda spec: propagate_continuous(spec, [1, 0], [1, 0], [0.5, 1.0, 2.0]),
+         "are not comparable"),
+        (lambda spec: propagate_continuous(spec, [1, 0], [1, 0], [0.5, 1.0]), "different grids"),
+    ], ids=["mode", "length", "grid"])
+    def test_incomparable_trajectories_refused(self, other, message):
+        # against a continuous trajectory at t = 0.5 and 2
+        spec = demo_system(0.5, 0.7, 2.0)
+        traj = propagate_continuous(spec, [1, 0], [1, 0], [0.5, 2.0])
+        with pytest.raises(ValueError, match=message):
+            max_relative_discrepancy(traj, other(spec))
 
 
 class TestTrajectoryInvariants:

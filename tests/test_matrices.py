@@ -7,6 +7,7 @@ from kronspec.matrices import (
     DEFAULT_TOL,
     SystemSpec,
     as_complex_matrix,
+    as_complex_vector,
     is_hermitian,
 )
 
@@ -83,3 +84,12 @@ class TestSystemSpec:
 def test_as_complex_matrix_requires_2d():
     with pytest.raises(ValueError):
         as_complex_matrix(np.zeros(4))
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.zeros((2, 2)), r"must be 1-D, got shape \(2, 2\)"),
+    ([1.0, np.nan], "contains non-finite entries"),
+], ids=["2-d", "nan"])
+def test_as_complex_vector_refuses(data, message):
+    with pytest.raises(ValueError, match=f"^u {message}$"):
+        as_complex_vector(data, "u")

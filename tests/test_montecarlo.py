@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(paths=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_fits_64_unsigned_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            SimulationConfig(paths=10, seed=seed)
+
     def test_noise_family_checked(self):
         with pytest.raises(ValueError):
             SimulationConfig(paths=10, seed=0, noise="cauchy")
@@ -255,6 +260,28 @@ class TestContinuous:
         cfg = SimulationConfig(paths=100, seed=0, dt=3.0, horizon=1.0)
         with pytest.raises(ValueError):
             simulate_continuous(spec, U2, U2, cfg)
+
+    def test_exact_taylor_route_priced_before_any_path(self, monkeypatch):
+        # A = diag(-4e5, 0) gives beta = 4e5: the Taylor propagation to t = 1
+        # costs 2.91e11 multiply-adds, refused before a million steps of paths
+        monkeypatch.setattr("kronspec.montecarlo._simulate", _fail)
+        spec = SystemSpec(np.diag([-4e5, 0.0]), (1e-3 * np.eye(2),))
+        cfg = SimulationConfig(paths=2, seed=0, dt=1e-6, horizon=1.0)
+        with pytest.raises(RuntimeError, match=r"^Taylor propagation needs 2\.22e\+06 map "
+                           r"applications, 2\.91e\+11 multiply-adds \(beta = 4e\+05, "
+                           r"mu = -4e\+05\), over the budget of 1e\+11$"):
+            simulate_continuous(spec, U2, U2, cfg)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the 10 dt allowance is not a bound "
+                       "on the Euler-Maruyama bias, which is about 3.6 here")
+    def test_low_noise_scalar_growth_passes(self):
+        # the paths follow the sampled chain's exact law, yet entry (0, 0)
+        # misses the continuous exact value by 3.84 against a tolerance of 0.72
+        spec = SystemSpec(np.array([[3.0]]), (np.array([[0.01]]),))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=2000, seed=17, dt=1e-3, horizon=1.0)
+        moments = simulate_continuous(spec, u1, u1, cfg)
+        assert compare_to_exact(moments, spec, u1, u1).all_passed
 
     def test_step_budget_checked_before_any_noise(self, monkeypatch):
         def no_draws(*args):

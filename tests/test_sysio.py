@@ -80,6 +80,15 @@ class TestLoad:
         with pytest.raises(SystemFileError):
             parse_system(doc)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "system file must be a JSON object"),
+        (lambda doc: {**doc, "A": doc["A"][:1]}, r"expected 2 rows \(at A\)"),
+        (lambda doc: {**doc, "m": -1}, r"'m' must be a nonnegative integer \(at m\)"),
+    ], ids=["not-an-object", "one-row-short", "negative-m"])
+    def test_malformed_document_names_its_fault(self, edit, message):
+        with pytest.raises(SystemFileError, match=f"^{message}$"):
+            parse_system(edit(_valid_doc()))
+
 
     def test_row_lengths_checked_before_allocating(self, tmp_path, capsys):
         # 300 KB of empty rows claiming d = 100000: a d-by-d array would be 149 GiB
@@ -169,6 +178,10 @@ class TestVectors:
     def test_malformed_json(self):
         with pytest.raises(SystemFileError):
             parse_vector("[[1, 0],")
+
+    def test_empty_vector_refused(self):
+        with pytest.raises(SystemFileError, match="nonempty"):
+            parse_vector("[]")
 
     def test_round_trip(self, crandn):
         v = crandn(4)
