@@ -8,10 +8,11 @@ Subcommands:
 * ``demo``     - the worked 2-by-2 family with its closed-form spectra
 
 Exit codes: 0 stable, 1 unstable (or simulation comparison FAIL), 2
-indeterminate, 64 malformed or unreadable system file, 65 bad vectors,
-dimensions, values or usage, or dense d**2-by-d**2 work past d = 64, 70
-numerical overflow, exhausted memory or any internal ``RuntimeError``
-(Taylor work budget, failed consistency check).
+indeterminate, 64 malformed or unreadable system file.  Past those, one rule:
+65 when a run is refused before any work (a ``ValueError``: bad vectors,
+dimensions, values or usage, or a limit: the dense ceiling or a work or
+memory budget), 70 when it fails while working (numerical overflow,
+exhausted memory, a failed consistency check).
 ``main`` maps every failure to its code from one table.
 """
 
@@ -48,7 +49,7 @@ from .montecarlo import (
     simulate_continuous,
     simulate_discrete,
 )
-from .spectral import hermitian_extremes, summarize
+from .spectral import check_dense_rows, hermitian_extremes, summarize
 from .sysio import SystemFileError, load_system, matrix_pairs, parse_vector
 
 EXIT_STABLE = 0
@@ -166,20 +167,23 @@ def _vectors(args, d: int):
 def _cmd_evolve(args, out) -> int:
     spec = load_system(args.file)
     u, v = _vectors(args, spec.d)
-    # with --route both the Kronecker route runs first, so its dense ceiling
-    # refuses before any other work; the direct or Taylor trajectory is printed
     if args.mode == "discrete":
         if args.steps is None:
             raise ValueError("discrete mode requires --steps")
-        routes = ["kronecker", "direct"] if args.route == "both" else [args.route]
-        trajs = [propagate_discrete(spec, u, v, args.steps, r) for r in routes]
+        propagate, grid, own, name = propagate_discrete, args.steps, "direct", "D"
     else:
         if not args.times:
             raise ValueError("continuous mode requires --times")
-        t_grid = [float(s) for s in args.times.split(",")]
-        routes = ["kronecker", "ode"] if args.route == "both" else [args.route]
-        trajs = [propagate_continuous(spec, u, v, t_grid, r) for r in routes]
-    _traj_lines(trajs[-1], out)
+        grid = [float(s) for s in args.times.split(",")]
+        propagate, own, name = propagate_continuous, "ode", "C"
+    # with --route both the dense ceiling refuses first, then the d-by-d route,
+    # which prices itself, runs before the Kronecker route; its trajectory is printed
+    routes = [args.route]
+    if args.route == "both":
+        check_dense_rows(spec.d ** 2, f"stochastic Kronecker sum {name}")
+        routes = [own, "kronecker"]
+    trajs = [propagate(spec, u, v, grid, r) for r in routes]
+    _traj_lines(trajs[0], out)
     if len(trajs) == 2:
         print(
             json.dumps({"max_route_discrepancy": max_relative_discrepancy(*trajs)}),

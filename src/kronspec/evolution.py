@@ -19,21 +19,8 @@ The discrete route checks its whole trajectory once, after the last step,
 and names the first step that overflowed.  The continuous route's real
 Pade costs about half a complex one, and a grid time exactly 2**i times an
 earlier one squares that time's exponential i times rather than computing
-its own, where that gives the same bits.  On the Taylor route each grid gap picks its Taylor
-degree (at most 55) and substep count by Al-Mohy and Higham's
-action-of-the-exponential algorithm, from a bound beta on |C - mu I|_1 or,
-once some gap needs more, from the 1-norms of the powers of C - mu I, which
-then plan every gap.  At d <= 8 these are exact and taken as soon as beta
-alone needs a second substep: the plan reads them off the powers K, ...,
-K**9 of K, the d**2-by-d**2 matrix of the map, built by applying the map to
-all d**2 unit matrices, and each substep's Taylor polynomial is then summed
-on those powers by Paterson and Stockmeyer's method, with Horner steps on
-K**9 (powers scaled by 2**-e near 1/|K|_1, so that none overflows).  Above
-d = 8 the block 1-norm estimator takes them through the d-by-d maps, past a
-larger h beta; there, and wherever the norms are not taken, each term is a
-map application and a substep's series stops once its terms fall under
-2**-53 of the sum.  The Taylor route never builds C, and its values come
-from the map alone, since K's columns are the map's images.
+its own, where that gives the same bits.  The Taylor route,
+:func:`_taylor_on_grid`, never builds C.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
 overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
@@ -69,6 +56,7 @@ from .matrices import (
     real_vec,
     _require_square,
 )
+from .spectral import check_budget
 
 #: theta_m of Al-Mohy and Higham, "Computing the action of the matrix
 #: exponential", SIAM J. Sci. Comput. 33(2), 2011, Table A.3 for unit roundoff
@@ -211,11 +199,7 @@ def propagate_discrete(
     if route not in ("direct", "kronecker"):
         raise ValueError(f"route must be 'direct' or 'kronecker', got {route!r}")
     size = (n + 1) * (16 * spec.d ** 2 + _STEP_EXTRA_BYTES)
-    if size > _MAX_TRAJECTORY_BYTES:
-        raise ValueError(
-            f"trajectory of {n} steps holds {size:.3g} bytes, over the budget "
-            f"of {_MAX_TRAJECTORY_BYTES:g}"
-        )
+    check_budget(size, _MAX_TRAJECTORY_BYTES, f"trajectory of {n} steps holds {size:.3g} bytes")
     u, v, same = _initial_outer(spec, u, v)
     values = np.empty((n + 1, spec.d, spec.d), dtype=np.complex128)
     values[0] = _initial_covariance(u, v)
@@ -239,18 +223,14 @@ def propagate_discrete(
 
 
 def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = "") -> None:
-    """Refuse ``applications`` map applications over :data:`_MAX_TAYLOR_WORK`.
+    """``ValueError`` for ``applications`` map applications over :data:`_MAX_TAYLOR_WORK`.
 
     Each is charged (2m + 2) products of d**3 + :data:`_PRODUCT_OVERHEAD`
     multiply-adds; a count that is not finite is refused too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
-    if not work <= _MAX_TAYLOR_WORK:
-        raise RuntimeError(
-            f"{what} needs {applications:.3g} map applications, {work:.3g} "
-            f"multiply-adds{detail}, over the budget of {_MAX_TAYLOR_WORK:g}"
-        )
+    work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
+    check_budget(work, _MAX_TAYLOR_WORK, f"{what} needs {applications:.3g} map applications, "
+                 f"{work:.3g} multiply-adds{detail}")
 
 
 def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):
@@ -567,7 +547,7 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     and a substep's series stops early once two consecutive terms fall under
     2**-53 of the sum (:func:`_substeps_on_map`).
     Each grid time's V is checked for overflow.  Over :data:`_MAX_TAYLOR_WORK`
-    in all, or with mu or beta not finite, it is a ``RuntimeError`` before
+    in all, or with mu or beta not finite, it is a ``ValueError`` before
     any map is built.
     """
     mu, shifted, beta = _shift(spec)
@@ -621,16 +601,8 @@ def propagate_continuous(
     a t_j seeds nothing.  One exponential is kept at a time, that of the
     latest grid time that can seed a later one, so the route holds at most
     one beyond the one in use.
-    ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices
-    (:func:`_taylor_on_grid`): shifted by mu = tr(C)/d**2, each grid gap in
-    the substeps and at the degree (at most 55) that minimise the map
-    applications for a backward error of 2**-53.  It forms neither C nor its
-    exponential, so it runs at any d.  At d <= 8, once its plan reads norms
-    off the powers of K, the matrix of L built by applying L to the d**2 unit
-    matrices, each substep's polynomial is summed on those powers by
-    Paterson and Stockmeyer's method; otherwise each term is an application
-    of L, and a substep's series stops early once its terms fall under
-    2**-53 of the sum.
+    ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices by
+    :func:`_taylor_on_grid`, forming neither C nor its exponential, so it runs at any d.
     """
     if route not in ("ode", "kronecker"):
         raise ValueError(f"route must be 'ode' or 'kronecker', got {route!r}")

@@ -289,8 +289,6 @@ class StabilityStatus(str, Enum):
     EXACT_UNSTABLE = "ExactUnstable"
 
 
-#: Statuses asserting mean-square stability.
-STABLE_STATUSES = frozenset({StabilityStatus.CERTIFIED_STABLE, StabilityStatus.EXACT_STABLE})
 #: Statuses asserting mean-square instability.
 UNSTABLE_STATUSES = frozenset({StabilityStatus.CERTIFIED_UNSTABLE, StabilityStatus.EXACT_UNSTABLE})
 

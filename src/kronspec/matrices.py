@@ -28,29 +28,24 @@ class ConsistencyError(RuntimeError):
 
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce ``data`` to a finite complex128 2-D array."""
-    return _finite_2d(np.asarray(data, dtype=np.complex128), name)
+    return _finite_nd(np.asarray(data, dtype=np.complex128), 2, name)
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce ``data`` to a finite 2-D array: complex128 if it is complex, else float64."""
     arr = np.asarray(data)
-    return _finite_2d(arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
-                                 copy=False), name)
-
-
-def _finite_2d(arr: np.ndarray, name: str) -> np.ndarray:
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    return _finite_nd(arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                                 copy=False), 2, name)
 
 
 def as_complex_vector(data, name: str = "vector") -> np.ndarray:
     """Coerce ``data`` to a finite complex128 1-D array."""
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+    return _finite_nd(np.asarray(data, dtype=np.complex128), 1, name)
+
+
+def _finite_nd(arr: np.ndarray, ndim: int, name: str) -> np.ndarray:
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

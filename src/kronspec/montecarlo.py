@@ -38,6 +38,7 @@ import numpy as np
 
 from .evolution import _check_work, _initial_outer, _shift, _taylor_plan, exact_covariance
 from .matrices import SystemSpec
+from .spectral import check_budget
 
 #: Paths per RNG substream; fixed so results do not depend on worker count.
 BLOCK_PATHS = 16384
@@ -82,21 +83,6 @@ DT_BIAS_CONST = 10.0
 _ATOL_FLOOR = 1e-13
 
 _NOISES = ("gaussian", "rademacher")
-
-
-class SimulationOverflowError(RuntimeError):
-    """A path, or the moment sums over finite paths, left double-precision range.
-
-    Dropping bad paths would bias unstable-case statistics, so the run fails
-    instead, reporting the step and the number of offending paths (None when
-    the paths stayed finite and only their sums overflowed).
-    """
-
-    def __init__(self, step, bad_paths: int | None = None):
-        what = "the moment sums" if bad_paths is None else f"{bad_paths} path(s)"
-        super().__init__(f"{what} overflowed by step {step}; estimate aborted")
-        self.step = step
-        self.bad_paths = bad_paths
 
 
 @dataclass(frozen=True)
@@ -188,7 +174,8 @@ def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
     while draws overlap them.  Overflow is checked every :data:`_STEP_CHUNK`
     steps and at step n; non-finite values persist through the linear
     updates, so nothing escapes detection.  A path is bad when its x or its y
-    is non-finite.
+    is non-finite, and any bad path is an ``OverflowError`` naming the step
+    and the count: dropping bad paths would bias unstable-case statistics.
     """
     m = len(noise_mats)
     stack = np.tile(starts[:, :, None], (1, 1, size))
@@ -205,17 +192,15 @@ def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
                 continue
             good = np.all(np.isfinite(bufs[0]), axis=(0, 1))
             if not good.all():
-                raise SimulationOverflowError(step, int(np.count_nonzero(~good)))
+                raise OverflowError(f"{np.count_nonzero(~good)} path(s) overflowed by step "
+                                    f"{step}; estimate aborted")
         return _block_sums(bufs[0])
 
 
 def _step_count(count: float) -> int:
     """``count`` rounded to whole steps, refused over the budget before any int()."""
     steps = round(count, 0)
-    if steps > _MAX_MC_STEPS:
-        raise ValueError(
-            f"simulation needs {steps:.3g} steps, over the budget of {_MAX_MC_STEPS:g}"
-        )
+    check_budget(steps, _MAX_MC_STEPS, f"simulation needs {steps:.3g} steps")
     return int(steps)
 
 
@@ -249,10 +234,7 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     d, m = spec.d, len(noise_mats)
     starts = np.stack((u,) if same else (u, v))
     work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PRODUCT_OVERHEAD)
-    if work > _MAX_MC_WORK:
-        raise ValueError(
-            f"simulation needs {work:.3g} multiply-adds, over the budget of {_MAX_MC_WORK:g}"
-        )
+    check_budget(work, _MAX_MC_WORK, f"simulation needs {work:.3g} multiply-adds")
     if not any(np.any(x.imag) for x in (a_step, starts, *noise_mats)):
         a_step, starts = np.ascontiguousarray(a_step.real), starts.real
         noise_mats = tuple(np.ascontiguousarray(b.real) for b in noise_mats)
@@ -280,7 +262,7 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
             r1 += sq
             r2 += sq2
     if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2)) and math.isfinite(r2)):
-        raise SimulationOverflowError(steps)
+        raise OverflowError(f"the moment sums overflowed by step {steps}; estimate aborted")
     paths = cfg.paths
     mean = s1 / paths
     var = np.maximum(s2 / paths - np.abs(mean) ** 2, 0.0) * (paths / (paths - 1))
@@ -305,7 +287,7 @@ def simulate_discrete(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empirica
     Deterministic for a fixed config; overflow aborts the estimate.  The
     exact recursion to step n that :func:`compare_to_exact` checks against
     is priced here, before any path runs: over the work budget of
-    :func:`evolution.exact_covariance` it is that ``RuntimeError`` at once,
+    :func:`evolution.exact_covariance` it is that ``ValueError`` at once,
     not after the simulation.
     """
     u, v, same = _initial_outer(spec, u, v)
@@ -327,7 +309,7 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
     ``cfg.dt`` is adjusted to divide the horizon into a whole number of steps.
     The Taylor propagation to the horizon that :func:`compare_to_exact`
     checks against is priced here, before any path runs: over the work
-    budget of :func:`evolution.exact_covariance` it is that ``RuntimeError``
+    budget of :func:`evolution.exact_covariance` it is that ``ValueError``
     at once, not after the simulation.
     """
     u, v, same = _initial_outer(spec, u, v)

@@ -33,6 +33,12 @@ def check_dense_rows(rows: int, name: str) -> None:
         raise ValueError(f"{name} has {rows} rows, over the dense ceiling of {DENSE_CEILING}")
 
 
+def check_budget(need, budget, what: str) -> None:
+    """``ValueError`` unless ``need <= budget`` (so inf and nan are refused), before the work."""
+    if not need <= budget:
+        raise ValueError(f"{what}, over the budget of {budget:g}")
+
+
 def _checked_square(a: np.ndarray, name: str) -> np.ndarray:
     a = _require_square(a, name)
     check_dense_rows(a.shape[0], name)

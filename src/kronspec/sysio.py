@@ -110,10 +110,7 @@ def parse_system(doc) -> SystemSpec:
     if not isinstance(doc["B"], list) or len(doc["B"]) != m:
         raise SystemFileError(f"'B' must be a list of {m} matrices", "B")
     noise = tuple(_parse_matrix(bk, d, f"B[{k}]") for k, bk in enumerate(doc["B"]))
-    try:
-        return SystemSpec(a, noise)
-    except ValueError as exc:
-        raise SystemFileError(str(exc)) from exc
+    return SystemSpec(a, noise)
 
 
 def load_system(path) -> SystemSpec:

@@ -19,7 +19,6 @@ from kronspec.evolution import (
     second_moment_bounds,
 )
 from kronspec.kronsum import (
-    STABLE_STATUSES,
     UNSTABLE_STATUSES,
     StabilityStatus,
     bound_report,
@@ -242,7 +241,8 @@ def test_criterion_8_stability_truth_table():
 
                 verdict = classify_stability(spec, "discrete", allow_exact_fallback=True)
                 should_be_stable = max(abs(a), abs(b)) < 1
-                is_stable = verdict.status in STABLE_STATUSES
+                is_stable = verdict.status in (StabilityStatus.CERTIFIED_STABLE,
+                                               StabilityStatus.EXACT_STABLE)
                 is_unstable = verdict.status in UNSTABLE_STATUSES
                 if is_stable != should_be_stable or is_unstable == should_be_stable:
                     failures.append(("discrete", a, b, sigma, verdict.status))
@@ -253,7 +253,8 @@ def test_criterion_8_stability_truth_table():
 
                 verdict = classify_stability(spec, "continuous", allow_exact_fallback=True)
                 should_be_stable = max(a, b) < 0
-                is_stable = verdict.status in STABLE_STATUSES
+                is_stable = verdict.status in (StabilityStatus.CERTIFIED_STABLE,
+                                               StabilityStatus.EXACT_STABLE)
                 is_unstable = verdict.status in UNSTABLE_STATUSES
                 if is_stable != should_be_stable or is_unstable == should_be_stable:
                     failures.append(("continuous", a, b, sigma, verdict.status))

@@ -9,7 +9,6 @@ from kronspec.cli import _fmt, _print_matrix, build_parser, main
 from kronspec.sysio import SystemFileError, system_document
 from kronspec.cli import demo_system
 from kronspec.matrices import ConsistencyError, SystemSpec
-from kronspec.montecarlo import SimulationOverflowError
 from kronspec.spectral import summarize
 
 
@@ -176,16 +175,19 @@ class TestEvolve:
         )
         assert code == 70
 
-    def test_ode_step_budget_exits_70(self, tmp_path, capsys):
-        # beta = 2e7: the Taylor route needs 2e6 substeps of degree 55 to t = 1
+    def test_ode_work_budget_refused_before_the_kronecker_route(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # beta = 2e7: the Taylor route needs 2e6 substeps of degree 55 to t = 1,
+        # refused before the Kronecker route builds C
+        monkeypatch.setattr("kronspec.kronsum._kronecker_sum", _fail)
         path = _write_system(tmp_path, SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]])))
         code = main(
             ["evolve", path, "--mode=continuous", "--u", "[[1,0],[0,0]]",
              "--times", "1", "--route", "both"]
         )
-        assert code == 70
+        assert code == 65
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "budget" in err
+        assert err.startswith("error: Taylor propagation needs") and "over the budget" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a, u, v, times, rel", [
@@ -326,6 +328,7 @@ class TestDemo:
 
 
 U = "[[1,0],[0,0]]"
+_U65 = json.dumps([[1, 0]] + [[0, 0]] * 64)
 
 
 def _fail(*args, **kwargs):
@@ -448,7 +451,6 @@ def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):
     [
         ["evolve", "FILE", "--mode=continuous", "--u", "[[1,0]]", "--times", "1",
          "--route", "kronecker"],
-        ["evolve", "FILE", "--mode=continuous", "--u", "[[1,0]]", "--times", "1", "--route", "ode"],
         ["demo", "--a", "1e200"],
         ["evolve", "OK", "--mode=discrete", "--u", "[[1e300,0]]", "--steps", "0",
          "--route", "direct"],
@@ -457,7 +459,7 @@ def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):
         ["evolve", "OK", "--mode=continuous", "--u", "[[1e300,0]]", "--times", "1",
          "--route", "both"],
     ],
-    ids=["continuous-kronecker", "continuous-ode", "demo-a-1e200", "initial-outer-discrete-direct",
+    ids=["continuous-kronecker", "demo-a-1e200", "initial-outer-discrete-direct",
          "initial-outer-discrete-kronecker", "initial-outer-continuous-both"],
 )
 def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
@@ -472,13 +474,50 @@ def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
     _assert_one_error_line(capsys.readouterr(), code, 70)
 
 
-def test_simulate_paths_over_budget_exits_65(demo_file, monkeypatch, capsys):
-    monkeypatch.setattr("kronspec.montecarlo._substream", _fail)
-    monkeypatch.setattr("kronspec.montecarlo._draw_noise", _fail)
-    code = main(["simulate", demo_file, "--u", U, "--horizon", "1", "--paths", "1000000000000"])
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["evolve", "D65", "--mode=continuous", "--u", _U65, "--times", "1", "--route", "both"],
+         "stochastic Kronecker sum C has 4225 rows, over the dense ceiling of 4096"),
+        (["evolve", "DEMO", "--u", U, "--steps", "1000000000000"],
+         "trajectory of 1000000000000 steps holds 1.28e+14 bytes, over the budget of 6.4e+07"),
+        # the demo recursion to step 800000: 1.05e11 multiply-adds
+        (["simulate", "DEMO", "--u", U, "--paths", "2", "--horizon", "800000"],
+         "multiply-adds, over the budget of 1e+11"),
+        # the Taylor route to t = 1 at beta = 4e5: 2.91e11 multiply-adds
+        (["simulate", "STIFF", "--mode=continuous", "--u", U, "--paths", "2", "--dt", "1e-6",
+          "--horizon", "1"],
+         "multiply-adds (beta = 4e+05, mu = -4e+05), over the budget of 1e+11"),
+        # |tr B|**2 = 1e310 puts mu and beta, and with them the route's price, out of range
+        (["evolve", "BIG_B", "--mode=continuous", "--u", "[[1,0]]", "--times", "1",
+          "--route", "ode"],
+         "needs inf map applications, inf multiply-adds (beta = inf, mu = inf), over the budget"),
+        (["simulate", "DEMO", "--mode=continuous", "--u", U, "--dt", "1e-7", "--horizon", "1"],
+         "simulation needs 1e+07 steps, over the budget of 1e+06"),
+        (["simulate", "DEMO", "--u", U, "--horizon", "1", "--paths", "1000000000000"],
+         "multiply-adds, over the budget of 8e+09"),
+    ],
+    ids=["dense-ceiling", "trajectory-bytes", "recursion-work", "taylor-work",
+         "taylor-work-beta-inf", "montecarlo-steps", "montecarlo-work"],
+)
+@pytest.mark.filterwarnings("error")
+def test_pre_work_limit_refused_before_any_work(argv, limit, d65_file, tmp_path, monkeypatch,
+                                                capsys):
+    # every limit on dense, trajectory or path work refuses before that work starts
+    demo = _write_system(tmp_path, demo_system(0.5, 0.7, 2.0), "demo.json")
+    stiff = _write_system(tmp_path, SystemSpec(np.diag([-4e5, 0.0]), (1e-3 * np.eye(2),)),
+                          "stiff.json")
+    big_b = tmp_path / "big_b.json"
+    big_b.write_text('{"d":1,"m":1,"A":[[[0.5,0]]],"B":[[[[1e155,0]]]]}')
+    for target in ("kronspec.kronsum.second_moment_map", "kronspec.evolution.second_moment_map",
+                   "numpy.kron", "kronspec.kronsum._kronecker_sum",
+                   "kronspec.montecarlo._draw_noise"):
+        monkeypatch.setattr(target, _fail)
+    files = {"DEMO": demo, "D65": d65_file, "STIFF": stiff, "BIG_B": str(big_b)}
+    code = main([files.get(a, a) for a in argv])
     captured = capsys.readouterr()
     _assert_one_error_line(captured, code, 65)
-    assert "multiply-adds, over the budget" in captured.err
+    assert limit in captured.err
 
 
 @pytest.mark.parametrize("mode, extra", [
@@ -487,14 +526,14 @@ def test_simulate_paths_over_budget_exits_65(demo_file, monkeypatch, capsys):
 ])
 def test_simulate_exact_side_budget_precedes_the_paths_budget(mode, extra, tmp_path, monkeypatch,
                                                               capsys):
-    # over both budgets: the exact side, priced first, exits 70 rather than 65
+    # over both budgets: the exact side is priced first
     monkeypatch.setattr("kronspec.montecarlo._simulate", _fail)
     spec = (demo_system(0.5, 0.7, 2.0) if mode == "discrete"
             else SystemSpec(np.diag([-4e5, 0.0]), (1e-3 * np.eye(2),)))
     code = main(["simulate", _write_system(tmp_path, spec), f"--mode={mode}", "--u", U,
                  "--paths", "1000000000000", *extra])
     captured = capsys.readouterr()
-    _assert_one_error_line(captured, code, 70)
+    _assert_one_error_line(captured, code, 65)
     assert "map applications" in captured.err
 
 
@@ -549,7 +588,6 @@ _COMMANDS = {
         (OverflowError("overflowed"), 70),
         (RuntimeError("step budget"), 70),
         (ConsistencyError("chain violated"), 70),
-        (SimulationOverflowError(3, 1), 70),
         (MemoryError(), 70),
     ],
     ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
@@ -564,8 +602,6 @@ def test_failure_table_sets_exit_code(command, error, want, demo_file, monkeypat
     code = main([demo_file if a == "FILE" else a for a in argv])
     _assert_one_error_line(capsys.readouterr(), code, want)
 
-
-_U65 = json.dumps([[1, 0]] + [[0, 0]] * 64)
 
 
 @pytest.fixture

@@ -303,7 +303,7 @@ class TestPropagateDiscrete:
         # 1e12 steps at d = 2, m = 1: 1.3e17 multiply-adds, refused before the map is built
         spec = demo_system(0.5, 0.7, 2.0)
         monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
-        with pytest.raises(RuntimeError, match="multiply-adds, over the budget"):
+        with pytest.raises(ValueError, match="multiply-adds, over the budget"):
             exact_covariance(spec, "discrete", [1, 0], [1, 0], 10**12)
 
     def test_kronecker_route_matches_powers_of_complex_d(self):
@@ -534,7 +534,7 @@ class TestPropagateContinuous:
         # before any map is built
         spec = SystemSpec(np.array([[0.0, 1e7], [-1e7, 0.0]]))
         monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
-        with pytest.raises(RuntimeError, match="budget"):
+        with pytest.raises(ValueError, match="budget"):
             propagate_continuous(spec, [1, 0], [1, 0], [1.0], route="ode")
 
     def test_work_budget_counts_the_dimension(self, monkeypatch):
@@ -546,7 +546,7 @@ class TestPropagateContinuous:
         spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d) - 1.2 * np.eye(d),
                           tuple(0.5 * rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(2)))
         monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
-        with pytest.raises(RuntimeError, match="multiply-adds.*over the budget"):
+        with pytest.raises(ValueError, match="multiply-adds.*over the budget"):
             propagate_continuous(spec, np.eye(d)[0], np.eye(d)[0], [1.0, 100.0], route="ode")
 
     @pytest.mark.parametrize("m", range(4))
@@ -818,7 +818,7 @@ class TestTaylorPlan:
         # the rotation at rate 1e7: 1.11e8 map applications to t = 1
         rot = SystemSpec(1e7 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
         mu, _, beta = _shift(rot)
-        with pytest.raises(RuntimeError, match=r"^Taylor propagation needs 1\.11e\+08 map "
+        with pytest.raises(ValueError, match=r"^Taylor propagation needs 1\.11e\+08 map "
                            r"applications, 7\.28e\+12 multiply-adds .* over the budget of 1e\+11$"):
             _taylor_plan(rot, mu, beta, np.array([1.0]))
 
