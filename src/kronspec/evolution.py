@@ -199,7 +199,7 @@ def propagate_discrete(
     if route not in ("direct", "kronecker"):
         raise ValueError(f"route must be 'direct' or 'kronecker', got {route!r}")
     size = (n + 1) * (16 * spec.d ** 2 + _STEP_EXTRA_BYTES)
-    check_budget(size, _MAX_TRAJECTORY_BYTES, f"trajectory of {n} steps holds {size:.3g} bytes")
+    check_budget(size, _MAX_TRAJECTORY_BYTES, f"trajectory of {n} steps holds {{:.3g}} bytes", size)
     u, v, same = _initial_outer(spec, u, v)
     values = np.empty((n + 1, spec.d, spec.d), dtype=np.complex128)
     values[0] = _initial_covariance(u, v)
@@ -229,8 +229,9 @@ def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = 
     multiply-adds; a count that is not finite is refused too.
     """
     work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
-    check_budget(work, _MAX_TAYLOR_WORK, f"{what} needs {applications:.3g} map applications, "
-                 f"{work:.3g} multiply-adds{detail}")
+    check_budget(work, _MAX_TAYLOR_WORK,
+                 f"{what} needs {{:.3g}} map applications, {{:.3g}} multiply-adds{detail}",
+                 applications, work)
 
 
 def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):

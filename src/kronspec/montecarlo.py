@@ -200,7 +200,7 @@ def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
 def _step_count(count: float) -> int:
     """``count`` rounded to whole steps, refused over the budget before any int()."""
     steps = round(count, 0)
-    check_budget(steps, _MAX_MC_STEPS, f"simulation needs {steps:.3g} steps")
+    check_budget(steps, _MAX_MC_STEPS, "simulation needs {:.3g} steps", steps)
     return int(steps)
 
 
@@ -234,7 +234,7 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     d, m = spec.d, len(noise_mats)
     starts = np.stack((u,) if same else (u, v))
     work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PRODUCT_OVERHEAD)
-    check_budget(work, _MAX_MC_WORK, f"simulation needs {work:.3g} multiply-adds")
+    check_budget(work, _MAX_MC_WORK, "simulation needs {:.3g} multiply-adds", work)
     if not any(np.any(x.imag) for x in (a_step, starts, *noise_mats)):
         a_step, starts = np.ascontiguousarray(a_step.real), starts.real
         noise_mats = tuple(np.ascontiguousarray(b.real) for b in noise_mats)

@@ -7,6 +7,8 @@ for Hermitian matrices the extreme eigenvalues bound the quadratic form.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +35,15 @@ def check_dense_rows(rows: int, name: str) -> None:
         raise ValueError(f"{name} has {rows} rows, over the dense ceiling of {DENSE_CEILING}")
 
 
-def check_budget(need, budget, what: str) -> None:
-    """``ValueError`` unless ``need <= budget`` (so inf and nan are refused), before the work."""
+def check_budget(need, budget, what: str, *counts) -> None:
+    """``ValueError`` unless ``need <= budget`` (so inf and nan are refused), before the work.
+
+    The message is built only on refusal: ``what`` formatted with ``counts``,
+    each read as a double, so an int past double range reads as inf.
+    """
     if not need <= budget:
-        raise ValueError(f"{what}, over the budget of {budget:g}")
+        doubles = [math.inf if count > sys.float_info.max else float(count) for count in counts]
+        raise ValueError(f"{what.format(*doubles)}, over the budget of {budget:g}")
 
 
 def _checked_square(a: np.ndarray, name: str) -> np.ndarray:

@@ -496,9 +496,15 @@ def test_kronecker_sum_overflow_exits_70(argv, tmp_path, capsys):
          "simulation needs 1e+07 steps, over the budget of 1e+06"),
         (["simulate", "DEMO", "--u", U, "--horizon", "1", "--paths", "1000000000000"],
          "multiply-adds, over the budget of 8e+09"),
+        # counts past double range read as inf in the message
+        (["evolve", "DEMO", "--u", U, "--steps", str(10**400)],
+         "0 steps holds inf bytes, over the budget of 6.4e+07"),
+        (["simulate", "DEMO", "--u", U, "--horizon", "1", "--paths", str(10**400)],
+         "simulation needs inf multiply-adds, over the budget of 8e+09"),
     ],
     ids=["dense-ceiling", "trajectory-bytes", "recursion-work", "taylor-work",
-         "taylor-work-beta-inf", "montecarlo-steps", "montecarlo-work"],
+         "taylor-work-beta-inf", "montecarlo-steps", "montecarlo-work",
+         "trajectory-bytes-past-double", "montecarlo-work-past-double"],
 )
 @pytest.mark.filterwarnings("error")
 def test_pre_work_limit_refused_before_any_work(argv, limit, d65_file, tmp_path, monkeypatch,

@@ -305,6 +305,10 @@ class TestPropagateDiscrete:
         monkeypatch.setattr("kronspec.evolution.second_moment_map", _fail)
         with pytest.raises(ValueError, match="multiply-adds, over the budget"):
             exact_covariance(spec, "discrete", [1, 0], [1, 0], 10**12)
+        # a step count past double range is refused the same way
+        with pytest.raises(ValueError, match="needs inf map applications, inf multiply-adds, "
+                                             r"over the budget of 1e\+11$"):
+            exact_covariance(spec, "discrete", [1, 0], [1, 0], 10**400)
 
     def test_kronecker_route_matches_powers_of_complex_d(self):
         # the route iterates the real form of D; the oracle applies D itself,

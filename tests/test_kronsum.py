@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import ortho_group, unitary_group
 
 from conftest import kron_sum, random_system, real_form
+from kronspec import kronsum
 from kronspec.cli import demo_system
 from kronspec.kronsum import (
     CHAIN_TOL,
@@ -382,21 +383,44 @@ class TestLadder:
             assert applications <= 248
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
-    def test_thick_restarts_keep_the_dense_value_in_the_bracket(self, mode):
+    def test_thick_restarts_keep_the_dense_value_in_the_bracket(self, mode, monkeypatch):
         # d = 8..12: d**2 exceeds the Krylov dimension, so rung 3 restarts
         rng = np.random.default_rng(8)
-        counts = []
+        counts, skipped = [], []
         for i in range(48):
             spec = random_system(rng, (8, 10, 12)[i % 3], 1 + i % 3)
             (lower, upper), applications = _refined_bracket(spec, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(kronsum, "_may_decide", _always)
+                every, every_applications = _refined_bracket(spec, mode)
+            # a bracket never feeds the iteration: skipping one saves its
+            # application and moves neither the bracket nor its midpoint
+            assert every == (lower, upper)
             summary = summarize(_BUILD[mode](spec))
             exact = summary.radius if mode == "discrete" else summary.abscissa
             slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
             assert lower - slack <= exact <= upper + slack
             assert upper - lower <= 1e-7 * max(1.0, abs(lower), abs(upper))
             counts.append(applications)
+            skipped.append(every_applications - applications)
         assert max(counts) <= 248
         assert max(counts) > 31  # at least one run went past its first cycle
+        # ... and at least one took fewer brackets than cycles
+        assert min(skipped) >= 0 and max(skipped) > 0
+
+    def test_undecided_run_reports_its_final_cycle_bracket(self, monkeypatch):
+        # weak noise: rung 3 spends its 240 steps without narrowing, the gate
+        # skips one bracket on the way, and the last cycle still takes one
+        rng = np.random.default_rng(900)
+        spec = SystemSpec(rng.standard_normal((9, 9)) / 3,
+                          (0.01 * rng.standard_normal((9, 9)) / 3,))
+        report = classify_stability(spec, "continuous", allow_exact_fallback=True).evidence
+        monkeypatch.setattr(kronsum, "_may_decide", _always)
+        every = classify_stability(spec, "continuous", allow_exact_fallback=True).evidence
+        assert report.rung == every.rung == "dense"
+        assert report.bracket_width == every.bracket_width > 1e-7 * abs(report.exact)
+        assert report.map_applications == every.map_applications - 1
+        assert repr(report.exact) == repr(every.exact)
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_closed_form_matches_dense_value(self, mode):
@@ -438,6 +462,11 @@ class TestLadder:
         assert verdict.evidence.rung == "dense"
         assert verdict.evidence.exact == pytest.approx(2.25, abs=1e-10)
         assert verdict.evidence.map_applications > 0
+
+
+def _always(residual, theta):
+    """Rung 3's bracket gate opened: a bracket on every cycle."""
+    return True
 
 
 def _fail(*args, **kwargs):
