@@ -351,6 +351,11 @@ def _narrow(lower: float, upper: float) -> bool:
     return upper - lower <= _BRACKET_RTOL * max(1.0, abs(lower), abs(upper))
 
 
+def _width(lower: float, upper: float) -> float:
+    """A bracket's width relative to max(1, |ends|), the scale :func:`_narrow` uses."""
+    return (upper - lower) / max(1.0, abs(lower), abs(upper))
+
+
 def _may_decide(residual: complex, theta: complex) -> bool:
     """Rung 3's bracket gate: the Arnoldi residual of the rightmost Ritz pair is small.
 
@@ -375,10 +380,14 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
     A cycle forms V and takes that bracket, at one map application, only
     when :func:`_may_decide` passes its rightmost Ritz pair or the cycle ends
     the run (breakdown, the step budget, or no room left to restart), so an
-    undecided run still reports its final cycle's bracket.  A bracket never
-    feeds the iteration, so skipping one changes only the count, unless the
-    skipped bracket was already narrow: on the test and benchmark systems
-    every narrow bracket came with a residual at most a fifth of the gate's.
+    undecided run still reports its final cycle's bracket.  A bracket more
+    than half as wide as the one taken before it (relative to max(1, |ends|))
+    has stalled and ends the run too: with a nearly singular Perron matrix
+    the residual reaches zero while the bracket stops narrowing.  A bracket
+    never feeds the iteration, so skipping one changes only the count and
+    the pairs the stall test compares, unless the skipped bracket was
+    already narrow: on the test and benchmark systems every narrow bracket
+    came with a residual at most a fifth of the gate's.
     Since rho(D) is both the largest-modulus and the rightmost eigenvalue of
     Phi*, one rule serves both modes.  The next cycle keeps the span of the
     rightmost Ritz vectors (real and imaginary parts of a conjugate pair),
@@ -396,7 +405,7 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
     flat = basis.view(np.float64).reshape(dim + 1, -1)
     hess = np.zeros((dim + 1, dim))
     basis[0] = np.eye(d) / math.sqrt(d)
-    bracket, steps, brackets, kept = None, 0, 0, 0
+    bracket, steps, brackets, kept, width = None, 0, 0, 0, math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             n, broke = min(dim, kept + _MAX_STEPS - steps), False
@@ -443,7 +452,8 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
                         break
                     ends = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
                     bracket = float(ends[0]), float(ends[-1])
-                    if _narrow(*bracket):
+                    width, before = _width(*bracket), width
+                    if _narrow(*bracket) or width > before / 2.0:
                         break
             if last:
                 break

@@ -9,12 +9,19 @@ keyed by ``(seed, block index)``.
 Blocks run on a thread pool of W = min(usable CPUs, block count) workers,
 fewer when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  Each
 worker takes one block at a time, drawing a chunk of its noise (numpy's
-generators release the GIL while they fill) and then advancing its paths;
-one lock keeps two blocks' BLAS updates from running at once, so draws
-overlap updates but updates do not compete for BLAS's own threads.  The
-blocks' partial sums are merged in block order, and since neither the
-streams nor the order of any sum depends on W, estimates are reproducible
-bit-for-bit at any core count.
+generators release the GIL while they fill) and then advancing its paths
+through the chunk one tile of T paths at a time: a contiguous copy of the
+tile takes every step, then goes back into the block.  T is the largest
+power of two whose products stay within :data:`_TILE_MULADDS`, small enough
+that BLAS runs each on the calling thread, so tiles take no lock and the
+workers' tiles run side by side from cache.  A block whose T would be under
+:data:`_MIN_TILE` (large d) or at least its own size (the d = 2 real demo)
+advances at full width under one lock instead: its products may thread, and
+the lock keeps two blocks' updates from competing for BLAS's threads while
+draws still overlap them.  Every path's arithmetic is the same in a tile as
+at full width, the blocks' partial sums are merged in block order, and
+neither the streams nor the order of any sum depends on W, so estimates are
+reproducible bit-for-bit at any core count.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
@@ -51,10 +58,20 @@ _STEP_CHUNK = 256
 #: the draws leaves the streams unchanged.
 _NOISE_CHUNK_BYTES = 2 ** 23
 
-#: Most bytes of path buffers the blocks in flight may hold (128 MiB): three
-#: (s, d, BLOCK_PATHS) stacks per block, so at large d a wide affinity mask
-#: runs fewer blocks at once rather than more memory.
+#: Most bytes of path buffers the blocks in flight may hold (128 MiB): up to
+#: three (s, d, BLOCK_PATHS) stacks per block, so at large d a wide affinity
+#: mask runs fewer blocks at once rather than more memory.
 _GROUP_BYTES = 2 ** 27
+
+#: Most real multiply-adds in one tile product, d**2 T c with c = 4 for
+#: complex paths and 1 for real ones.  OpenBLAS 0.3.31 keeps a product this
+#: small on the calling thread: complex products were seen to thread from
+#: 2**16 complex multiply-adds and real ones from 2**20, so tiles need no
+#: lock and cannot oversubscribe BLAS.
+_TILE_MULADDS = 2 ** 17
+
+#: Fewest paths in a tile; below it a block runs at full width under the lock.
+_MIN_TILE = 64
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
@@ -165,36 +182,70 @@ def _advance(bufs, a_step, noise_mats, noise):
     bufs[:2] = paths, nxt
 
 
+def _tile_paths(stack) -> int:
+    """Paths per lock-free tile of an (s, d, size) block, or 0 for full width.
+
+    The largest power of two T with d**2 T c <= :data:`_TILE_MULADDS` (c = 4
+    for complex paths, 1 for real), or 0 when that T is under
+    :data:`_MIN_TILE` or at least the block's size.
+    """
+    d, size = stack.shape[1:]
+    tile = _TILE_MULADDS // (d * d * (4 if np.iscomplexobj(stack) else 1))
+    if tile < _MIN_TILE:
+        return 0
+    tile = 1 << (tile.bit_length() - 1)
+    return tile if tile < size else 0
+
+
 def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
     """Advance one block of ``size`` paths through n steps and return its :func:`_block_sums`.
 
     The block starts as ``size`` copies of the (s, d) stack ``starts``.  Every
     ``stride`` steps it draws its next noise chunk from its substream ``rng``,
-    then advances under ``lock``, so no two blocks' BLAS updates run at once
-    while draws overlap them.  Overflow is checked every :data:`_STEP_CHUNK`
-    steps and at step n; non-finite values persist through the linear
-    updates, so nothing escapes detection.  A path is bad when its x or its y
-    is non-finite, and any bad path is an ``OverflowError`` naming the step
-    and the count: dropping bad paths would bias unstable-case statistics.
+    then advances through the chunk.  When :func:`_tile_paths` gives a tile
+    width T, each run of T paths (fewer in the last) is copied into
+    tile-sized buffers, takes the chunk's steps there and is written back,
+    with no lock: its products are too small for BLAS to thread.  Otherwise
+    the block advances at full width under ``lock``, so no two blocks' BLAS
+    updates run at once while draws overlap them.  Overflow is checked every
+    :data:`_STEP_CHUNK` steps and at step n; non-finite values persist
+    through the linear updates, so nothing escapes detection.  A path is bad
+    when its x or its y is non-finite, and any bad path is an
+    ``OverflowError`` naming the step and the count: dropping bad paths
+    would bias unstable-case statistics.
     """
     m = len(noise_mats)
     stack = np.tile(starts[:, :, None], (1, 1, size))
-    bufs = [stack, np.empty_like(stack), np.empty_like(stack)]
+    tile = _tile_paths(stack)
+    if tile:
+        spare = np.empty((3, stack[:, :, :tile].size), dtype=stack.dtype)
+    else:
+        bufs = [stack, np.empty_like(stack), np.empty_like(stack)]
     # numpy's error state is per thread
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, stride):
             zeta = _draw_noise(rng, kind, (min(stride, n - first), m, size))
-            with lock:
-                _advance(bufs, a_step, noise_mats, zeta)
+            if tile:
+                for lo in range(0, size, tile):
+                    part = stack[:, :, lo:lo + tile]
+                    # contiguous (s, d, width) views, width < tile in the last
+                    tbufs = [buf[:part.size].reshape(part.shape) for buf in spare]
+                    np.copyto(tbufs[0], part)
+                    _advance(tbufs, a_step, noise_mats, zeta[:, :, lo:lo + tile])
+                    np.copyto(part, tbufs[0])
+            else:
+                with lock:
+                    _advance(bufs, a_step, noise_mats, zeta)
+                stack = bufs[0]
             del zeta  # free this chunk before the next one is drawn
             step = min(first + stride, n)
             if step % _STEP_CHUNK and step < n:
                 continue
-            good = np.all(np.isfinite(bufs[0]), axis=(0, 1))
+            good = np.all(np.isfinite(stack), axis=(0, 1))
             if not good.all():
                 raise OverflowError(f"{np.count_nonzero(~good)} path(s) overflowed by step "
                                     f"{step}; estimate aborted")
-        return _block_sums(bufs[0])
+        return _block_sums(stack)
 
 
 def _step_count(count: float) -> int:

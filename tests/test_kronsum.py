@@ -409,8 +409,8 @@ class TestLadder:
         assert min(skipped) >= 0 and max(skipped) > 0
 
     def test_undecided_run_reports_its_final_cycle_bracket(self, monkeypatch):
-        # weak noise: rung 3 spends its 240 steps without narrowing, the gate
-        # skips one bracket on the way, and the last cycle still takes one
+        # weak noise: rung 3's bracket stalls well short of narrow, the gate
+        # skips one bracket on the way, and the run reports the stalled one
         rng = np.random.default_rng(900)
         spec = SystemSpec(rng.standard_normal((9, 9)) / 3,
                           (0.01 * rng.standard_normal((9, 9)) / 3,))
@@ -421,6 +421,21 @@ class TestLadder:
         assert report.bracket_width == every.bracket_width > 1e-7 * abs(report.exact)
         assert report.map_applications == every.map_applications - 1
         assert repr(report.exact) == repr(every.exact)
+
+    @pytest.mark.parametrize("d, mode", [(6, "continuous"), (8, "continuous"),
+                                         (12, "discrete")])
+    def test_stalled_bracket_ends_the_run(self, d, mode):
+        # weak noise, a nearly singular Perron matrix: from the third cycle
+        # the residual is zero and the bracket no longer narrows (2e-7 to
+        # 6e-6 wide), which once spent the whole budget, 250-251 applications
+        rng = np.random.default_rng(d)
+        spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d),
+                          (0.01 * rng.standard_normal((d, d)) / np.sqrt(d),))
+        verdict = classify_stability(spec, mode, allow_exact_fallback=True)
+        assert verdict.status is StabilityStatus.EXACT_UNSTABLE
+        assert verdict.evidence.rung == "dense"
+        assert verdict.evidence.exact == pytest.approx(_dense_value(spec, mode), rel=1e-12)
+        assert verdict.evidence.map_applications <= 100
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     def test_closed_form_matches_dense_value(self, mode):

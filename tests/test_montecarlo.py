@@ -21,6 +21,7 @@ from kronspec.montecarlo import (
     _chunk_steps,
     _draw_noise,
     _substream,
+    _tile_paths,
     compare_to_exact,
     simulate_continuous,
     simulate_discrete,
@@ -473,3 +474,75 @@ class TestParallelBlocks:
         assert np.max(np.abs(real.mean_outer - cplx.mean_outer)) <= 1e-12 * scale
         assert np.allclose(real.std_error, cplx.std_error, rtol=1e-12, atol=1e-12 * scale)
         assert real.second_moment == pytest.approx(cplx.second_moment, rel=1e-12)
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+class TestTiles:
+    @pytest.mark.parametrize("d, cplx, size, tile", [
+        (8, True, BLOCK_PATHS, 512),
+        (8, False, BLOCK_PATHS, 2048),
+        (16, True, BLOCK_PATHS, 128),
+        (2, True, BLOCK_PATHS, 8192),
+        (2, False, BLOCK_PATHS, 0),  # the demo: a tile would hold the whole block
+        (8, True, 512, 0),
+        (8, True, 513, 512),
+        (32, True, BLOCK_PATHS, 0),  # 32 paths, under the 64-path floor
+        (64, False, BLOCK_PATHS, 0),
+    ])
+    def test_tile_is_the_largest_power_of_two_within_the_product_limit(self, d, cplx, size,
+                                                                       tile):
+        stack = np.zeros((2, d, size), dtype=np.complex128 if cplx else np.float64)
+        assert _tile_paths(stack) == tile
+
+    def test_tiles_leave_seeded_moments_unchanged_and_take_no_lock(self, monkeypatch):
+        # complex d = 8, u != v over three blocks; the last, 333 paths, ends in
+        # a ragged tile at each width under it and runs at full width above it
+        rng = np.random.default_rng(29)
+        d = 8
+        spec = random_system(rng, d, 2)
+        spec = SystemSpec(0.6 * spec.a / np.sqrt(d),
+                          tuple(0.3 * b / np.sqrt(d) for b in spec.noise_mats))
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        cfg = SimulationConfig(paths=2 * BLOCK_PATHS + 333, seed=21, horizon=20)
+        run_block = montecarlo._run_block
+        blocks = []
+
+        def spy(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
+            counting = _CountingLock(lock)
+            sums = run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, counting)
+            blocks.append((size, -(-n // stride), counting.taken))
+            return sums
+
+        monkeypatch.setattr(montecarlo, "_run_block", spy)
+        # 2**13 gives 32-path tiles, under the floor: full width like 2**30
+        runs = {}
+        for limit in (2 ** 30, 2 ** 13, 2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17):
+            monkeypatch.setattr(montecarlo, "_TILE_MULADDS", limit)
+            tile = limit // (4 * d * d)
+            blocks.clear()
+            runs[limit] = simulate_discrete(spec, u, v, cfg)
+            assert sorted(size for size, _, _ in blocks) == [333, BLOCK_PATHS, BLOCK_PATHS]
+            for size, chunks, taken in blocks:
+                tiled = montecarlo._MIN_TILE <= tile < size
+                assert taken == (0 if tiled else chunks)
+        full = runs.pop(2 ** 30)
+        assert compare_to_exact(full, spec, u, v).all_passed
+        for moments in runs.values():
+            assert np.array_equal(moments.mean_outer, full.mean_outer)
+            assert np.array_equal(moments.std_error, full.std_error)
+            assert (moments.second_moment, moments.second_moment_se) == (full.second_moment,
+                                                                         full.second_moment_se)
