@@ -10,18 +10,23 @@ Blocks run on a thread pool of W = min(usable CPUs, block count) workers,
 fewer when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  Each
 worker takes one block at a time, drawing a chunk of its noise (numpy's
 generators release the GIL while they fill) and then advancing its paths
-through the chunk one tile of T paths at a time: a contiguous copy of the
-tile takes every step, then goes back into the block.  T is the largest
-power of two whose products stay within :data:`_TILE_MULADDS`, small enough
-that BLAS runs each on the calling thread, so tiles take no lock and the
-workers' tiles run side by side from cache.  A block whose T would be under
-:data:`_MIN_TILE` (large d) or at least its own size (the d = 2 real demo)
-advances at full width under one lock instead: its products may thread, and
-the lock keeps two blocks' updates from competing for BLAS's threads while
-draws still overlap them.  Every path's arithmetic is the same in a tile as
-at full width, the blocks' partial sums are merged in block order, and
-neither the streams nor the order of any sum depends on W, so estimates are
-reproducible bit-for-bit at any core count.
+through the chunk one tile at a time: a contiguous copy of the tile takes
+every step, then goes back into the block.  One rule picks the width.  It
+is T, the largest power of two whose products stay within
+:data:`_TILE_MULADDS`, small enough that BLAS runs each on the calling
+thread, so the workers' tiles run side by side from cache with no lock.
+Where T would be under :data:`_MIN_TILE` (large d) or at least the block's
+size (the d = 2 real demo), the tile is the whole block: its first buffer
+is the block, so copying it in is a no-op, and so is copying it out after
+an even number of steps.  Its products may thread, so it alone takes the
+lock, which keeps two blocks' updates from competing for BLAS's threads
+while draws still overlap them.  Every path's arithmetic is the same at
+any tile width, the blocks' partial sums are merged in block order, and
+neither the streams nor the order of any sum depends on W, so estimates
+are reproducible bit-for-bit at any core count.  One exception is known:
+at complex d >= 24, :func:`_block_sums` of a last block of some sizes
+(129, 300 or 333 paths, say) is a BLAS product whose rounding follows
+OpenBLAS's thread count.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
@@ -36,6 +41,7 @@ roundoff.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -58,9 +64,10 @@ _STEP_CHUNK = 256
 #: the draws leaves the streams unchanged.
 _NOISE_CHUNK_BYTES = 2 ** 23
 
-#: Most bytes of path buffers the blocks in flight may hold (128 MiB): up to
-#: three (s, d, BLOCK_PATHS) stacks per block, so at large d a wide affinity
-#: mask runs fewer blocks at once rather than more memory.
+#: Most bytes of path buffers the blocks in flight may hold (128 MiB), charged
+#: at three (s, d, BLOCK_PATHS) stacks per block: a tiled block holds its
+#: stack and three tiles, a whole-block tile three stacks.  So at large d a
+#: wide affinity mask runs fewer blocks at once rather than more memory.
 _GROUP_BYTES = 2 ** 27
 
 #: Most real multiply-adds in one tile product, d**2 T c with c = 4 for
@@ -70,7 +77,7 @@ _GROUP_BYTES = 2 ** 27
 #: lock and cannot oversubscribe BLAS.
 _TILE_MULADDS = 2 ** 17
 
-#: Fewest paths in a tile; below it a block runs at full width under the lock.
+#: Fewest paths in a tile; below it the tile is the whole block, under the lock.
 _MIN_TILE = 64
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
@@ -165,11 +172,13 @@ def _chunk_steps(m: int, paths: int) -> int:
 
 
 def _advance(bufs, a_step, noise_mats, noise):
-    """Take one step per row of ``noise``; ``bufs`` = [paths, spare, tmp], swapped in place.
+    """Take one step per row of ``noise`` and return the buffer that holds the result.
 
-    Each step sets ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``,
-    with ``a_step`` and B_k broadcast over the (s, d, bsize) stack and the
-    draws ``zeta[k]`` over both path sets.
+    ``bufs`` = [paths, spare, tmp] are three (s, d, width) stacks; paths and
+    spare take turns as each step's input and output.  Each step sets
+    ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``, with ``a_step``
+    and B_k broadcast over the stack and the draws ``zeta[k]`` over both
+    path sets.
     """
     paths, nxt, tmp = bufs
     for zeta in noise:
@@ -179,22 +188,21 @@ def _advance(bufs, a_step, noise_mats, noise):
             tmp *= z
             nxt += tmp
         paths, nxt = nxt, paths
-    bufs[:2] = paths, nxt
+    return paths
 
 
-def _tile_paths(stack) -> int:
-    """Paths per lock-free tile of an (s, d, size) block, or 0 for full width.
+def _tile_paths(starts, size) -> int:
+    """Paths per tile of a block of ``size`` copies of the (s, d) stack ``starts``.
 
     The largest power of two T with d**2 T c <= :data:`_TILE_MULADDS` (c = 4
-    for complex paths, 1 for real), or 0 when that T is under
-    :data:`_MIN_TILE` or at least the block's size.
+    for complex paths, 1 for real), or the whole block, ``size``, when that
+    T is under :data:`_MIN_TILE` or at least ``size``.  Never 0.
     """
-    d, size = stack.shape[1:]
-    tile = _TILE_MULADDS // (d * d * (4 if np.iscomplexobj(stack) else 1))
+    d = starts.shape[1]
+    tile = _TILE_MULADDS // (d * d * (4 if np.iscomplexobj(starts) else 1))
     if tile < _MIN_TILE:
-        return 0
-    tile = 1 << (tile.bit_length() - 1)
-    return tile if tile < size else 0
+        return size
+    return min(1 << (tile.bit_length() - 1), size)
 
 
 def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
@@ -202,41 +210,38 @@ def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
 
     The block starts as ``size`` copies of the (s, d) stack ``starts``.  Every
     ``stride`` steps it draws its next noise chunk from its substream ``rng``,
-    then advances through the chunk.  When :func:`_tile_paths` gives a tile
-    width T, each run of T paths (fewer in the last) is copied into
-    tile-sized buffers, takes the chunk's steps there and is written back,
-    with no lock: its products are too small for BLAS to thread.  Otherwise
-    the block advances at full width under ``lock``, so no two blocks' BLAS
-    updates run at once while draws overlap them.  Overflow is checked every
-    :data:`_STEP_CHUNK` steps and at step n; non-finite values persist
-    through the linear updates, so nothing escapes detection.  A path is bad
-    when its x or its y is non-finite, and any bad path is an
-    ``OverflowError`` naming the step and the count: dropping bad paths
-    would bias unstable-case statistics.
+    then advances through the chunk one tile of :func:`_tile_paths` paths at
+    a time (fewer in the last): each tile is copied into the first of three
+    tile-sized buffers, takes the chunk's steps there and is written back.
+    A tile narrower than the block takes no lock, since its products are
+    too small for BLAS to thread.  A tile that spans the block takes
+    ``lock``, so no two blocks' BLAS updates run at once while draws overlap
+    them; its first buffer is the block itself, so it holds three stacks,
+    not four, and its copies are no-ops but for the copy out after an odd
+    number of steps.  Overflow is checked every :data:`_STEP_CHUNK` steps
+    and at step n; non-finite values persist through the linear updates, so
+    nothing escapes detection.  A path is bad when its x or its y is
+    non-finite, and any bad path is an ``OverflowError`` naming the step and
+    the count: dropping bad paths would bias unstable-case statistics.
     """
     m = len(noise_mats)
-    stack = np.tile(starts[:, :, None], (1, 1, size))
-    tile = _tile_paths(stack)
-    if tile:
-        spare = np.empty((3, stack[:, :, :tile].size), dtype=stack.dtype)
-    else:
-        bufs = [stack, np.empty_like(stack), np.empty_like(stack)]
+    tile = _tile_paths(starts, size)
+    spare = np.empty((3, starts.size * tile), dtype=starts.dtype)
+    shape = (*starts.shape, size)
+    stack = spare[0].reshape(shape) if tile == size else np.empty(shape, starts.dtype)
+    stack[...] = starts[:, :, None]
+    held = lock if tile == size else contextlib.nullcontext()
     # numpy's error state is per thread
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, stride):
             zeta = _draw_noise(rng, kind, (min(stride, n - first), m, size))
-            if tile:
+            with held:
                 for lo in range(0, size, tile):
                     part = stack[:, :, lo:lo + tile]
                     # contiguous (s, d, width) views, width < tile in the last
-                    tbufs = [buf[:part.size].reshape(part.shape) for buf in spare]
-                    np.copyto(tbufs[0], part)
-                    _advance(tbufs, a_step, noise_mats, zeta[:, :, lo:lo + tile])
-                    np.copyto(part, tbufs[0])
-            else:
-                with lock:
-                    _advance(bufs, a_step, noise_mats, zeta)
-                stack = bufs[0]
+                    bufs = [buf[:part.size].reshape(part.shape) for buf in spare]
+                    np.copyto(bufs[0], part)
+                    np.copyto(part, _advance(bufs, a_step, noise_mats, zeta[:, :, lo:lo + tile]))
             del zeta  # free this chunk before the next one is drawn
             step = min(first + stride, n)
             if step % _STEP_CHUNK and step < n:

@@ -152,22 +152,7 @@ def parse_vector(source, d: int | None = None) -> np.ndarray:
     return out
 
 
-def complex_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    """Nested rows of ``[re, im]`` pairs; the same floats as :func:`complex_pair` per entry."""
+    """Nested rows of ``[re, im]`` pairs, the form every complex matrix is written in."""
     m = np.asarray(m, dtype=np.complex128)
     return np.stack((m.real, m.imag), axis=-1).tolist()
-
-
-def system_document(spec: SystemSpec) -> dict:
-    """Serialize a system back to the file schema (round-trips exactly)."""
-    return {
-        "d": spec.d,
-        "m": spec.m,
-        "A": matrix_pairs(spec.a),
-        "B": [matrix_pairs(b) for b in spec.noise_mats],
-    }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kronspec.matrices import SystemSpec
+from kronspec.sysio import matrix_pairs
 
 
 @pytest.fixture
@@ -65,3 +66,19 @@ def real_form(s: np.ndarray) -> np.ndarray:
     d = math.isqrt(s.shape[0])
     pi = np.arange(d * d).reshape(d, d).T.ravel()
     return s.real + s.imag[:, pi]
+
+
+def complex_pair(z) -> list[float]:
+    """One complex number as the system file's ``[re, im]`` pair."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def system_document(spec: SystemSpec) -> dict:
+    """Serialize a system back to the file schema (round-trips exactly)."""
+    return {
+        "d": spec.d,
+        "m": spec.m,
+        "A": matrix_pairs(spec.a),
+        "B": [matrix_pairs(b) for b in spec.noise_mats],
+    }

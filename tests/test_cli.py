@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import kron_sum
+from conftest import kron_sum, system_document
 from kronspec.cli import _fmt, _print_matrix, build_parser, main
-from kronspec.sysio import SystemFileError, system_document
+from kronspec.sysio import SystemFileError
 from kronspec.cli import demo_system
 from kronspec.matrices import ConsistencyError, SystemSpec
 from kronspec.spectral import summarize

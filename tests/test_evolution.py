@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import ortho_group
 
-from conftest import kron_sum, random_system, vec
+from conftest import kron_sum, random_system, system_document, vec
 from kronspec import evolution
 from kronspec.cli import demo_system, main
 from kronspec.evolution import (
@@ -43,7 +43,6 @@ from kronspec.matrices import (
     real_unvec,
     real_vec,
 )
-from kronspec.sysio import system_document
 
 
 def _fail(*args, **kwargs):

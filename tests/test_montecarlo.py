@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 import tracemalloc
 from concurrent import futures
 
@@ -496,20 +497,45 @@ class TestTiles:
         (8, False, BLOCK_PATHS, 2048),
         (16, True, BLOCK_PATHS, 128),
         (2, True, BLOCK_PATHS, 8192),
-        (2, False, BLOCK_PATHS, 0),  # the demo: a tile would hold the whole block
-        (8, True, 512, 0),
+        (2, False, BLOCK_PATHS, BLOCK_PATHS),  # the demo: a tile would hold the whole block
+        (8, True, 512, 512),
         (8, True, 513, 512),
-        (32, True, BLOCK_PATHS, 0),  # 32 paths, under the 64-path floor
-        (64, False, BLOCK_PATHS, 0),
+        (24, True, BLOCK_PATHS, BLOCK_PATHS),  # 32 paths, under the 64-path floor
+        (32, True, BLOCK_PATHS, BLOCK_PATHS),  # 32 paths again
+        (64, False, BLOCK_PATHS, BLOCK_PATHS),
     ])
     def test_tile_is_the_largest_power_of_two_within_the_product_limit(self, d, cplx, size,
                                                                        tile):
-        stack = np.zeros((2, d, size), dtype=np.complex128 if cplx else np.float64)
-        assert _tile_paths(stack) == tile
+        starts = np.zeros((2, d), dtype=np.complex128 if cplx else np.float64)
+        assert _tile_paths(starts, size) == tile
+
+    def test_a_whole_block_tile_holds_three_stacks(self):
+        # complex d = 24, u != v: T = 32 is under the floor, so the tile is the
+        # whole block, and its first buffer must be the block itself
+        rng = np.random.default_rng(30)
+        d, m, size, steps = 24, 2, 2048, 64
+        starts = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        a_step, *noise_mats = (0.3 * random_system(rng, d, 0).a / np.sqrt(d) for _ in range(m + 1))
+        assert _tile_paths(starts, size) == size
+        lock = _CountingLock(threading.Lock())
+        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats, 1,
+                              lock)  # imports
+        lock.taken = 0
+        tracemalloc.start()
+        try:
+            montecarlo._run_block(_substream(1, 0), size, "gaussian", steps, starts, a_step,
+                                  noise_mats, steps, lock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lock.taken == 1
+        # 256 KiB covers what numpy allocates inside the steps (164 KiB here)
+        stack, chunk = starts.nbytes * size, 8 * steps * m * size
+        assert peak <= 3 * stack + chunk + 2 ** 18
 
     def test_tiles_leave_seeded_moments_unchanged_and_take_no_lock(self, monkeypatch):
         # complex d = 8, u != v over three blocks; the last, 333 paths, ends in
-        # a ragged tile at each width under it and runs at full width above it
+        # a ragged tile at each width under it and is one whole-block tile above it
         rng = np.random.default_rng(29)
         d = 8
         spec = random_system(rng, d, 2)
@@ -528,7 +554,7 @@ class TestTiles:
             return sums
 
         monkeypatch.setattr(montecarlo, "_run_block", spy)
-        # 2**13 gives 32-path tiles, under the floor: full width like 2**30
+        # 2**13 gives 32-path tiles, under the floor: whole-block tiles like 2**30
         runs = {}
         for limit in (2 ** 30, 2 ** 13, 2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17):
             monkeypatch.setattr(montecarlo, "_TILE_MULADDS", limit)

@@ -4,16 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_system
+from conftest import complex_pair, random_system, system_document
 from kronspec.cli import main
 from kronspec.sysio import (
     SystemFileError,
-    complex_pair,
     load_system,
     matrix_pairs,
     parse_system,
     parse_vector,
-    system_document,
 )
 
 
