@@ -19,7 +19,10 @@ The discrete route checks its whole trajectory once, after the last step,
 and names the first step that overflowed.  The continuous route's real
 Pade costs about half a complex one, and a grid time exactly 2**i times an
 earlier one squares that time's exponential i times rather than computing
-its own, where that gives the same bits.  The Taylor route,
+its own, where that gives the same bits.  :func:`matrix_exponential`
+works in six buffers the size of R, plus the copies numpy's solve makes,
+so the route holds at most 8 matrices of R's size: R, the exponential kept
+for a later time and the one in progress.  The Taylor route,
 :func:`_taylor_on_grid`, never builds C.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
@@ -261,16 +264,63 @@ _THETA_13 = 5.371920351148152
 
 
 def _pade_approx(m: np.ndarray) -> np.ndarray:
+    """The degree-13 Pade approximant (V - U)**-1 (V + U) to e**m, in six n-by-n buffers.
+
+    U = m (m6 (c13 m6 + c11 m4 + c9 m2) + c7 m6 + c5 m4 + c3 m2 + c1 I) and
+    V = m6 (c12 m6 + c10 m4 + c8 m2) + c6 m6 + c4 m4 + c2 m2 + c0 I are each
+    evaluated in that operation order, so the bits are those of the
+    expressions.  The buffers are m, its powers m2, m4 and m6, and two
+    accumulators, each term passing through whichever one is free; m turns
+    scratch once U is formed, and the powers are released before the solve.
+    m is overwritten, and the caller may reuse it as scratch.
+    """
     c = _PADE_COEFFS
-    ident = np.eye(m.shape[0], dtype=m.dtype)
     m2 = m @ m
     m4 = m2 @ m2
     m6 = m2 @ m4
-    u = m @ (m6 @ (c[13] * m6 + c[11] * m4 + c[9] * m2)
-             + c[7] * m6 + c[5] * m4 + c[3] * m2 + c[1] * ident)
-    vv = (m6 @ (c[12] * m6 + c[10] * m4 + c[8] * m2)
-          + c[6] * m6 + c[4] * m4 + c[2] * m2 + c[0] * ident)
-    return np.linalg.solve(vv - u, vv + u)
+    x = c[13] * m6
+    y = np.empty_like(m6)
+    _add_terms(x, y, (c[11], c[9]), (m4, m2))
+    np.matmul(m6, x, out=y)
+    _add_terms(y, x, (c[7], c[5], c[3]), (m6, m4, m2))
+    _add_identity(y, c[1])
+    u = np.matmul(m, y, out=x)
+    np.multiply(c[12], m6, out=y)
+    _add_terms(y, m, (c[10], c[8]), (m4, m2))
+    vv = np.matmul(m6, y, out=m)
+    _add_terms(vv, y, (c[6], c[4], c[2]), (m6, m4, m2))
+    _add_identity(vv, c[0])
+    del m2, m4, m6
+    np.subtract(vv, u, out=y)
+    vv += u
+    del u, x
+    return np.linalg.solve(y, vv)
+
+
+def _add_terms(acc: np.ndarray, scratch: np.ndarray, coeffs, powers) -> None:
+    """acc += c p for each coefficient c and power p in turn, each c p formed in scratch."""
+    for c, p in zip(coeffs, powers):
+        np.multiply(c, p, out=scratch)
+        acc += scratch
+
+
+def _add_identity(acc: np.ndarray, c: float) -> None:
+    """acc += c I as ``c * eye`` adds it: c on the diagonal, +0.0 off it, so -0.0 turns +0.0."""
+    acc += 0.0
+    acc.reshape(-1)[:: acc.shape[0] + 1] += c
+
+
+def _squared(x: np.ndarray, times: int, spare: np.ndarray | None = None) -> np.ndarray:
+    """x squared ``times`` times, the products ping-ponging between two buffers.
+
+    The first product goes to ``spare`` (a new buffer when it is None), the
+    second back into x, and so on, so x is overwritten from the second
+    squaring on.
+    """
+    for _ in range(times):
+        spare = np.matmul(x, x, out=spare)
+        x, spare = spare, x
+    return x
 
 
 def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
@@ -281,7 +331,9 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
     roughly unit roundoff for well-scaled inputs; a t a whose 1-norm
     overflows, and an overflowing result, are an ``OverflowError``.  Real
     input gives a real (float64) result, computed in real arithmetic;
-    complex input is computed in complex128.
+    complex input is computed in complex128.  The working set is six n-by-n
+    buffers (:func:`_pade_approx`) plus the copies :func:`numpy.linalg.solve`
+    makes; the squarings ping-pong between two of them.
     """
     name = "matrix_exponential input"
     a = _require_square(as_matrix(a, name), name)
@@ -296,9 +348,10 @@ def matrix_exponential(a, t: float = 1.0) -> np.ndarray:
         return np.eye(m.shape[0], dtype=m.dtype)
     squarings = int(math.ceil(math.log2(max(norm1 / _THETA_13, 1.0))))
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _pade_approx(m / (2.0 ** squarings))
-        for _ in range(squarings):
-            result = result @ result
+        # the Pade step writes into m and its diagonal, which need C order
+        m = np.ascontiguousarray(m)
+        m /= 2.0 ** squarings
+        result = _squared(_pade_approx(m), squarings, m)
         return _finite(result, f"matrix exponential (1-norm of t*a is {norm1:.3g})")
 
 
@@ -600,8 +653,10 @@ def propagate_continuous(
     result is the same bit for bit.  Below theta_13/2 it would take fewer
     squarings, and each extra one doubles the Pade factor's roundoff, so such
     a t_j seeds nothing.  One exponential is kept at a time, that of the
-    latest grid time that can seed a later one, so the route holds at most
-    one beyond the one in use.
+    latest grid time that can seed a later one, and every other one is
+    dropped before the next is formed, so the route holds R, the kept
+    exponential and the one in progress: at most 8 matrices of R's size,
+    7 when none is kept.  The squarings of the kept one leave it intact.
     ``route="ode"`` sums the Taylor series of ``e^(tL)`` on d-by-d matrices by
     :func:`_taylor_on_grid`, forming neither C nor its exponential, so it runs at any d.
     """
@@ -623,10 +678,8 @@ def propagate_continuous(
             later[mantissa] -= 1
             ratio = t / kept_t if kept_t else 0.0
             if ratio > 1 and math.frexp(ratio)[0] == 0.5:
-                expo = kept
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(math.frexp(ratio)[1] - 1):
-                        expo = expo @ expo
+                    expo = _squared(kept @ kept, math.frexp(ratio)[1] - 2)
                 expo = _finite(expo, f"matrix exponential at t={t}")
             else:
                 expo = matrix_exponential(rmat, t)
@@ -634,6 +687,8 @@ def propagate_continuous(
                 kept_t, kept = t, expo
             with np.errstate(over="ignore", invalid="ignore"):
                 value = real_unvec(expo @ x0, spec.d)
+            # dropped before the next is formed, unless it is the kept one
+            del expo
             values.append(_finite(value, f"covariance propagation at t={t}"))
     else:
         values = _taylor_on_grid(spec, v0, t_grid)

@@ -16,7 +16,10 @@ import numpy as np
 from .matrices import as_complex_matrix, as_matrix, is_hermitian, _require_square
 
 #: Most rows of a dense matrix: an eigensolver input, or D and C themselves,
-#: whose d**2 rows allow systems up to d = 64.
+#: whose d**2 rows allow systems up to d = 64.  There C's real form R
+#: (:func:`kronsum.build_continuous_sum`) is 128 MiB, and the continuous
+#: Kronecker route holds at most 8 matrices of its size (1 GiB), 7
+#: (0.875 GiB) when it keeps no exponential for a later time.
 DENSE_CEILING = 64 ** 2
 
 

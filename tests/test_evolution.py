@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ortho_group
 
 from conftest import kron_sum, random_system, system_document, vec
@@ -23,9 +24,11 @@ from kronspec.evolution import (
     _ESTIMATE_ABOVE,
     _M_MAX,
     _NORMEST_APPLICATIONS,
+    _PADE_COEFFS,
     _P_MAX,
     _STEP_EXTRA_BYTES,
     _THETA,
+    _THETA_13,
     _estimated_norms,
     _exact_norms,
     _generator_powers,
@@ -404,6 +407,55 @@ class TestCovarianceNearTheTopOfDoubleRange:
         assert max_relative_discrepancy(direct, kron_route) <= 1e-15
 
 
+def _oracle_pade(m):
+    """The degree-13 Pade approximant as one expression per factor: the oracle
+    for the bits of :func:`evolution._pade_approx`."""
+    c = _PADE_COEFFS
+    ident = np.eye(m.shape[0], dtype=m.dtype)
+    m2 = m @ m
+    m4 = m2 @ m2
+    m6 = m2 @ m4
+    u = m @ (m6 @ (c[13] * m6 + c[11] * m4 + c[9] * m2)
+             + c[7] * m6 + c[5] * m4 + c[3] * m2 + c[1] * ident)
+    vv = (m6 @ (c[12] * m6 + c[10] * m4 + c[8] * m2)
+          + c[6] * m6 + c[4] * m4 + c[2] * m2 + c[0] * ident)
+    return np.linalg.solve(vv - u, vv + u)
+
+
+def _oracle_exponential(a, t):
+    """e^(t a) by scaling and squaring, each step a new array; overflow is not checked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = t * a
+        norm1 = float(np.linalg.norm(m, 1))
+        if norm1 == 0.0:
+            return np.eye(m.shape[0], dtype=m.dtype)
+        squarings = int(math.ceil(math.log2(max(norm1 / _THETA_13, 1.0))))
+        result = _oracle_pade(m / (2.0 ** squarings))
+        for _ in range(squarings):
+            result = result @ result
+        return result
+
+
+@st.composite
+def _exponential_inputs(draw):
+    """(a, t): n from 1 to 24, real or complex, |t a|_1 = theta_13 2**(e + f)
+    from 0.01 to 1375 (0-8 squarings) or 0; a diagonal a holds zeros of
+    either sign, and t < 0 turns the +0.0 off its diagonal into -0.0."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n,) if draw(st.booleans()) else (n, n)
+    a = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        a = a + 1j * rng.standard_normal(shape)
+    if len(shape) == 1:
+        a = np.diag(np.where(rng.random(n) < 0.5, np.copysign(0.0, rng.standard_normal(n)), a))
+    e, f = draw(st.sampled_from(range(-10, 8))), draw(st.floats(0.0, 1.0))
+    norm = 0.0 if e == -10 else _THETA_13 * 2.0 ** (e + f)
+    t = draw(st.sampled_from([1.0, -1.0]))
+    scale = np.linalg.norm(a, 1)
+    return (a * (norm / scale) if scale else a), t
+
+
 class TestMatrixExponential:
     def test_zero_time_gives_identity(self, crandn):
         assert np.array_equal(matrix_exponential(crandn(3, 3), 0.0), np.eye(3))
@@ -465,6 +517,47 @@ class TestMatrixExponential:
     def test_overflowing_argument_raises_without_warning(self, a, t):
         with pytest.raises(OverflowError, match=r"1-norm of t\*a overflowed"):
             matrix_exponential(a, t)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(_exponential_inputs())
+    def test_bitwise_equal_to_the_expression(self, inputs):
+        # the six-buffer evaluation keeps the operation order, signed zeros included
+        a, t = inputs
+        want = _oracle_exponential(a, t)
+        if not np.isfinite(want).all():
+            with pytest.raises(OverflowError):
+                matrix_exponential(a, t)
+            return
+        got = matrix_exponential(a, t)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_identity_term_adds_as_the_expression_does(self, dtype):
+        # c I is c on the diagonal and +0.0 off it, which turns -0.0 into +0.0
+        acc = np.array([[complex(-0.0, -0.0), complex(1.5, -0.0)],
+                        [complex(-0.0, 0.0), complex(-0.0, -2.0)]])
+        acc = acc.astype(dtype) if dtype == np.complex128 else acc.real.copy()
+        want = acc + 182.0 * np.eye(2, dtype=dtype)
+        evolution._add_identity(acc, 182.0)
+        assert np.array_equal(acc.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n, dtype", [(256, np.float64), (128, np.complex128)])
+    def test_holds_six_buffers(self, n, dtype):
+        # m, m^2, m^4, m^6 and two accumulators; the squarings reuse two of
+        # them.  numpy's solve copies its operands outside traced memory
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((n, n)).astype(dtype) / 4
+        if dtype == np.complex128:
+            a += 1j * rng.standard_normal((n, n)) / 4
+        assert np.linalg.norm(a, 1) > 2 * _THETA_13  # at least one squaring
+        tracemalloc.start()
+        try:
+            matrix_exponential(a, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * a.nbytes + 2 ** 19
 
     def test_real_input_stays_real(self, crandn):
         # float64 in, float64 out, in real arithmetic; the same matrix as
@@ -1079,6 +1172,33 @@ class TestKroneckerRouteDoubling:
         monkeypatch.setattr(evolution, "matrix_exponential", spy)
         propagate_continuous(spec, u, v, times, "kronecker")
         assert len(seen) == calls
+
+    def test_three_squarings_of_the_kept_exponential(self):
+        # e^(0.125 R) squared three times: the third product overwrites the first
+        spec, u, v = self._system()
+        times = (0.125, 1.0)
+        traj = propagate_continuous(spec, u, v, times, "kronecker")
+        for got, want in zip(traj.values, self._per_time(spec, u, v, times)):
+            assert np.array_equal(vec(got), want)
+
+    @pytest.mark.parametrize("times, matrices", [
+        # R and the exponential in progress; e^(0.25 R) is kept for t = 1
+        ((0.25, 1.0), 7),
+        # e^(0.3 R) is kept for t = 0.6 while e^(0.5 R) is formed
+        ((0.3, 0.5, 0.6), 8),
+        # e^(0.3 R) seeds nothing, so it goes before e^(0.7 R) is formed
+        ((0.3, 0.7, 1.4), 7),
+    ])
+    def test_working_set(self, times, matrices):
+        # counted in matrices of R's size, 512 KiB at d = 16, R included
+        spec, u, v = self._system()
+        tracemalloc.start()
+        try:
+            propagate_continuous(spec, u, v, times, "kronecker")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrices * 8 * 16 ** 4 + 2 ** 19
 
     def test_a_tiny_earlier_time_seeds_nothing(self):
         # 900 squarings of e^(1e-300 C) would double its roundoff 900 times
