@@ -10,21 +10,26 @@ Blocks run on a thread pool of W = min(usable CPUs, block count) workers,
 fewer when their path buffers would pass :data:`_GROUP_BYTES` (W >= 1).  Each
 worker takes one block at a time, drawing a chunk of its noise (numpy's
 generators release the GIL while they fill) and then advancing its paths
-through the chunk one tile at a time: a contiguous copy of the tile takes
-every step, then goes back into the block.  One rule picks the width.  It
-is T, the largest power of two whose products stay within
-:data:`_TILE_MULADDS`, small enough that BLAS runs each on the calling
-thread, so the workers' tiles run side by side from cache with no lock.
-Where T would be under :data:`_MIN_TILE` (large d) or at least the block's
-size (the d = 2 real demo), the tile is the whole block: its first buffer
-is the block, so copying it in is a no-op, and so is copying it out after
-an even number of steps.  Its products may thread, so it alone takes the
-lock, which keeps two blocks' updates from competing for BLAS's threads
-while draws still overlap them.  Every path's arithmetic is the same at
-any tile width, the blocks' partial sums are merged in block order, and
-neither the streams nor the order of any sum depends on W, so estimates
-are reproducible bit-for-bit at any core count.  One exception is known:
-at complex d >= 24, :func:`_block_sums` of a last block of some sizes
+through the chunk one sweep at a time: a contiguous copy of the sweep takes
+every step, then goes back into the block.  Two widths are picked.  The
+panel, the width of each product, is T, the largest power of two whose
+products stay within :data:`_TILE_MULADDS` (the tile rule), small enough
+that BLAS runs each on the calling thread, so the workers' panels run side
+by side with no lock.  The sweep, the width of each copy, scale and add, is
+the largest power of two whose stack fits in :data:`_SWEEP_BYTES`, so it
+runs from cache in calls long enough that two workers do not trade the GIL
+call by call; it is at least one panel and at most the block.  Where T would
+be under :data:`_MIN_TILE` (large d) or at least the block's size (the d = 2
+real demo), the panel is the whole block.  Its products may thread, so such
+a block alone takes the lock, which keeps two blocks' updates from
+competing for BLAS's threads while draws still overlap them.  A sweep that
+spans the block has the block as its first buffer and leaves it in
+whichever buffer took the last step, so it copies nothing.  Every product
+is the same BLAS call at any sweep width, every path's arithmetic is the
+same at any panel width, the blocks' partial sums are merged in block
+order, and neither the streams nor the order of any sum depends on W, so
+estimates are reproducible bit-for-bit at any core count.  One exception is
+known: at complex d >= 24, :func:`_block_sums` of a last block of some sizes
 (129, 300 or 333 paths, say) is a BLAS product whose rounding follows
 OpenBLAS's thread count.
 
@@ -65,20 +70,27 @@ _STEP_CHUNK = 256
 _NOISE_CHUNK_BYTES = 2 ** 23
 
 #: Most bytes of path buffers the blocks in flight may hold (128 MiB), charged
-#: at three (s, d, BLOCK_PATHS) stacks per block: a tiled block holds its
-#: stack and three tiles, a whole-block tile three stacks.  So at large d a
-#: wide affinity mask runs fewer blocks at once rather than more memory.
+#: at three (s, d, BLOCK_PATHS) stacks per block: a full block wider than its
+#: sweep holds its stack and three sweeps of at most half its width, a block
+#: whose sweep spans it three stacks.  So at large d a wide affinity mask
+#: runs fewer blocks at once rather than more memory.
 _GROUP_BYTES = 2 ** 27
 
-#: Most real multiply-adds in one tile product, d**2 T c with c = 4 for
-#: complex paths and 1 for real ones.  OpenBLAS 0.3.31 keeps a product this
-#: small on the calling thread: complex products were seen to thread from
-#: 2**16 complex multiply-adds and real ones from 2**20, so tiles need no
-#: lock and cannot oversubscribe BLAS.
+#: Most real multiply-adds in one panel product, d**2 T c with c = 4 for
+#: complex paths and 1 for real ones (the tile rule).  OpenBLAS 0.3.31 keeps a
+#: product this small on the calling thread: complex products were seen to
+#: thread from 2**16 complex multiply-adds and real ones from 2**20, so
+#: lock-free panels cannot oversubscribe BLAS.
 _TILE_MULADDS = 2 ** 17
 
-#: Fewest paths in a tile; below it the tile is the whole block, under the lock.
+#: Fewest paths in a panel; below it the panel is the whole block, under the lock.
 _MIN_TILE = 64
+
+#: Most bytes in one (s, d, W) sweep (512 KiB), so a sweep's three buffers fit
+#: a 2 MiB L2 cache.  Each scale and add covers a whole sweep: at d = 8 a
+#: 512-path panel gives calls of 8,192 complex entries, short enough that two
+#: workers' calls trade the GIL and run slower side by side than alone.
+_SWEEP_BYTES = 2 ** 19
 
 #: Most steps one simulation may take.  Checked before any noise is drawn, so
 #: a tiny dt or a huge horizon fails at once instead of running for ages.
@@ -171,20 +183,25 @@ def _chunk_steps(m: int, paths: int) -> int:
     return 1 << (steps.bit_length() - 1)
 
 
-def _advance(bufs, a_step, noise_mats, noise):
+def _advance(bufs, panel, a_step, noise_mats, noise):
     """Take one step per row of ``noise`` and return the buffer that holds the result.
 
     ``bufs`` = [paths, spare, tmp] are three (s, d, width) stacks; paths and
     spare take turns as each step's input and output.  Each step sets
     ``paths <- a_step paths + sum_k (B_k paths) * zeta[k]``, with ``a_step``
     and B_k broadcast over the stack and the draws ``zeta[k]`` over both
-    path sets.
+    path sets.  Each of its m + 1 products runs ``panel`` paths at a time
+    (fewer in the last), written into a slice of its output buffer; each
+    scale and add then runs once over the whole width.
     """
     paths, nxt, tmp = bufs
+    cuts = [slice(lo, lo + panel) for lo in range(0, paths.shape[-1], panel)]
     for zeta in noise:
-        np.matmul(a_step, paths, out=nxt)
+        for cut in cuts:
+            np.matmul(a_step, paths[..., cut], out=nxt[..., cut])
         for b, z in zip(noise_mats, zeta):
-            np.matmul(b, paths, out=tmp)
+            for cut in cuts:
+                np.matmul(b, paths[..., cut], out=tmp[..., cut])
             tmp *= z
             nxt += tmp
         paths, nxt = nxt, paths
@@ -192,11 +209,12 @@ def _advance(bufs, a_step, noise_mats, noise):
 
 
 def _tile_paths(starts, size) -> int:
-    """Paths per tile of a block of ``size`` copies of the (s, d) stack ``starts``.
+    """Paths per panel of a block of ``size`` copies of the (s, d) stack ``starts``.
 
-    The largest power of two T with d**2 T c <= :data:`_TILE_MULADDS` (c = 4
-    for complex paths, 1 for real), or the whole block, ``size``, when that
-    T is under :data:`_MIN_TILE` or at least ``size``.  Never 0.
+    The tile rule: the largest power of two T with d**2 T c <=
+    :data:`_TILE_MULADDS` (c = 4 for complex paths, 1 for real), or the whole
+    block, ``size``, when that T is under :data:`_MIN_TILE` or at least
+    ``size``.  Never 0.
     """
     d = starts.shape[1]
     tile = _TILE_MULADDS // (d * d * (4 if np.iscomplexobj(starts) else 1))
@@ -205,43 +223,65 @@ def _tile_paths(starts, size) -> int:
     return min(1 << (tile.bit_length() - 1), size)
 
 
+def _sweep_paths(starts, size) -> int:
+    """Paths per sweep of a block of ``size`` copies of the (s, d) stack ``starts``.
+
+    The largest power of two W whose (s, d, W) stack fits in
+    :data:`_SWEEP_BYTES`, but at least one panel, :func:`_tile_paths`, and at
+    most the block, ``size``.  A sweep below the block's size is thus a whole
+    number of panels.
+    """
+    width = max(1, _SWEEP_BYTES // starts.nbytes)
+    return min(max(1 << (width.bit_length() - 1), _tile_paths(starts, size)), size)
+
+
 def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
     """Advance one block of ``size`` paths through n steps and return its :func:`_block_sums`.
 
     The block starts as ``size`` copies of the (s, d) stack ``starts``.  Every
     ``stride`` steps it draws its next noise chunk from its substream ``rng``,
-    then advances through the chunk one tile of :func:`_tile_paths` paths at
-    a time (fewer in the last): each tile is copied into the first of three
-    tile-sized buffers, takes the chunk's steps there and is written back.
-    A tile narrower than the block takes no lock, since its products are
-    too small for BLAS to thread.  A tile that spans the block takes
+    then advances through the chunk one sweep of :func:`_sweep_paths` paths
+    at a time (fewer in the last): each sweep is copied into the first of
+    three sweep-sized buffers, takes the chunk's steps there and is written
+    back.  Within a sweep, :func:`_advance` takes each product one panel of
+    :func:`_tile_paths` paths at a time and each scale and add once.  A block
+    whose panel is narrower than the block takes no lock, since its products
+    are too small for BLAS to thread.  A block whose panel spans it takes
     ``lock``, so no two blocks' BLAS updates run at once while draws overlap
-    them; its first buffer is the block itself, so it holds three stacks,
-    not four, and its copies are no-ops but for the copy out after an odd
-    number of steps.  Overflow is checked every :data:`_STEP_CHUNK` steps
-    and at step n; non-finite values persist through the linear updates, so
-    nothing escapes detection.  A path is bad when its x or its y is
-    non-finite, and any bad path is an ``OverflowError`` naming the step and
-    the count: dropping bad paths would bias unstable-case statistics.
+    them.  A sweep that spans the block, locked or not, has the block itself
+    as its first buffer, so it holds three stacks, not four; its copy in is
+    a no-op, and after an odd number of steps the block stays in the buffer
+    that took the last step rather than being copied back.  Overflow is
+    checked every :data:`_STEP_CHUNK` steps and at step n; non-finite
+    values persist through the linear updates, so nothing escapes
+    detection.  A path is bad when its x or its y is non-finite, and any
+    bad path is an ``OverflowError`` naming the step and the count:
+    dropping bad paths would bias unstable-case statistics.
     """
     m = len(noise_mats)
-    tile = _tile_paths(starts, size)
-    spare = np.empty((3, starts.size * tile), dtype=starts.dtype)
+    panel, sweep = _tile_paths(starts, size), _sweep_paths(starts, size)
+    spare = list(np.empty((3, starts.size * sweep), dtype=starts.dtype))
     shape = (*starts.shape, size)
-    stack = spare[0].reshape(shape) if tile == size else np.empty(shape, starts.dtype)
+    stack = spare[0].reshape(shape) if sweep == size else np.empty(shape, starts.dtype)
     stack[...] = starts[:, :, None]
-    held = lock if tile == size else contextlib.nullcontext()
+    held = lock if panel == size else contextlib.nullcontext()
     # numpy's error state is per thread
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, stride):
             zeta = _draw_noise(rng, kind, (min(stride, n - first), m, size))
             with held:
-                for lo in range(0, size, tile):
-                    part = stack[:, :, lo:lo + tile]
-                    # contiguous (s, d, width) views, width < tile in the last
+                for lo in range(0, size, sweep):
+                    part = stack[:, :, lo:lo + sweep]
+                    # contiguous (s, d, width) views, width < sweep in the last
                     bufs = [buf[:part.size].reshape(part.shape) for buf in spare]
                     np.copyto(bufs[0], part)
-                    np.copyto(part, _advance(bufs, a_step, noise_mats, zeta[:, :, lo:lo + tile]))
+                    done = _advance(bufs, panel, a_step, noise_mats, zeta[:, :, lo:lo + sweep])
+                    if sweep < size:
+                        np.copyto(part, done)
+                    elif done is not bufs[0]:
+                        # the block moves to the buffer that took the last step
+                        spare[0], spare[1] = spare[1], spare[0]
+                        stack = done
             del zeta  # free this chunk before the next one is drawn
             step = min(first + stride, n)
             if step % _STEP_CHUNK and step < n:

@@ -22,6 +22,7 @@ from kronspec.montecarlo import (
     _chunk_steps,
     _draw_noise,
     _substream,
+    _sweep_paths,
     _tile_paths,
     compare_to_exact,
     simulate_continuous,
@@ -509,6 +510,22 @@ class TestTiles:
         starts = np.zeros((2, d), dtype=np.complex128 if cplx else np.float64)
         assert _tile_paths(starts, size) == tile
 
+    @pytest.mark.parametrize("d, cplx, s, size, panel, sweep", [
+        (8, True, 2, BLOCK_PATHS, 512, 2048),
+        (8, True, 1, BLOCK_PATHS, 512, 4096),
+        (4, True, 2, BLOCK_PATHS, 2048, 4096),
+        (16, True, 2, BLOCK_PATHS, 128, 1024),
+        (8, True, 2, 513, 512, 513),  # the sweep spans the block: panels of 512 and 1
+        (2, True, 1, BLOCK_PATHS, 8192, BLOCK_PATHS),  # a lock-free sweep spans the block
+        (2, False, 1, BLOCK_PATHS, BLOCK_PATHS, BLOCK_PATHS),  # the demo, under the lock
+        (24, True, 2, BLOCK_PATHS, BLOCK_PATHS, BLOCK_PATHS),  # under the 64-path floor
+    ])
+    def test_sweep_is_the_largest_power_of_two_within_its_bytes(self, d, cplx, s, size, panel,
+                                                                sweep):
+        starts = np.zeros((s, d), dtype=np.complex128 if cplx else np.float64)
+        assert (_tile_paths(starts, size), _sweep_paths(starts, size)) == (panel, sweep)
+        assert sweep == size or starts.nbytes * sweep == montecarlo._SWEEP_BYTES
+
     def test_a_whole_block_tile_holds_three_stacks(self):
         # complex d = 24, u != v: T = 32 is under the floor, so the tile is the
         # whole block, and its first buffer must be the block itself
@@ -533,6 +550,60 @@ class TestTiles:
         stack, chunk = starts.nbytes * size, 8 * steps * m * size
         assert peak <= 3 * stack + chunk + 2 ** 18
 
+    def test_a_lock_free_block_holds_its_stack_and_three_sweeps(self):
+        # complex d = 8, u != v: 512-path panels in 2048-path sweeps, so the
+        # block holds three sweep buffers beside itself, not three stacks
+        rng = np.random.default_rng(31)
+        d, m, size, steps = 8, 2, 8192, 16
+        starts = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        a_step, *noise_mats = (0.3 * random_system(rng, d, 0).a / np.sqrt(d) for _ in range(m + 1))
+        assert (_tile_paths(starts, size), _sweep_paths(starts, size)) == (512, 2048)
+        lock = _CountingLock(threading.Lock())
+        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats, 1,
+                              lock)  # imports
+        lock.taken = 0
+        tracemalloc.start()
+        try:
+            montecarlo._run_block(_substream(1, 0), size, "gaussian", steps, starts, a_step,
+                                  noise_mats, steps, lock)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lock.taken == 0
+        # 256 KiB covers what numpy allocates inside the steps (165 KiB here)
+        stack, chunk = starts.nbytes * size, 8 * steps * m * size
+        assert peak <= stack + 3 * montecarlo._SWEEP_BYTES + chunk + 2 ** 18
+
+    @pytest.mark.parametrize("u, noise_mats", [
+        (U2.real, (np.array([[0.0, 0.0], [2.0, 0.0]]),)),  # the demo: a whole-block panel
+        (U2, (np.array([[0.3, 0.2j], [0.1, 0.4]]),)),  # d = 2, s = 1: a lock-free sweep
+    ])
+    def test_a_sweep_that_spans_the_block_copies_nothing_back(self, u, noise_mats, monkeypatch):
+        # one-step chunks: each ends on an odd step count, with the block's
+        # paths in the second buffer
+        spec = SystemSpec(np.diag([0.5, 0.7]).astype(complex), noise_mats)
+        cfg = SimulationConfig(paths=BLOCK_PATHS, seed=8, horizon=7)
+        starts = np.stack((u,))
+        assert _sweep_paths(starts, BLOCK_PATHS) == BLOCK_PATHS
+        whole = simulate_discrete(spec, u, u, cfg)
+        monkeypatch.setattr(montecarlo, "_NOISE_CHUNK_BYTES", 1)
+        assert _chunk_steps(1, BLOCK_PATHS) == 1
+        copies = []
+        copyto = np.copyto
+
+        def spy(dst, src, *args, **kwargs):
+            if dst.ctypes.data != src.ctypes.data:
+                copies.append(dst.shape)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", spy)
+        split = simulate_discrete(spec, u, u, cfg)
+        assert copies == []
+        assert np.array_equal(whole.mean_outer, split.mean_outer)
+        assert np.array_equal(whole.std_error, split.std_error)
+        assert (whole.second_moment, whole.second_moment_se) == (split.second_moment,
+                                                                 split.second_moment_se)
+
     def test_tiles_leave_seeded_moments_unchanged_and_take_no_lock(self, monkeypatch):
         # complex d = 8, u != v over three blocks; the last, 333 paths, ends in
         # a ragged tile at each width under it and is one whole-block tile above it
@@ -550,22 +621,28 @@ class TestTiles:
         def spy(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
             counting = _CountingLock(lock)
             sums = run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, counting)
-            blocks.append((size, -(-n // stride), counting.taken))
+            blocks.append((size, -(-n // stride), counting.taken,
+                           _tile_paths(starts, size), _sweep_paths(starts, size)))
             return sums
 
         monkeypatch.setattr(montecarlo, "_run_block", spy)
-        # 2**13 gives 32-path tiles, under the floor: whole-block tiles like 2**30
+        # 2**13 gives 32-path tiles, under the floor: whole-block tiles like 2**30.
+        # Sweep budgets: 1 byte is one panel per sweep, 2**40 the whole block
         runs = {}
         for limit in (2 ** 30, 2 ** 13, 2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17):
             monkeypatch.setattr(montecarlo, "_TILE_MULADDS", limit)
             tile = limit // (4 * d * d)
-            blocks.clear()
-            runs[limit] = simulate_discrete(spec, u, v, cfg)
-            assert sorted(size for size, _, _ in blocks) == [333, BLOCK_PATHS, BLOCK_PATHS]
-            for size, chunks, taken in blocks:
-                tiled = montecarlo._MIN_TILE <= tile < size
-                assert taken == (0 if tiled else chunks)
-        full = runs.pop(2 ** 30)
+            for budget in (1, 2 ** 19, 2 ** 40):
+                monkeypatch.setattr(montecarlo, "_SWEEP_BYTES", budget)
+                blocks.clear()
+                runs[limit, budget] = simulate_discrete(spec, u, v, cfg)
+                assert sorted(size for size, *_ in blocks) == [333, BLOCK_PATHS, BLOCK_PATHS]
+                for size, chunks, taken, panel, sweep in blocks:
+                    tiled = montecarlo._MIN_TILE <= tile < size
+                    assert taken == (0 if tiled else chunks)
+                    widest = {1: panel, 2 ** 19: max(2048, panel), 2 ** 40: size}[budget]
+                    assert sweep == min(widest, size)
+        full = runs.pop((2 ** 30, 2 ** 19))
         assert compare_to_exact(full, spec, u, v).all_passed
         for moments in runs.values():
             assert np.array_equal(moments.mean_outer, full.mean_outer)
