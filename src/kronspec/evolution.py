@@ -26,9 +26,8 @@ for a later time and the one in progress.  The Taylor route,
 :func:`_taylor_on_grid`, never builds C.
 
 Every route starts from V(0) = u v*, formed in one place and checked for
-overflow.  :func:`exact_covariance` is V at one horizon alone: the value Monte
-Carlo checks, and whose trace :func:`second_moment_bounds` checks against the
-envelope of the extreme eigenvalues of the Hermitian companions N and M.
+overflow.  :func:`exact_covariance` is V at one horizon alone, the value Monte
+Carlo checks.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +43,11 @@ from .kronsum import (
     _check_mode,
     _finite,
     adjoint_moment_map,
-    bound_report,
     build_continuous_sum,
     build_discrete_sum,
     second_moment_map,
 )
 from .matrices import (
-    ConsistencyError,
     SystemSpec,
     as_complex_vector,
     as_matrix,
@@ -143,12 +139,6 @@ class CovarianceTrajectory:
     index: tuple
     values: np.ndarray                 # stacked: values[i] is the matrix at index[i]
     second_moments: np.ndarray | None
-
-
-class SecondMomentBounds(NamedTuple):
-    lower: float
-    upper: float
-    actual: float
 
 
 def _initial_outer(spec: SystemSpec, u, v) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -718,7 +708,7 @@ def max_relative_discrepancy(a: CovarianceTrajectory, b: CovarianceTrajectory) -
 
 
 def exact_covariance(spec: SystemSpec, mode: str, u, v, horizon) -> np.ndarray:
-    """V at the horizon alone, from V(0) = u v*: the value Monte Carlo and the envelopes check.
+    """V at the horizon alone, from V(0) = u v*: the value Monte Carlo checks.
 
     Discrete mode runs the one-step recursion to a whole step count (see
     :func:`propagate_discrete`), holding one matrix at a time, so it has no
@@ -734,40 +724,3 @@ def exact_covariance(spec: SystemSpec, mode: str, u, v, horizon) -> np.ndarray:
     for value in _recursion(spec, value, n):
         pass
     return value
-
-
-def second_moment_bounds(
-    spec: SystemSpec, mode: str, u, horizon, rel_tol: float
-) -> SecondMomentBounds:
-    """The paper's envelope on r = tr V at the horizon, from V(0) = u u*, plus r itself.
-
-    Discrete: ``|u|^2 gamma^n <= r(n) <= |u|^2 beta^n``; continuous:
-    ``|u|^2 e^(gamma t) <= r(t) <= |u|^2 e^(beta t)``, with gamma and beta the
-    extreme eigenvalues of the Hermitian companion N or M (in continuous
-    mode they may be negative).  r comes from :func:`exact_covariance`.  The
-    envelope holds for every system, so a violation beyond ``rel_tol``
-    (scaled by the bound size) raises :class:`ConsistencyError`.
-    """
-    actual = float(np.trace(exact_covariance(spec, mode, u, u, horizon)).real)
-    u = as_complex_vector(u, "initial vector u")
-    report = bound_report(spec, mode)
-    u2 = float(np.sum(np.abs(u) ** 2))
-    if mode == "discrete":
-        lower = u2 * report.lower ** horizon
-        upper = u2 * report.upper ** horizon
-    else:
-        with np.errstate(over="ignore"):
-            lower = u2 * float(np.exp(report.lower * horizon))
-            upper = u2 * float(np.exp(report.upper * horizon))
-    _check_moment_chain(mode, lower, upper, actual, rel_tol)
-    return SecondMomentBounds(lower=lower, upper=upper, actual=actual)
-
-
-def _check_moment_chain(mode: str, lower: float, upper: float, actual: float, rel_tol: float) -> None:
-    lo_slack = rel_tol * max(1.0, abs(lower))
-    hi_slack = rel_tol * max(1.0, abs(upper))
-    if not (lower - lo_slack <= actual <= upper + hi_slack):
-        raise ConsistencyError(
-            f"{mode} second-moment envelope violated: "
-            f"{lower!r} <= {actual!r} <= {upper!r} fails at relative slack {rel_tol:g}"
-        )

@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from conftest import kron_sum, random_system
+from conftest import kron_sum, random_system, second_moment_bounds
 from kronspec.cli import demo_system
 from kronspec.evolution import (
     max_relative_discrepancy,
     propagate_continuous,
     propagate_discrete,
-    second_moment_bounds,
 )
 from kronspec.kronsum import (
     UNSTABLE_STATUSES,

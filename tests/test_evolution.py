@@ -10,7 +10,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ortho_group
 
-from conftest import kron_sum, random_system, system_document, vec
+from conftest import (
+    _check_moment_chain,
+    kron_sum,
+    random_system,
+    second_moment_bounds,
+    system_document,
+    vec,
+)
 from kronspec import evolution
 from kronspec.cli import demo_system, main
 from kronspec.evolution import (
@@ -19,8 +26,6 @@ from kronspec.evolution import (
     max_relative_discrepancy,
     propagate_continuous,
     propagate_discrete,
-    second_moment_bounds,
-    _check_moment_chain,
     _ESTIMATE_ABOVE,
     _M_MAX,
     _NORMEST_APPLICATIONS,

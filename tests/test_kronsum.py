@@ -1,15 +1,18 @@
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import ortho_group, unitary_group
 
-from conftest import kron_sum, random_system, real_form
+from conftest import kron_sum, mixed_direct_sum, random_system, real_form
 from kronspec import kronsum
 from kronspec.cli import demo_system
 from kronspec.kronsum import (
+    BOUNDARY_TOL,
     CHAIN_TOL,
+    UNSTABLE_STATUSES,
     BoundReport,
     StabilityStatus,
     _closed_form,
@@ -22,6 +25,7 @@ from kronspec.kronsum import (
     check_bound_chain,
     classify_stability,
     second_moment_map,
+    stability_threshold,
     verdict_from_report,
 )
 from kronspec.matrices import (
@@ -361,6 +365,79 @@ class TestClassify:
         assert verdict_from_report(rep).status is StabilityStatus.EXACT_STABLE
 
 
+STABLE_STATUSES = frozenset({StabilityStatus.CERTIFIED_STABLE, StabilityStatus.EXACT_STABLE})
+
+#: Offsets from the threshold just outside and just inside the verdict band.
+_OUTSIDE = BOUNDARY_TOL * (1 + 1e-3)
+_INSIDE = BOUNDARY_TOL * (1 - 1e-3)
+
+
+class TestVerdictBand:
+    """A verdict clears the threshold by more than ``BOUNDARY_TOL``: today's band.
+
+    One end of the report, or its exact value, sits just outside or just
+    inside threshold +- BOUNDARY_TOL; the other ends lie 0.5 away.
+    """
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("end, offset, status", [
+        ("upper", -_OUTSIDE, StabilityStatus.CERTIFIED_STABLE),
+        ("upper", -_INSIDE, StabilityStatus.INDETERMINATE),
+        ("lower", _INSIDE, StabilityStatus.INDETERMINATE),
+        ("lower", _OUTSIDE, StabilityStatus.CERTIFIED_UNSTABLE),
+        ("exact", -_OUTSIDE, StabilityStatus.EXACT_STABLE),
+        ("exact", -_INSIDE, StabilityStatus.INDETERMINATE),
+        ("exact", _INSIDE, StabilityStatus.INDETERMINATE),
+        ("exact", _OUTSIDE, StabilityStatus.EXACT_UNSTABLE),
+    ], ids=["upper-outside", "upper-inside", "lower-inside", "lower-outside",
+            "exact-below-outside", "exact-below-inside", "exact-above-inside",
+            "exact-above-outside"])
+    def test_status_at_the_band_edge(self, mode, end, offset, status):
+        threshold = stability_threshold(mode)
+        ends = {"lower": threshold - 0.5, "upper": threshold + 0.5, "exact": None}
+        ends[end] = threshold + offset
+        verdict = verdict_from_report(BoundReport(mode=mode, **ends))
+        assert verdict.status is status
+
+
+def _alpha_scalar(a: float, b: complex) -> Fraction:
+    """alpha(C) = 2a + |b|**2 of the d = 1 continuous system (a, b), exactly."""
+    return 2 * Fraction(a) + Fraction(b.real) ** 2 + Fraction(b.imag) ** 2
+
+
+def _scalar_system(a: float, b: complex) -> SystemSpec:
+    return SystemSpec(np.array([[a]]), (np.array([[b]]),))
+
+
+class TestRoundoffAgainstTheBand:
+    """d = 1 continuous systems whose M = 2a + |b|**2 cancels at large |a|.
+
+    The true alpha(C) is positive in both.  The roundoff of forming M is of
+    order u |a|, far above the absolute verdict band and chain slack.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 15: the verdict band ignores the roundoff of "
+                              "forming M, so a positive alpha(C) is certified stable")
+    def test_cancellation_is_not_certified_stable(self):
+        a, b = -66118977.25644397, 7006.52212437457 + 9118.47587229015j
+        alpha = _alpha_scalar(a, b)
+        assert 4.35e-9 <= alpha <= 4.36e-9
+        verdict = classify_stability(_scalar_system(a, b), "continuous")
+        assert verdict.status not in STABLE_STATUSES
+
+    @pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                       reason="ROADMAP item 15: the chain check's slack ignores the roundoff of "
+                              "forming M, so cancellation raises ConsistencyError")
+    def test_cancellation_is_not_a_consistency_error(self):
+        a, b = -665792372175.1951, 913851.2969102209 + 704599.5681845807j
+        alpha = _alpha_scalar(a, b)
+        assert 5.20e-5 <= alpha <= 5.21e-5
+        verdict = classify_stability(_scalar_system(a, b), "continuous", allow_exact_fallback=True)
+        assert (verdict.status is StabilityStatus.INDETERMINATE
+                or verdict.status in UNSTABLE_STATUSES)
+
+
 def _criterion3_systems():
     """Acceptance criterion 3's 1000 systems: d = 2..5, m = 0..3."""
     rng = np.random.default_rng(31337)
@@ -538,6 +615,66 @@ class TestDenseCeiling:
         monkeypatch.setattr(np, "kron", _fail)
         with pytest.raises(ValueError, match="dense ceiling"):
             classify_stability(spec, "discrete", allow_exact_fallback=True)
+
+
+def _complex_gaussian(rng, d):
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+
+
+def _family_block(rng, d, m, mode):
+    """A complex block of the random family, scaled so values fall on both sides."""
+    if mode == "discrete":
+        a = rng.uniform(0.3, 0.9) * _complex_gaussian(rng, d) / np.sqrt(d)
+        noise = tuple(rng.uniform(0.2, 0.6) * _complex_gaussian(rng, d) / np.sqrt(d)
+                      for _ in range(m))
+    else:
+        a = _complex_gaussian(rng, d) / np.sqrt(d) - rng.uniform(0.5, 1.5) * np.eye(d)
+        noise = tuple(0.5 * _complex_gaussian(rng, d) / np.sqrt(d) for _ in range(m))
+    return SystemSpec(a, noise)
+
+
+class TestMixedDirectSums:
+    """Unitarily mixed direct sums: systems whose value is the largest block value.
+
+    Past the dense ceiling no dense value exists, so these constructions are
+    the oracle there.  A direct sum is reducible, so rung 3 finds no bracket
+    and the dense rung decides.
+    """
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_is_the_largest_block_value(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 2
+        blocks = [_family_block(rng, int(rng.integers(1, 5)), m, mode)
+                  for _ in range(2 + seed % 2)]
+        spec = mixed_direct_sum(blocks, rng)
+        value = max(_dense_value(block, mode) for block in blocks)
+        threshold = stability_threshold(mode)
+        if abs(value - threshold) <= 1e-6:
+            pytest.skip("the constructed value lies within 1e-6 of the threshold")
+        assert abs(_dense_value(spec, mode) - value) <= CHAIN_TOL * max(1.0, abs(value))
+        verdict = classify_stability(spec, mode, allow_exact_fallback=True)
+        want = UNSTABLE_STATUSES if value > threshold else STABLE_STATUSES
+        assert verdict.status in want
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="ROADMAP items 1 and 13: rung 3 finds no bracket on a reducible "
+                              "system, and past d = 64 the dense rung refuses")
+    def test_d128_mix_gets_its_sign(self):
+        # eight d = 16 blocks A = G/sqrt(d) - 1.2 I, B_k = 0.5 G_k/sqrt(d), m = 2;
+        # one block is unstable
+        rng = np.random.default_rng(5)
+        d = 16
+        blocks = [SystemSpec(_complex_gaussian(rng, d) / np.sqrt(d) - 1.2 * np.eye(d),
+                             tuple(0.5 * _complex_gaussian(rng, d) / np.sqrt(d) for _ in range(2)))
+                  for _ in range(8)]
+        value = max(_dense_value(block, "continuous") for block in blocks)
+        assert value == pytest.approx(0.2731, abs=1e-4)
+        spec = mixed_direct_sum(blocks, rng)
+        assert spec.d == 128
+        verdict = classify_stability(spec, "continuous", allow_exact_fallback=True)
+        assert verdict.status in UNSTABLE_STATUSES
 
 
 class TestDemoFamilyInvariants:
