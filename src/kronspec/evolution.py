@@ -41,6 +41,7 @@ import numpy as np
 
 from .kronsum import (
     _check_mode,
+    _check_work,
     _finite,
     adjoint_moment_map,
     build_continuous_sum,
@@ -100,23 +101,6 @@ _NORMEST_APPLICATIONS = 2 * (_P_MAX + 1 + (2 * _NORMEST_ITERATIONS - 2) * sum(ra
 #: A substep's series on the map stops once two consecutive terms fall under
 #: this fraction of the partial sum (1-norms of the matrices' entries).
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-#: Multiply-adds charged for each d-by-d product of a map application, on top
-#: of its d**3: numpy's per-call overhead, about 4.5 us against 0.13-0.2 ns per
-#: multiply-add at large d (complex, 2 cores), so a product at d <= 32 costs
-#: about as much as one at d = 32.  An application makes two stacked products
-#: (:func:`kronsum.second_moment_map`), so this overcharges small d; the
-#: charge stays so that the budget refuses the same inputs.
-_PRODUCT_OVERHEAD = 32 ** 3
-
-#: Most multiply-adds one Taylor propagation or one run of the discrete
-#: recursion may take, charged by :func:`_check_work` as map applications x
-#: (2m + 2) products x (d**3 + _PRODUCT_OVERHEAD).  The Taylor route counts
-#: the applications of the plan from beta alone (which bounds every plan the
-#: power norms can choose) plus :data:`_NORMEST_APPLICATIONS` when the norms
-#: are taken, the recursion one per step; checked before the first map is
-#: built: about 10-35 s of work at any d.
-_MAX_TAYLOR_WORK = 100_000_000_000
 
 #: Most bytes a discrete trajectory may hold: it keeps every V(j), so an
 #: unbounded step count would grow memory until the process dies.  A step
@@ -213,18 +197,6 @@ def propagate_discrete(
             for j in range(1, n + 1):
                 _finite(values[j], f"covariance propagation at step {j}")
     return _traj("discrete", range(n + 1), values, same)
-
-
-def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = "") -> None:
-    """``ValueError`` for ``applications`` map applications over :data:`_MAX_TAYLOR_WORK`.
-
-    Each is charged (2m + 2) products of d**3 + :data:`_PRODUCT_OVERHEAD`
-    multiply-adds; a count that is not finite is refused too.
-    """
-    work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
-    check_budget(work, _MAX_TAYLOR_WORK,
-                 f"{what} needs {{:.3g}} map applications, {{:.3g}} multiply-adds{detail}",
-                 applications, work)
 
 
 def _recursion(spec: SystemSpec, v0: np.ndarray, n: int):
@@ -590,7 +562,7 @@ def _taylor_on_grid(spec: SystemSpec, v0: np.ndarray, t_grid: np.ndarray) -> lis
     (:func:`_substeps_on_powers`); elsewhere each term is a map application,
     and a substep's series stops early once two consecutive terms fall under
     2**-53 of the sum (:func:`_substeps_on_map`).
-    Each grid time's V is checked for overflow.  Over :data:`_MAX_TAYLOR_WORK`
+    Each grid time's V is checked for overflow.  Over :data:`kronsum._MAX_MAP_WORK`
     in all, or with mu or beta not finite, it is a ``ValueError`` before
     any map is built.
     """

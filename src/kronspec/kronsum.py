@@ -69,7 +69,7 @@ from enum import Enum
 import numpy as np
 
 from .matrices import ConsistencyError, SystemSpec
-from .spectral import check_dense_rows, eigenvalues, hermitian_extremes, summarize
+from .spectral import check_budget, check_dense_rows, eigenvalues, hermitian_extremes, summarize
 
 #: Verdicts within this distance of the threshold are not certified either way.
 BOUNDARY_TOL = 1e-9
@@ -129,6 +129,38 @@ def second_moment_map(spec: SystemSpec, mode: str):
         return out
 
     return apply
+
+
+#: Multiply-adds charged for each d-by-d product of a map application, on top
+#: of its d**3: numpy's per-call overhead, about 4.5 us against 0.13-0.2 ns per
+#: multiply-add at large d (complex, 2 cores), so a product at d <= 32 costs
+#: about as much as one at d = 32.  An application makes two stacked products
+#: (:func:`second_moment_map`), so this overcharges small d; the charge stays
+#: so that the budget refuses the same inputs.
+_PRODUCT_OVERHEAD = 32 ** 3
+
+#: Most multiply-adds of map applications one run may take, charged by
+#: :func:`_check_work` as applications x (2m + 2) products x (d**3 +
+#: _PRODUCT_OVERHEAD): about 10-35 s of work at any d.  The discrete
+#: recursion counts one application per step; the Taylor route of
+#: :mod:`kronspec.evolution` counts the applications of its plan from beta
+#: alone (which bounds every plan the power norms can choose) plus
+#: ``evolution._NORMEST_APPLICATIONS`` when the norms are taken.  Both are
+#: checked before the first map is built.
+_MAX_MAP_WORK = 100_000_000_000
+
+
+def _check_work(spec: SystemSpec, what: str, applications: float, detail: str = "") -> None:
+    """``ValueError`` for ``applications`` map applications over :data:`_MAX_MAP_WORK`.
+
+    Each is charged (2m + 2) products of d**3 + :data:`_PRODUCT_OVERHEAD`
+    multiply-adds, the price of one :func:`second_moment_map` application
+    with per-call overhead; a count that is not finite is refused too.
+    """
+    work = applications * (2 * spec.m + 2) * (spec.d ** 3 + _PRODUCT_OVERHEAD)
+    check_budget(work, _MAX_MAP_WORK,
+                 f"{what} needs {{:.3g}} map applications, {{:.3g}} multiply-adds{detail}",
+                 applications, work)
 
 
 def adjoint_moment_map(spec: SystemSpec, mode: str):
@@ -314,28 +346,33 @@ def stability_threshold(mode: str) -> float:
     return 1.0 if _check_mode(mode) == "discrete" else 0.0
 
 
+def _band_side(lower: float, upper: float, threshold: float) -> int:
+    """Where [lower, upper] lies against the verdict band, threshold +- :data:`BOUNDARY_TOL`.
+
+    -1 below the band, 1 above it, 0 when the interval touches it.  Every
+    rung decides through it: the companion interval, an exact value as
+    [exact, exact], and rung 3's bracket.
+    """
+    if upper < threshold - BOUNDARY_TOL:
+        return -1
+    return 1 if lower > threshold + BOUNDARY_TOL else 0
+
+
 def verdict_from_report(report: BoundReport) -> StabilityVerdict:
     """Decide stability from an existing bound report.
 
     Bounds are decisive when the whole interval clears the threshold; the
     exact value, when the report carries one, settles the rest.
-    Values within :data:`BOUNDARY_TOL` of the threshold stay Indeterminate:
-    floating point cannot certify marginal stability.
+    Values within :data:`BOUNDARY_TOL` of the threshold stay Indeterminate
+    (:func:`_band_side`): floating point cannot certify marginal stability.
     """
     threshold = stability_threshold(report.mode)
-    if report.upper < threshold - BOUNDARY_TOL:
-        status = StabilityStatus.CERTIFIED_STABLE
-    elif report.lower > threshold + BOUNDARY_TOL:
-        status = StabilityStatus.CERTIFIED_UNSTABLE
-    elif report.exact is not None:
-        if abs(report.exact - threshold) <= BOUNDARY_TOL:
-            status = StabilityStatus.INDETERMINATE
-        elif report.exact < threshold:
-            status = StabilityStatus.EXACT_STABLE
-        else:
-            status = StabilityStatus.EXACT_UNSTABLE
-    else:
-        status = StabilityStatus.INDETERMINATE
+    side = _band_side(report.lower, report.upper, threshold)
+    stable, unstable = StabilityStatus.CERTIFIED_STABLE, StabilityStatus.CERTIFIED_UNSTABLE
+    if not side and report.exact is not None:
+        side = _band_side(report.exact, report.exact, threshold)
+        stable, unstable = StabilityStatus.EXACT_STABLE, StabilityStatus.EXACT_UNSTABLE
+    status = (stable if side < 0 else unstable) if side else StabilityStatus.INDETERMINATE
     return StabilityVerdict(status=status, evidence=report, threshold=threshold)
 
 
@@ -347,12 +384,8 @@ def _closed_form(spec: SystemSpec, mode: str) -> float:
     return 2.0 * float(np.max(w.real))
 
 
-def _narrow(lower: float, upper: float) -> bool:
-    return upper - lower <= _BRACKET_RTOL * max(1.0, abs(lower), abs(upper))
-
-
 def _width(lower: float, upper: float) -> float:
-    """A bracket's width relative to max(1, |ends|), the scale :func:`_narrow` uses."""
+    """A bracket's width relative to max(1, |ends|), narrow at :data:`_BRACKET_RTOL`."""
     return (upper - lower) / max(1.0, abs(lower), abs(upper))
 
 
@@ -453,7 +486,7 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
                     ends = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
                     bracket = float(ends[0]), float(ends[-1])
                     width, before = _width(*bracket), width
-                    if _narrow(*bracket) or width > before / 2.0:
+                    if width <= _BRACKET_RTOL or width > before / 2.0:
                         break
             if last:
                 break
@@ -506,11 +539,9 @@ def classify_stability(
     bracket, applications = _refined_bracket(spec, mode)
     report = replace(report, bracket_width=None if bracket is None else bracket[1] - bracket[0],
                      map_applications=applications)
-    if bracket is not None and _narrow(*bracket):
-        lower, upper = bracket
-        threshold = verdict.threshold
-        if upper < threshold - BOUNDARY_TOL or lower > threshold + BOUNDARY_TOL:
-            return _decide(replace(report, exact=(lower + upper) / 2.0, rung="refined"))
+    if (bracket is not None and _width(*bracket) <= _BRACKET_RTOL
+            and _band_side(*bracket, verdict.threshold)):
+        return _decide(replace(report, exact=(bracket[0] + bracket[1]) / 2.0, rung="refined"))
     summary = summarize(build_discrete_sum(spec) if mode == "discrete"
                         else build_continuous_sum(spec))
     return _decide(replace(report, exact=summary.radius if mode == "discrete" else summary.abscissa,

@@ -105,7 +105,7 @@ class SystemSpec:
     defines both the discrete-time recursion driven by white noise and the
     continuous-time diffusion driven by Brownian motions.  Any d is accepted;
     dense d**2-by-d**2 work checks :data:`kronspec.spectral.DENSE_CEILING`
-    where it starts.
+    where it starts; d = 0 is a ``ValueError``.
     """
 
     a: np.ndarray
@@ -114,6 +114,8 @@ class SystemSpec:
     def __post_init__(self):
         a = _require_square(as_complex_matrix(self.a, "drift matrix"), "drift matrix")
         d = a.shape[0]
+        if d == 0:
+            raise ValueError("drift matrix must be at least 1-by-1, got shape (0, 0)")
         mats = []
         for k, b in enumerate(self.noise_mats):
             b = as_complex_matrix(b, f"noise matrix {k}")

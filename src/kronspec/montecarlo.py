@@ -20,18 +20,21 @@ the largest power of two whose stack fits in :data:`_SWEEP_BYTES`, so it
 runs from cache in calls long enough that two workers do not trade the GIL
 call by call; it is at least one panel and at most the block.  Where T would
 be under :data:`_MIN_TILE` (large d) or at least the block's size (the d = 2
-real demo), the panel is the whole block.  Its products may thread, so such
-a block alone takes the lock, which keeps two blocks' updates from
-competing for BLAS's threads while draws still overlap them.  A sweep that
-spans the block has the block as its first buffer and leaves it in
-whichever buffer took the last step, so it copies nothing.  Every product
-is the same BLAS call at any sweep width, every path's arithmetic is the
-same at any panel width, the blocks' partial sums are merged in block
-order, and neither the streams nor the order of any sum depends on W, so
-estimates are reproducible bit-for-bit at any core count.  One exception is
-known: at complex d >= 24, :func:`_block_sums` of a last block of some sizes
-(129, 300 or 333 paths, say) is a BLAS product whose rounding follows
-OpenBLAS's thread count.
+real demo), the panel is the whole block, and such a block alone takes the
+lock.  At large d its products may thread, and the lock keeps two blocks'
+updates from competing for BLAS's threads while draws still overlap them.
+The demo's products, 4 x 16384 = 65,536 real multiply-adds each, stay
+under the 2**20 from which OpenBLAS 0.3.31 threads real products, so there
+the lock only makes the workers take turns.  A sweep that spans the block
+has the block as its first buffer and leaves it in whichever buffer took
+the last step, so it copies nothing.  Every product is the same BLAS call
+at any sweep width, every path's arithmetic is the same at any panel
+width, the blocks' partial sums are merged in block order, and neither the
+streams nor the order of any sum depends on W, so estimates are
+reproducible bit-for-bit at any core count.  One exception is known: at
+complex d >= 24, :func:`_block_sums` of a last block of some sizes (129,
+300 or 333 paths, say) is a BLAS product whose rounding follows OpenBLAS's
+thread count.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
@@ -48,13 +51,15 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _check_work, _initial_outer, _shift, _taylor_plan, exact_covariance
+from .evolution import _initial_outer, _shift, _taylor_plan, exact_covariance
+from .kronsum import _check_work
 from .matrices import SystemSpec
 from .spectral import check_budget
 
@@ -102,10 +107,10 @@ _MAX_MC_STEPS = 1_000_000
 #: admitted run takes seconds at any d, measured at 0.14-0.98 ns per charged
 #: multiply-add over d = 1, 2, 8, 64 and m = 0..7 (2 cores, complex paths),
 #: where d**2 alone ranged from 0.15 ns at d = 64 to 20 ns at d = 1, m = 7.
-_PRODUCT_OVERHEAD = 32
+_PATH_OVERHEAD = 32
 
 #: Most multiply-adds one simulation may take: paths x max(steps, 1) x (m + 1)
-#: x (s d**2 + _PRODUCT_OVERHEAD), with s = 2 when u != v.  It admits the 1e8
+#: x (s d**2 + _PATH_OVERHEAD), with s = 2 when u != v.  It admits the 1e8
 #: path-steps of criterion 6's continuous run (d = 2, m = 1: 7.2e9) and
 #: refuses 2e6 path-steps at d = 65 (8.5e9).  Checked before the first block,
 #: so a huge run fails at once.
@@ -136,6 +141,9 @@ class SimulationConfig:
     horizon: float = 0
 
     def __post_init__(self):
+        for name in ("paths", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths for standard errors, got {self.paths}")
         if not (0 <= int(self.seed) < 2 ** 64):
@@ -329,7 +337,7 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     """
     d, m = spec.d, len(noise_mats)
     starts = np.stack((u,) if same else (u, v))
-    work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PRODUCT_OVERHEAD)
+    work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PATH_OVERHEAD)
     check_budget(work, _MAX_MC_WORK, "simulation needs {:.3g} multiply-adds", work)
     if not any(np.any(x.imag) for x in (a_step, starts, *noise_mats)):
         a_step, starts = np.ascontiguousarray(a_step.real), starts.real

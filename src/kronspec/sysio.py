@@ -11,19 +11,17 @@ A system file is a JSON document::
 
 Every complex number is a two-element ``[re, im]`` array of JSON numbers.
 A matrix or vector of them is converted in one step: its shape is checked
-first, then its numbers are gathered in one flat list, checked to be plain
-ints and floats, and converted by one ``np.array`` call with one finiteness
-check.  Only when that fails does a per-entry walk run, to name the first
-bad entry (it also converts, one by one, real numbers of other types from a
-caller's own lists).  Parse failures carry a location: line/column for malformed JSON,
-a JSON path like ``A[0][1]`` for structural problems and bad entries.
+first, then its entries are checked against the one entry rule of
+:func:`_parts` and converted by one ``np.array`` call with one finiteness
+check.  Only when that fails does a walk apply the same rule to one entry
+at a time, to name the first bad entry.  Parse failures carry a location:
+line/column for malformed JSON, a JSON path like ``A[0][1]`` for structural
+problems and bad entries.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from itertools import chain
 
 import numpy as np
@@ -39,42 +37,43 @@ class SystemFileError(ValueError):
         super().__init__(f"{message} (at {location})" if location else message)
 
 
-def _parse_complex(node, loc: str) -> complex:
-    if (
-        not isinstance(node, (list, tuple))
-        or len(node) != 2
-        or not all(isinstance(p, numbers.Real) and not isinstance(p, bool) for p in node)
-    ):
-        raise SystemFileError("complex entries must be [re, im] pairs of numbers", loc)
-    try:
-        re, im = float(node[0]), float(node[1])
-    except OverflowError:  # an integer literal beyond double range
-        re = im = math.inf
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise SystemFileError("non-finite complex entry", loc)
-    return complex(re, im)
+_NOT_A_PAIR = "complex entries must be [re, im] pairs of numbers"
 
 
-def _convert_pairs(entries: list, shape: tuple) -> np.ndarray | None:
-    """``entries``, flat ``[re, im]`` pairs, as a complex array of ``shape`` in one conversion.
+def _parts(entries: list) -> np.ndarray | str:
+    """``entries`` as a flat float array of their [re, im] parts, or why one is not valid.
 
-    None unless every entry is a list or tuple of two ints or floats (no
-    bools, strings or nulls, which ``np.array`` would take) and every number
-    is finite in double precision; the caller then walks the entries to
-    name the first bad one.  Real and imaginary parts are stored apart, so
-    the result equals ``complex(re, im)`` per entry bit for bit.
+    The one entry rule: a valid entry is a list or tuple of two ints or floats
+    (no bools, strings, nulls or other number types, which ``np.array`` would
+    take), each finite in double precision.  One ``np.array`` call converts
+    them all; an integer beyond double range is non-finite.
     """
     if not (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}):
-        return None
+        return _NOT_A_PAIR
     leaves = list(chain.from_iterable(entries))
     if not set(map(type, leaves)) <= {float, int}:
-        return None
+        return _NOT_A_PAIR
     try:
-        parts = np.array(leaves, dtype=float).reshape(*shape, 2)
+        parts = np.array(leaves, dtype=float)
     except OverflowError:  # an integer literal beyond double range
-        return None
-    if not np.isfinite(parts).all():
-        return None
+        return "non-finite complex entry"
+    return parts if np.isfinite(parts).all() else "non-finite complex entry"
+
+
+def _complex(entries: list, shape: tuple, where) -> np.ndarray:
+    """Flat ``[re, im]`` ``entries`` as a complex array of ``shape``.
+
+    When :func:`_parts` refuses them, a walk applies it to each entry alone
+    and raises the first refusal at ``where(i)``, entry i's location.  Real
+    and imaginary parts are stored apart, so the result equals
+    ``complex(re, im)`` per entry bit for bit.
+    """
+    parts = _parts(entries)
+    if isinstance(parts, str):
+        for i, entry in enumerate(entries):
+            if isinstance(refusal := _parts([entry]), str):
+                raise SystemFileError(refusal, where(i))
+    parts = parts.reshape(*shape, 2)
     out = np.empty(shape, dtype=np.complex128)
     out.real = parts[..., 0]
     out.imag = parts[..., 1]
@@ -87,11 +86,8 @@ def _parse_matrix(node, d: int, loc: str) -> np.ndarray:
     for i, row in enumerate(node):  # every row's shape before the d-by-d allocation
         if not isinstance(row, list) or len(row) != d:
             raise SystemFileError(f"expected {d} entries", f"{loc}[{i}]")
-    out = _convert_pairs(list(chain.from_iterable(node)), (d, d))
-    if out is None:
-        out = np.array([[_parse_complex(entry, f"{loc}[{i}][{j}]") for j, entry in enumerate(row)]
-                        for i, row in enumerate(node)])
-    return out
+    return _complex(list(chain.from_iterable(node)), (d, d),
+                    lambda k: f"{loc}[{k // d}][{k % d}]")
 
 
 def parse_system(doc) -> SystemSpec:
@@ -144,9 +140,7 @@ def parse_vector(source, d: int | None = None) -> np.ndarray:
             raise SystemFileError(f"invalid vector JSON: {exc}") from exc
     if not isinstance(source, list) or not source:
         raise SystemFileError("vector must be a nonempty JSON array of [re, im] pairs")
-    out = _convert_pairs(source, (len(source),))
-    if out is None:
-        out = np.array([_parse_complex(e, f"[{i}]") for i, e in enumerate(source)])
+    out = _complex(source, (len(source),), lambda i: f"[{i}]")
     if d is not None and out.shape[0] != d:
         raise SystemFileError(f"vector has dimension {out.shape[0]}, expected {d}")
     return out

@@ -438,6 +438,77 @@ class TestRoundoffAgainstTheBand:
                 or verdict.status in UNSTABLE_STATUSES)
 
 
+def _wrong_signs(systems, mode):
+    """The (a, b, status) whose ladder verdict contradicts the exact value's sign.
+
+    ``systems`` holds (a, b, value) with value the exact rho(D) or alpha(C) as
+    a ``Fraction``; a ``ConsistencyError`` counts as wrong too.
+    """
+    threshold = Fraction(stability_threshold(mode))
+    wrong = []
+    for a, b, value in systems:
+        try:
+            status = classify_stability(_scalar_system(a, b), mode, True).status
+        except ConsistencyError as exc:
+            wrong.append((a, b, exc))
+            continue
+        if (status in STABLE_STATUSES and value >= threshold
+                or status in UNSTABLE_STATUSES and value <= threshold):
+            wrong.append((a, b, status))
+    return wrong
+
+
+def _cancelling_continuous(scale, count=1000, seed=15):
+    """d = 1 continuous systems a = -(p**2 + q**2)/2, b = p + iq, p and q in [scale/2, scale].
+
+    About a third of the a move one ulp up and a third one ulp down, so
+    alpha(C) = 2a + p**2 + q**2 lies within roundoff of 0 with either sign.
+    """
+    rng = np.random.default_rng(seed)
+    systems = []
+    for p, q, nudge in zip(rng.uniform(scale / 2, scale, count),
+                           rng.uniform(scale / 2, scale, count), rng.integers(-1, 2, count)):
+        a = -(p * p + q * q) / 2.0
+        if nudge:
+            a = float(np.nextafter(a, nudge * np.inf))
+        systems.append((a, complex(p, q), _alpha_scalar(a, complex(p, q))))
+    return systems
+
+
+class TestRationalSweep:
+    """Seeded d = 1 systems near the threshold against their value in rationals.
+
+    Continuous systems cancel in M = 2a + |b|**2 with |b| of order ``scale``;
+    the roundoff of forming M grows with it (ROADMAP item 15).  The scales
+    that fail today are strict xfails, expected to flip once the band knows
+    its roundoff.
+    """
+
+    def test_continuous_unit_scale(self):
+        assert _wrong_signs(_cancelling_continuous(1e2), "continuous") == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: at |b| ~ 1e4 the roundoff of "
+                                           "forming M passes the absolute band")
+    def test_continuous_scale_1e4(self):
+        assert _wrong_signs(_cancelling_continuous(1e4), "continuous") == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: at |b| ~ 1e6 the band and the "
+                                           "chain check ignore the roundoff of forming M")
+    def test_continuous_scale_1e6(self):
+        assert _wrong_signs(_cancelling_continuous(1e6), "continuous") == []
+
+    def test_discrete_unit_circle(self):
+        # a = cos t e^(i phi1), b = sin t e^(i phi2): |a|**2 + |b|**2 within a few ulps of 1
+        rng = np.random.default_rng(16)
+        systems = []
+        for t, phi1, phi2 in rng.uniform(0.0, 2.0 * np.pi, (1000, 3)):
+            a = complex(np.cos(t) * np.exp(1j * phi1))
+            b = complex(np.sin(t) * np.exp(1j * phi2))
+            value = sum(Fraction(x) ** 2 for x in (a.real, a.imag, b.real, b.imag))
+            systems.append((a, b, value))
+        assert _wrong_signs(systems, "discrete") == []
+
+
 def _criterion3_systems():
     """Acceptance criterion 3's 1000 systems: d = 2..5, m = 0..3."""
     rng = np.random.default_rng(31337)

@@ -80,6 +80,11 @@ class TestSystemSpec:
     def test_m_zero_allowed(self, crandn):
         assert SystemSpec(crandn(2, 2)).m == 0
 
+    def test_empty_drift_refused(self):
+        # an empty system has no spectrum: refused here, not by a later reduction
+        with pytest.raises(ValueError, match="at least 1-by-1"):
+            SystemSpec(np.zeros((0, 0)))
+
 
 def test_as_complex_matrix_requires_2d():
     with pytest.raises(ValueError):

@@ -62,6 +62,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
             SimulationConfig(paths=10, seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("paths", 2.5), ("paths", 3.0), ("seed", 1.5)])
+    def test_paths_and_seed_are_integers(self, field, value):
+        # a fractional path count used to fail later, inside the block loop,
+        # and a fractional seed was truncated
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimulationConfig(**{"paths": 10, "seed": 0, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimulationConfig(paths=np.int64(10), seed=np.uint64(2 ** 64 - 1))
+        assert cfg.paths == 10
+
     def test_noise_family_checked(self):
         with pytest.raises(ValueError):
             SimulationConfig(paths=10, seed=0, noise="cauchy")

@@ -164,6 +164,19 @@ class TestParseParity:
         assert str(err.value) == f"{message} (at {where}[1][1])"
 
 
+    @pytest.mark.parametrize("number", [np.float64(0.5), np.int64(1), np.float32(0.5)],
+                             ids=["float64", "int64", "float32"])
+    def test_other_number_types_are_refused_with_their_location(self, number):
+        # the one entry rule takes ints and floats only, as JSON gives them
+        with pytest.raises(SystemFileError) as err:
+            parse_vector([[0.5, 0.0], [0.0, number]])
+        assert str(err.value) == f"{_NOT_A_PAIR} (at [1])"
+        row = [[0.5, 0.0], [number, 0.0]]
+        with pytest.raises(SystemFileError) as err:
+            parse_system({"d": 2, "m": 0, "A": [[[1, 0], [0, 0]], row], "B": []})
+        assert str(err.value) == f"{_NOT_A_PAIR} (at A[1][1])"
+
+
 class TestVectors:
     def test_parse_from_json_text(self):
         v = parse_vector("[[1.0, 0.0], [0.0, -2.0]]")
