@@ -14,27 +14,28 @@ through the chunk one sweep at a time: a contiguous copy of the sweep takes
 every step, then goes back into the block.  Two widths are picked.  The
 panel, the width of each product, is T, the largest power of two whose
 products stay within :data:`_TILE_MULADDS` (the tile rule), small enough
-that BLAS runs each on the calling thread, so the workers' panels run side
-by side with no lock.  The sweep, the width of each copy, scale and add, is
-the largest power of two whose stack fits in :data:`_SWEEP_BYTES`, so it
-runs from cache in calls long enough that two workers do not trade the GIL
-call by call; it is at least one panel and at most the block.  Where T would
-be under :data:`_MIN_TILE` (large d) or at least the block's size (the d = 2
-real demo), the panel is the whole block, and such a block alone takes the
-lock.  At large d its products may thread, and the lock keeps two blocks'
-updates from competing for BLAS's threads while draws still overlap them.
-The demo's products, 4 x 16384 = 65,536 real multiply-adds each, stay
-under the 2**20 from which OpenBLAS 0.3.31 threads real products, so there
-the lock only makes the workers take turns.  A sweep that spans the block
-has the block as its first buffer and leaves it in whichever buffer took
-the last step, so it copies nothing.  Every product is the same BLAS call
-at any sweep width, every path's arithmetic is the same at any panel
-width, the blocks' partial sums are merged in block order, and neither the
-streams nor the order of any sum depends on W, so estimates are
-reproducible bit-for-bit at any core count.  One exception is known: at
-complex d >= 24, :func:`_block_sums` of a last block of some sizes (129,
-300 or 333 paths, say) is a BLAS product whose rounding follows OpenBLAS's
-thread count.
+that BLAS runs each on the calling thread.  The sweep, the width of each
+copy, scale and add, is the largest power of two whose stack fits in
+:data:`_SWEEP_BYTES`, so it runs from cache in calls long enough that two
+workers do not trade the GIL call by call; it is at least one panel and at
+most the block.  Where T would be under :data:`_MIN_TILE` (large d) or at
+least the block's size (the d = 2 real demo), the panel is the whole block.
+Only such a panel can pass the limit, at complex d >= 23 or real d >= 46,
+and then its products may thread: a simulation whose largest block has such
+a panel runs on one worker, and BLAS's own threads use the cores.  Every
+other block runs on all W workers with no lock, since each block owns its
+buffers and its substream and only reads the system.  A sweep that spans
+the block has the block as its first buffer and leaves it in whichever
+buffer took the last step, so it copies nothing.  Every product is the same
+BLAS call at any sweep width, every path's arithmetic is the same at any
+panel width, the blocks' partial sums are merged in block order, and
+neither the streams nor the order of any sum depends on W, so estimates are
+reproducible bit-for-bit at any W.  They are not always so at any core
+count, since two kinds of BLAS product round by OpenBLAS's thread count
+for some path counts.  At complex d >= 24, :func:`_block_sums` of a last
+block of some sizes (129, 300 or 333 paths, say) does.  At real d = 48, a
+whole-block panel product over a last block of 7,565 paths does too (40,333
+paths in all), while one over 7,232 or 16,384 paths does not.
 
 The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
@@ -49,11 +50,9 @@ roundoff.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +84,10 @@ _GROUP_BYTES = 2 ** 27
 #: complex paths and 1 for real ones (the tile rule).  OpenBLAS 0.3.31 keeps a
 #: product this small on the calling thread: complex products were seen to
 #: thread from 2**16 complex multiply-adds and real ones from 2**20, so
-#: lock-free panels cannot oversubscribe BLAS.
+#: panels within it cannot oversubscribe BLAS.
 _TILE_MULADDS = 2 ** 17
 
-#: Fewest paths in a panel; below it the panel is the whole block, under the lock.
+#: Fewest paths in a panel; below it the panel is the whole block.
 _MIN_TILE = 64
 
 #: Most bytes in one (s, d, W) sweep (512 KiB), so a sweep's three buffers fit
@@ -141,9 +140,12 @@ class SimulationConfig:
     horizon: float = 0
 
     def __post_init__(self):
-        for name in ("paths", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("paths", "seed", "dt", "horizon"):
+            value, whole = getattr(self, name), name in ("paths", "seed")
+            if isinstance(value, (bool, np.bool_)) or (whole and
+                                                      not isinstance(value, numbers.Integral)):
+                kind = "an integer" if whole else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths for standard errors, got {self.paths}")
         if not (0 <= int(self.seed) < 2 ** 64):
@@ -216,19 +218,20 @@ def _advance(bufs, panel, a_step, noise_mats, noise):
     return paths
 
 
-def _tile_paths(starts, size) -> int:
-    """Paths per panel of a block of ``size`` copies of the (s, d) stack ``starts``.
+def _tile_paths(starts, size) -> tuple[int, bool]:
+    """Paths per panel of ``size`` copies of the (s, d) stack ``starts``, and whether they thread.
 
     The tile rule: the largest power of two T with d**2 T c <=
     :data:`_TILE_MULADDS` (c = 4 for complex paths, 1 for real), or the whole
     block, ``size``, when that T is under :data:`_MIN_TILE` or at least
-    ``size``.  Never 0.
+    ``size``.  Never 0.  Only a whole-block panel can pass the limit, and when
+    it does BLAS may thread its products.
     """
     d = starts.shape[1]
     tile = _TILE_MULADDS // (d * d * (4 if np.iscomplexobj(starts) else 1))
     if tile < _MIN_TILE:
-        return size
-    return min(1 << (tile.bit_length() - 1), size)
+        return size, tile < size
+    return min(1 << (tile.bit_length() - 1), size), False
 
 
 def _sweep_paths(starts, size) -> int:
@@ -240,10 +243,10 @@ def _sweep_paths(starts, size) -> int:
     number of panels.
     """
     width = max(1, _SWEEP_BYTES // starts.nbytes)
-    return min(max(1 << (width.bit_length() - 1), _tile_paths(starts, size)), size)
+    return min(max(1 << (width.bit_length() - 1), _tile_paths(starts, size)[0]), size)
 
 
-def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
+def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride):
     """Advance one block of ``size`` paths through n steps and return its :func:`_block_sums`.
 
     The block starts as ``size`` copies of the (s, d) stack ``starts``.  Every
@@ -252,44 +255,39 @@ def _run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
     at a time (fewer in the last): each sweep is copied into the first of
     three sweep-sized buffers, takes the chunk's steps there and is written
     back.  Within a sweep, :func:`_advance` takes each product one panel of
-    :func:`_tile_paths` paths at a time and each scale and add once.  A block
-    whose panel is narrower than the block takes no lock, since its products
-    are too small for BLAS to thread.  A block whose panel spans it takes
-    ``lock``, so no two blocks' BLAS updates run at once while draws overlap
-    them.  A sweep that spans the block, locked or not, has the block itself
-    as its first buffer, so it holds three stacks, not four; its copy in is
-    a no-op, and after an odd number of steps the block stays in the buffer
-    that took the last step rather than being copied back.  Overflow is
-    checked every :data:`_STEP_CHUNK` steps and at step n; non-finite
-    values persist through the linear updates, so nothing escapes
-    detection.  A path is bad when its x or its y is non-finite, and any
-    bad path is an ``OverflowError`` naming the step and the count:
-    dropping bad paths would bias unstable-case statistics.
+    :func:`_tile_paths` paths at a time and each scale and add once.  A
+    sweep that spans the block has the block itself as its first buffer, so
+    it holds three stacks, not four; its copy in is a no-op, and after an
+    odd number of steps the block stays in the buffer that took the last
+    step rather than being copied back.  Overflow is checked every
+    :data:`_STEP_CHUNK` steps and at step n; non-finite values persist
+    through the linear updates, so nothing escapes detection.  A path is bad
+    when its x or its y is non-finite, and any bad path is an
+    ``OverflowError`` naming the step and the count: dropping bad paths
+    would bias unstable-case statistics.
     """
     m = len(noise_mats)
-    panel, sweep = _tile_paths(starts, size), _sweep_paths(starts, size)
+    panel, sweep = _tile_paths(starts, size)[0], _sweep_paths(starts, size)
     spare = list(np.empty((3, starts.size * sweep), dtype=starts.dtype))
     shape = (*starts.shape, size)
     stack = spare[0].reshape(shape) if sweep == size else np.empty(shape, starts.dtype)
     stack[...] = starts[:, :, None]
-    held = lock if panel == size else contextlib.nullcontext()
     # numpy's error state is per thread
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, stride):
             zeta = _draw_noise(rng, kind, (min(stride, n - first), m, size))
-            with held:
-                for lo in range(0, size, sweep):
-                    part = stack[:, :, lo:lo + sweep]
-                    # contiguous (s, d, width) views, width < sweep in the last
-                    bufs = [buf[:part.size].reshape(part.shape) for buf in spare]
-                    np.copyto(bufs[0], part)
-                    done = _advance(bufs, panel, a_step, noise_mats, zeta[:, :, lo:lo + sweep])
-                    if sweep < size:
-                        np.copyto(part, done)
-                    elif done is not bufs[0]:
-                        # the block moves to the buffer that took the last step
-                        spare[0], spare[1] = spare[1], spare[0]
-                        stack = done
+            for lo in range(0, size, sweep):
+                part = stack[:, :, lo:lo + sweep]
+                # contiguous (s, d, width) views, width < sweep in the last
+                bufs = [buf[:part.size].reshape(part.shape) for buf in spare]
+                np.copyto(bufs[0], part)
+                done = _advance(bufs, panel, a_step, noise_mats, zeta[:, :, lo:lo + sweep])
+                if sweep < size:
+                    np.copyto(part, done)
+                elif done is not bufs[0]:
+                    # the block moves to the buffer that took the last step
+                    spare[0], spare[1] = spare[1], spare[0]
+                    stack = done
             del zeta  # free this chunk before the next one is drawn
             step = min(first + stride, n)
             if step % _STEP_CHUNK and step < n:
@@ -347,14 +345,15 @@ def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, d
     r1 = r2 = 0.0
     blocks = -(-cfg.paths // BLOCK_PATHS)
     largest = min(BLOCK_PATHS, cfg.paths)
-    width = max(1, min(_usable_cpus(), blocks, _GROUP_BYTES // (3 * starts.nbytes * largest)))
+    # when the products may thread, one block runs at a time and BLAS's threads use the cores
+    cpus = 1 if _tile_paths(starts, largest)[1] else _usable_cpus()
+    width = max(1, min(cpus, blocks, _GROUP_BYTES // (3 * starts.nbytes * largest)))
     stride = _chunk_steps(m, width * largest)
-    lock = threading.Lock()
 
     def run(block):
         size = min(BLOCK_PATHS, cfg.paths - block * BLOCK_PATHS)
         return _run_block(_substream(cfg.seed, block), size, cfg.noise, steps, starts,
-                          a_step, noise_mats, stride, lock)
+                          a_step, noise_mats, stride)
 
     from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
 

@@ -1,6 +1,5 @@
 import os
 import sys
-import threading
 import tracemalloc
 from concurrent import futures
 
@@ -67,6 +66,13 @@ class TestConfig:
         # a fractional path count used to fail later, inside the block loop,
         # and a fractional seed was truncated
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimulationConfig(**{"paths": 10, "seed": 0, field: value})
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field", ["paths", "seed", "dt", "horizon"])
+    def test_bools_are_refused(self, field, value):
+        # a bool used to pass as 1 or 0: seed=True ran with seed 1
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), got "):
             SimulationConfig(**{"paths": 10, "seed": 0, field: value})
 
     def test_numpy_integers_accepted(self):
@@ -407,50 +413,60 @@ class TestParallelBlocks:
                                                             four.second_moment_se)
 
     def test_group_path_buffers_stay_within_the_cap(self, monkeypatch):
-        # d = 32, complex u != v: 48 MiB of path buffers per block, so eight
-        # CPUs run two blocks at a time rather than all eight at once
-        rng = np.random.default_rng(6)
-        d = 32
-        spec = random_system(rng, d, 1)
-        spec = SystemSpec(spec.a / np.sqrt(2 * d), (spec.noise_mats[0] / np.sqrt(2 * d),))
-        u, v = np.eye(d)[0], 1j * np.eye(d)[1]
-        cfg = SimulationConfig(paths=7 * BLOCK_PATHS + 2, seed=6, horizon=2)
+        # complex u != v.  d = 22: 64-path panels and 33 MiB of path buffers
+        # per block, so eight CPUs run three blocks at a time rather than all
+        # eight at once.  d = 32: each panel is a whole block, whose products
+        # may thread, so one block runs at a time at any CPU count
         widths, blocks = _spy_on_workers(monkeypatch)
-        runs = []
-        for cpus in (1, 8):
-            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda n=cpus: n)
-            blocks.clear()
-            runs.append(simulate_discrete(spec, u, v, cfg))
-            assert len(blocks) == 8
-        assert widths[0] == 1 and 1 < widths[1] < 8
-        assert widths[1] * 3 * 2 * d * BLOCK_PATHS * 16 <= _GROUP_BYTES
-        one, eight = runs
-        assert np.array_equal(one.mean_outer, eight.mean_outer)
-        assert np.array_equal(one.std_error, eight.std_error)
-        assert (one.second_moment, one.second_moment_se) == (eight.second_moment,
-                                                             eight.second_moment_se)
+        for d in (22, 32):
+            spec = random_system(np.random.default_rng(6), d, 1)
+            spec = SystemSpec(spec.a / np.sqrt(2 * d), (spec.noise_mats[0] / np.sqrt(2 * d),))
+            u, v = np.eye(d)[0], 1j * np.eye(d)[1]
+            cfg = SimulationConfig(paths=7 * BLOCK_PATHS + 2, seed=6, horizon=2)
+            widths.clear()
+            runs = []
+            for cpus in (1, 8):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda n=cpus: n)
+                blocks.clear()
+                runs.append(simulate_discrete(spec, u, v, cfg))
+                assert len(blocks) == 8
+            if d == 22:
+                assert _tile_paths(np.stack((u, v)), BLOCK_PATHS) == (64, False)
+                assert widths[0] == 1 and 1 < widths[1] < 8
+                assert widths[1] * 3 * 2 * d * BLOCK_PATHS * 16 <= _GROUP_BYTES
+            else:
+                assert widths == [1, 1]
+            one, eight = runs
+            assert np.array_equal(one.mean_outer, eight.mean_outer)
+            assert np.array_equal(one.std_error, eight.std_error)
+            assert (one.second_moment, one.second_moment_se) == (eight.second_moment,
+                                                                 eight.second_moment_se)
 
     def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
         # six workers over six blocks, switching threads every 10 us: any
-        # state the blocks shared would show up as a changed sum
+        # state the blocks shared would show up as a changed sum.  Complex
+        # u != v takes 8192-path panels; the real demo, u = v, one
+        # whole-block panel per block, within the product limit
         spec = demo_system(0.5, 0.7, 2.0)
-        v = np.array([0.6, -0.8j])
         cfg = SimulationConfig(paths=5 * BLOCK_PATHS + 5, seed=2, horizon=12)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        one = simulate_discrete(spec, U2, v, cfg)
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+        assert _tile_paths(U2.real[None], BLOCK_PATHS) == (BLOCK_PATHS, False)
         widths, _ = _spy_on_workers(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            many = simulate_discrete(spec, U2, v, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert widths == [6]
-        assert np.array_equal(one.mean_outer, many.mean_outer)
-        assert np.array_equal(one.std_error, many.std_error)
-        assert (one.second_moment, one.second_moment_se) == (many.second_moment,
-                                                             many.second_moment_se)
+        for v in (np.array([0.6, -0.8j]), U2):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+            one = simulate_discrete(spec, U2, v, cfg)
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+            widths.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                many = simulate_discrete(spec, U2, v, cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert widths == [6]
+            assert np.array_equal(one.mean_outer, many.mean_outer)
+            assert np.array_equal(one.std_error, many.std_error)
+            assert (one.second_moment, one.second_moment_se) == (many.second_moment,
+                                                                 many.second_moment_se)
 
     def test_overflow_cancels_the_blocks_not_yet_started(self, monkeypatch):
         # one worker, eight blocks: block 0 overflows by step 256, and at most
@@ -489,20 +505,6 @@ class TestParallelBlocks:
         assert real.second_moment == pytest.approx(cplx.second_moment, rel=1e-12)
 
 
-class _CountingLock:
-    """A lock that counts how often it is taken."""
-
-    def __init__(self, lock):
-        self.lock, self.taken = lock, 0
-
-    def __enter__(self):
-        self.taken += 1
-        return self.lock.__enter__()
-
-    def __exit__(self, *exc):
-        return self.lock.__exit__(*exc)
-
-
 class TestTiles:
     @pytest.mark.parametrize("d, cplx, size, tile", [
         (8, True, BLOCK_PATHS, 512),
@@ -512,14 +514,22 @@ class TestTiles:
         (2, False, BLOCK_PATHS, BLOCK_PATHS),  # the demo: a tile would hold the whole block
         (8, True, 512, 512),
         (8, True, 513, 512),
-        (24, True, BLOCK_PATHS, BLOCK_PATHS),  # 32 paths, under the 64-path floor
-        (32, True, BLOCK_PATHS, BLOCK_PATHS),  # 32 paths again
+        (24, True, BLOCK_PATHS, BLOCK_PATHS),  # 56 paths, under the 64-path floor
+        (32, True, BLOCK_PATHS, BLOCK_PATHS),  # 32 paths
         (64, False, BLOCK_PATHS, BLOCK_PATHS),
+        (22, True, BLOCK_PATHS, 64),  # 67 paths
+        (23, True, BLOCK_PATHS, BLOCK_PATHS),  # 61 paths
+        (24, True, 56, 56),  # a last block within the limit
+        (24, True, 57, 57),  # one path past it
+        (45, False, BLOCK_PATHS, 64),  # 64 paths
+        (46, False, BLOCK_PATHS, BLOCK_PATHS),  # 61 paths
     ])
     def test_tile_is_the_largest_power_of_two_within_the_product_limit(self, d, cplx, size,
                                                                        tile):
+        # only a panel whose product passes the limit may thread
         starts = np.zeros((2, d), dtype=np.complex128 if cplx else np.float64)
-        assert _tile_paths(starts, size) == tile
+        threads = d * d * tile * (4 if cplx else 1) > montecarlo._TILE_MULADDS
+        assert _tile_paths(starts, size) == (tile, threads)
 
     @pytest.mark.parametrize("d, cplx, s, size, panel, sweep", [
         (8, True, 2, BLOCK_PATHS, 512, 2048),
@@ -527,14 +537,14 @@ class TestTiles:
         (4, True, 2, BLOCK_PATHS, 2048, 4096),
         (16, True, 2, BLOCK_PATHS, 128, 1024),
         (8, True, 2, 513, 512, 513),  # the sweep spans the block: panels of 512 and 1
-        (2, True, 1, BLOCK_PATHS, 8192, BLOCK_PATHS),  # a lock-free sweep spans the block
-        (2, False, 1, BLOCK_PATHS, BLOCK_PATHS, BLOCK_PATHS),  # the demo, under the lock
+        (2, True, 1, BLOCK_PATHS, 8192, BLOCK_PATHS),  # a sweep of two panels spans the block
+        (2, False, 1, BLOCK_PATHS, BLOCK_PATHS, BLOCK_PATHS),  # the demo: a whole-block panel
         (24, True, 2, BLOCK_PATHS, BLOCK_PATHS, BLOCK_PATHS),  # under the 64-path floor
     ])
     def test_sweep_is_the_largest_power_of_two_within_its_bytes(self, d, cplx, s, size, panel,
                                                                 sweep):
         starts = np.zeros((s, d), dtype=np.complex128 if cplx else np.float64)
-        assert (_tile_paths(starts, size), _sweep_paths(starts, size)) == (panel, sweep)
+        assert (_tile_paths(starts, size)[0], _sweep_paths(starts, size)) == (panel, sweep)
         assert sweep == size or starts.nbytes * sweep == montecarlo._SWEEP_BYTES
 
     def test_a_whole_block_tile_holds_three_stacks(self):
@@ -544,19 +554,16 @@ class TestTiles:
         d, m, size, steps = 24, 2, 2048, 64
         starts = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
         a_step, *noise_mats = (0.3 * random_system(rng, d, 0).a / np.sqrt(d) for _ in range(m + 1))
-        assert _tile_paths(starts, size) == size
-        lock = _CountingLock(threading.Lock())
-        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats, 1,
-                              lock)  # imports
-        lock.taken = 0
+        assert _tile_paths(starts, size) == (size, True)
+        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats,
+                              1)  # imports
         tracemalloc.start()
         try:
             montecarlo._run_block(_substream(1, 0), size, "gaussian", steps, starts, a_step,
-                                  noise_mats, steps, lock)
+                                  noise_mats, steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lock.taken == 1
         # 256 KiB covers what numpy allocates inside the steps (164 KiB here)
         stack, chunk = starts.nbytes * size, 8 * steps * m * size
         assert peak <= 3 * stack + chunk + 2 ** 18
@@ -568,26 +575,23 @@ class TestTiles:
         d, m, size, steps = 8, 2, 8192, 16
         starts = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
         a_step, *noise_mats = (0.3 * random_system(rng, d, 0).a / np.sqrt(d) for _ in range(m + 1))
-        assert (_tile_paths(starts, size), _sweep_paths(starts, size)) == (512, 2048)
-        lock = _CountingLock(threading.Lock())
-        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats, 1,
-                              lock)  # imports
-        lock.taken = 0
+        assert (_tile_paths(starts, size), _sweep_paths(starts, size)) == ((512, False), 2048)
+        montecarlo._run_block(_substream(1, 0), 64, "gaussian", 1, starts, a_step, noise_mats,
+                              1)  # imports
         tracemalloc.start()
         try:
             montecarlo._run_block(_substream(1, 0), size, "gaussian", steps, starts, a_step,
-                                  noise_mats, steps, lock)
+                                  noise_mats, steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert lock.taken == 0
         # 256 KiB covers what numpy allocates inside the steps (165 KiB here)
         stack, chunk = starts.nbytes * size, 8 * steps * m * size
         assert peak <= stack + 3 * montecarlo._SWEEP_BYTES + chunk + 2 ** 18
 
     @pytest.mark.parametrize("u, noise_mats", [
         (U2.real, (np.array([[0.0, 0.0], [2.0, 0.0]]),)),  # the demo: a whole-block panel
-        (U2, (np.array([[0.3, 0.2j], [0.1, 0.4]]),)),  # d = 2, s = 1: a lock-free sweep
+        (U2, (np.array([[0.3, 0.2j], [0.1, 0.4]]),)),  # d = 2, s = 1: a sweep of two panels
     ])
     def test_a_sweep_that_spans_the_block_copies_nothing_back(self, u, noise_mats, monkeypatch):
         # one-step chunks: each ends on an odd step count, with the block's
@@ -615,7 +619,7 @@ class TestTiles:
         assert (whole.second_moment, whole.second_moment_se) == (split.second_moment,
                                                                  split.second_moment_se)
 
-    def test_tiles_leave_seeded_moments_unchanged_and_take_no_lock(self, monkeypatch):
+    def test_tiles_leave_seeded_moments_unchanged_at_any_worker_count(self, monkeypatch):
         # complex d = 8, u != v over three blocks; the last, 333 paths, ends in
         # a ragged tile at each width under it and is one whole-block tile above it
         rng = np.random.default_rng(29)
@@ -626,19 +630,21 @@ class TestTiles:
         u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         cfg = SimulationConfig(paths=2 * BLOCK_PATHS + 333, seed=21, horizon=20)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+        widths, _ = _spy_on_workers(monkeypatch)
         run_block = montecarlo._run_block
         blocks = []
 
-        def spy(rng, size, kind, n, starts, a_step, noise_mats, stride, lock):
-            counting = _CountingLock(lock)
-            sums = run_block(rng, size, kind, n, starts, a_step, noise_mats, stride, counting)
-            blocks.append((size, -(-n // stride), counting.taken,
-                           _tile_paths(starts, size), _sweep_paths(starts, size)))
+        def spy(rng, size, kind, n, starts, a_step, noise_mats, stride):
+            sums = run_block(rng, size, kind, n, starts, a_step, noise_mats, stride)
+            blocks.append((size, _tile_paths(starts, size)[0], _sweep_paths(starts, size)))
             return sums
 
         monkeypatch.setattr(montecarlo, "_run_block", spy)
-        # 2**13 gives 32-path tiles, under the floor: whole-block tiles like 2**30.
-        # Sweep budgets: 1 byte is one panel per sweep, 2**40 the whole block
+        # 2**13 gives 32-path tiles, under the floor: whole-block tiles like
+        # 2**30, but only these pass the limit, so their three blocks run on
+        # one worker and every other limit's on three.  Sweep budgets: 1 byte
+        # is one panel per sweep, 2**40 the whole block
         runs = {}
         for limit in (2 ** 30, 2 ** 13, 2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17):
             monkeypatch.setattr(montecarlo, "_TILE_MULADDS", limit)
@@ -646,11 +652,11 @@ class TestTiles:
             for budget in (1, 2 ** 19, 2 ** 40):
                 monkeypatch.setattr(montecarlo, "_SWEEP_BYTES", budget)
                 blocks.clear()
+                widths.clear()
                 runs[limit, budget] = simulate_discrete(spec, u, v, cfg)
+                assert widths == [1 if tile < montecarlo._MIN_TILE else 3]
                 assert sorted(size for size, *_ in blocks) == [333, BLOCK_PATHS, BLOCK_PATHS]
-                for size, chunks, taken, panel, sweep in blocks:
-                    tiled = montecarlo._MIN_TILE <= tile < size
-                    assert taken == (0 if tiled else chunks)
+                for size, panel, sweep in blocks:
                     widest = {1: panel, 2 ** 19: max(2048, panel), 2 ** 40: size}[budget]
                     assert sweep == min(widest, size)
         full = runs.pop((2 ** 30, 2 ** 19))
