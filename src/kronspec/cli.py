@@ -117,8 +117,7 @@ def _cmd_analyze(args, out) -> int:
                     "bracket_width": rep.bracket_width,
                     "map_applications": rep.map_applications,
                     "eigenvalues": (
-                        [[z.real, z.imag] for z in rep.eigenvalues]
-                        if rep.eigenvalues is not None else None
+                        matrix_pairs(rep.eigenvalues) if rep.eigenvalues is not None else None
                     ),
                     "elapsed_s": elapsed,
                 }
@@ -228,7 +227,7 @@ def _cmd_simulate(args, out) -> int:
         print(
             f"mode={moments.mode} paths={moments.paths} seed={args.seed} "
             f"noise={args.noise} horizon={_fmt(args.horizon)}"
-            + (f" dt={_fmt(args.dt)}" if args.dt is not None else ""),
+            + (f" dt={_fmt(moments.dt)}" if moments.dt is not None else ""),
             file=out,
         )
         h = moments.horizon

@@ -232,6 +232,7 @@ def _finite(out: np.ndarray, name: str) -> np.ndarray:
 
 
 def _companion(spec: SystemSpec, mode: str, name: str) -> np.ndarray:
+    check_dense_rows(spec.d, f"Hermitian companion {name}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = adjoint_moment_map(spec, mode)(np.eye(spec.d, dtype=np.complex128))
         # symmetrize away matmul roundoff so structural predicates pass exactly
@@ -241,7 +242,9 @@ def _companion(spec: SystemSpec, mode: str, name: str) -> np.ndarray:
 def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
     """The d-by-d Hermitian PSD matrix N = Phi*(I) = A* A + sum_k B_k* B_k.
 
-    Raises ``OverflowError`` when N leaves double-precision range.
+    Raises ``ValueError`` past the dense ceiling, which its eigensolve
+    would refuse, before any work, and ``OverflowError`` when N leaves
+    double-precision range.
     """
     return _companion(spec, "discrete", "N")
 
@@ -249,7 +252,9 @@ def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
 def build_continuous_gram(spec: SystemSpec) -> np.ndarray:
     """The d-by-d Hermitian matrix M = L*(I) = A + A* + sum_k B_k* B_k (indefinite in general).
 
-    Raises ``OverflowError`` when M leaves double-precision range.
+    Raises ``ValueError`` past the dense ceiling, which its eigensolve
+    would refuse, before any work, and ``OverflowError`` when M leaves
+    double-precision range.
     """
     return _companion(spec, "continuous", "M")
 

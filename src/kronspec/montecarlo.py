@@ -41,11 +41,11 @@ The x and y paths of a pair share the noise draws and differ only in their
 initial vectors, so both sets advance as one stacked array of shape
 ``(s, d, paths)``: the x paths on top of the y paths (s = 2), or the x paths
 alone (s = 1) when the initial vectors coincide and so do the paths.  Both
-modes run one recursion ``x <- A_step x + sum_k (B_k x) zeta_k``; continuous
-mode passes the Euler-Maruyama system ``(I + dt A, sqrt(dt) B_k)``.  When the
-system and the initial vectors are real, the paths are float64 rather than
-complex128: a quarter of the arithmetic, and the same estimates up to
-roundoff.
+modes step one :class:`SystemSpec` by the recursion ``x <- A x + sum_k (B_k
+x) zeta_k``: discrete mode the system itself, continuous mode its
+Euler-Maruyama system ``(I + dt A, sqrt(dt) B_k)``.  When the system and the
+initial vectors are real, the paths are float64 rather than complex128: a
+quarter of the arithmetic, and the same estimates up to roundoff.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import _initial_outer, _shift, _taylor_plan, exact_covariance
-from .kronsum import _check_work
+from .kronsum import _check_work, _finite
 from .matrices import SystemSpec
 from .spectral import check_budget
 
@@ -322,18 +322,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate(mode, spec, u, v, same, cfg, steps, a_step, noise_mats, horizon, dt):
+def _simulate(mode, system, u, v, same, cfg, steps, horizon, dt):
     """Run every path block of one simulation and return its moments at the horizon.
 
     Each block advances the initial vectors, stacked as (u,) when they
     coincide and as (u, v) otherwise, as one ``(s, d, paths)`` array through
-    the system ``(a_step, noise_mats)``, in float64 when all of these are
-    real.  Blocks run on W workers (see the module docstring); the
-    running sums of x y*, |x|^2 |y|^2, |x|^2 and |x|^4 stay complex128 and
-    float64 and are merged in block order.  The work budget
+    ``steps`` steps of the discrete recursion of ``system``, in float64 when
+    the system and the vectors are real.  Blocks run on W workers (see the
+    module docstring); the running sums of x y*, |x|^2 |y|^2, |x|^2 and
+    |x|^4 stay complex128 and float64 and are merged in block order.  The work budget
     (:data:`_MAX_MC_WORK`) is checked before any block starts.
     """
-    d, m = spec.d, len(noise_mats)
+    d, m, a_step, noise_mats = system.d, system.m, system.a, system.noise_mats
     starts = np.stack((u,) if same else (u, v))
     work = cfg.paths * max(steps, 1) * (m + 1) * (len(starts) * d ** 2 + _PATH_OVERHEAD)
     check_budget(work, _MAX_MC_WORK, "simulation needs {:.3g} multiply-adds", work)
@@ -398,7 +398,7 @@ def simulate_discrete(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empirica
     if n != cfg.horizon:
         raise ValueError(f"discrete horizon must be an integer step count, got {cfg.horizon}")
     _check_work(spec, f"the recursion to step {n}", n)
-    return _simulate("discrete", spec, u, v, same, cfg, n, spec.a, spec.noise_mats, n, None)
+    return _simulate("discrete", spec, u, v, same, cfg, n, n, None)
 
 
 def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> EmpiricalMoments:
@@ -406,9 +406,10 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
 
     The update is ``x += A x dt + sum_k B_k x sqrt(dt) z_k`` with independent
     standard normal (or Rademacher) ``z``: the discrete recursion of the system
-    ``(I + dt A, sqrt(dt) B_k)``, with sqrt(dt) folded into the B_k once.  The
-    scheme's covariance bias is O(dt); comparisons against exact propagation
-    should allow max(4*SE, c*dt).
+    ``(I + dt A, sqrt(dt) B_k)``, built once as a :class:`SystemSpec` before
+    any path runs.  An entry of it out of double range is an ``OverflowError``
+    (:func:`kronsum._finite`).  The scheme's covariance bias is O(dt);
+    comparisons against exact propagation should allow max(4*SE, c*dt).
     ``cfg.dt`` is adjusted to divide the horizon into a whole number of steps.
     The Taylor propagation to the horizon that :func:`compare_to_exact`
     checks against is priced here, before any path runs: over the work
@@ -425,17 +426,17 @@ def simulate_continuous(spec: SystemSpec, u, v, cfg: SimulationConfig) -> Empiri
     mu, _, beta = _shift(spec)
     _taylor_plan(spec, mu, beta, np.array([horizon]))
     dt = horizon / steps if steps > 0 else float(cfg.dt)
-    a_step = np.eye(spec.d, dtype=np.complex128) + dt * spec.a
-    noise_mats = tuple(math.sqrt(dt) * b for b in spec.noise_mats)
-    return _simulate("continuous", spec, u, v, same, cfg, steps, a_step, noise_mats,
-                     horizon, dt)
+    name = f"the Euler-Maruyama system at dt = {dt:g}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        system = SystemSpec(_finite(np.eye(spec.d, dtype=np.complex128) + dt * spec.a, name),
+                            tuple(_finite(math.sqrt(dt) * b, name) for b in spec.noise_mats))
+    return _simulate("continuous", system, u, v, same, cfg, steps, horizon, dt)
 
 
 @dataclass(frozen=True)
 class MomentComparison:
     """Entrywise comparison of empirical moments against exact propagation."""
 
-    horizon: float
     exact: np.ndarray
     abs_diff: np.ndarray
     tolerance: np.ndarray
@@ -459,7 +460,6 @@ def compare_to_exact(moments: EmpiricalMoments, spec: SystemSpec, u, v) -> Momen
     diff = np.abs(moments.mean_outer - exact)
     entry = diff <= tol
     return MomentComparison(
-        horizon=moments.horizon,
         exact=exact,
         abs_diff=diff,
         tolerance=tol,

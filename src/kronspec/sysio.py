@@ -146,7 +146,10 @@ def parse_vector(source, d: int | None = None) -> np.ndarray:
     return out
 
 
-def matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    """Nested rows of ``[re, im]`` pairs, the form every complex matrix is written in."""
+def matrix_pairs(m: np.ndarray) -> list:
+    """``m`` with each entry as an ``[re, im]`` pair, the form every complex array is written in.
+
+    A matrix gives nested rows of pairs, a vector a list of pairs.
+    """
     m = np.asarray(m, dtype=np.complex128)
     return np.stack((m.real, m.imag), axis=-1).tolist()

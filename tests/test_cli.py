@@ -279,6 +279,28 @@ class TestSimulate:
         assert code == 70
         assert "overflowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, header", [
+        ("continuous", "horizon=1 dt=0.333333333333\n"),
+        ("discrete", "horizon=1\n"),
+    ], ids=["continuous", "discrete"])
+    def test_header_shows_the_step_taken(self, mode, header, demo_file, capsys):
+        # continuous mode takes 3 steps of 1/3, discrete mode ignores --dt
+        code = main(["simulate", demo_file, f"--mode={mode}", "--u", "[[1,0],[0,0]]",
+                     "--paths", "64", "--dt", "0.3", "--horizon", "1"])
+        assert code in (0, 1)
+        assert capsys.readouterr().out.splitlines(keepends=True)[0].endswith(header)
+
+    @pytest.mark.parametrize("a", ["1e307", "-1e307"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_euler_maruyama_step_exits_70(self, a, tmp_path, capsys):
+        path = tmp_path / "big307.json"
+        path.write_text(_SCALAR % a)
+        code = main(["simulate", str(path), "--mode=continuous", "--u", "[[1,0]]",
+                     "--paths", "4", "--dt", "100", "--horizon", "100"])
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured, code, 70)
+        assert "Euler-Maruyama system at dt = 100 overflowed" in captured.err
+
     def test_fractional_discrete_horizon_exits_65(self, demo_file, capsys):
         code = main(
             ["simulate", demo_file, "--mode=discrete", "--u", "[[1,0],[0,0]]",

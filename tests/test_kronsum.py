@@ -687,6 +687,16 @@ class TestDenseCeiling:
         with pytest.raises(ValueError, match="dense ceiling"):
             classify_stability(spec, "discrete", allow_exact_fallback=True)
 
+    @pytest.mark.parametrize("mode, name", [("discrete", "N"), ("continuous", "M")])
+    def test_companion_refused_before_the_map_runs(self, mode, name, monkeypatch):
+        # past the ceiling its eigensolve would refuse the companion, so it is never built
+        monkeypatch.setattr("kronspec.spectral.DENSE_CEILING", 4)
+        monkeypatch.setattr(kronsum, "adjoint_moment_map", _fail)
+        spec = SystemSpec(0.5 * np.eye(5), (0.1 * np.eye(5),))
+        with pytest.raises(ValueError, match=f"^Hermitian companion {name} has 5 rows, "
+                           "over the dense ceiling of 4$"):
+            bound_report(spec, mode)
+
 
 def _complex_gaussian(rng, d):
     return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)

@@ -265,6 +265,39 @@ class TestContinuous:
         tol = np.maximum(4.0 * moments.std_error, _ATOL_FLOOR * max(1.0, np.max(np.abs(exact))))
         assert np.all(np.abs(moments.mean_outer - exact) <= tol)
 
+    @pytest.mark.parametrize("system", ["demo", "complex d=3, m=2, u != v"])
+    def test_steps_its_euler_maruyama_system_bit_for_bit(self, system):
+        # the continuous run is the discrete run of (I + dt A, sqrt(dt) B_k), built here apart
+        if system == "demo":
+            spec, u, v = demo_system(0.5, 0.7, 2.0), U2, U2
+        else:
+            rng = np.random.default_rng(5)
+            spec = random_system(rng, 3, 2)
+            u, v = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2.0)
+        dt, steps = 1e-2, 100
+        cont = simulate_continuous(spec, u, v, SimulationConfig(
+            paths=3000, seed=29, dt=dt, horizon=steps * dt))
+        sampled = SystemSpec(np.eye(spec.d, dtype=complex) + dt * spec.a,
+                             tuple(np.sqrt(dt) * b for b in spec.noise_mats))
+        disc = simulate_discrete(sampled, u, v, SimulationConfig(
+            paths=3000, seed=29, horizon=steps))
+        assert np.array_equal(cont.mean_outer, disc.mean_outer)
+        assert np.array_equal(cont.std_error, disc.std_error)
+        assert cont.second_moment == disc.second_moment
+        assert cont.second_moment_se == disc.second_moment_se
+
+    @pytest.mark.parametrize("a", [1e307, -1e307])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_raises_before_any_path(self, a, monkeypatch):
+        # I + dt A leaves double range; the Taylor price lets it through (beta = 0)
+        monkeypatch.setattr("kronspec.montecarlo._simulate", _fail)
+        spec = SystemSpec(np.array([[a]]))
+        u1 = np.array([1.0], dtype=complex)
+        cfg = SimulationConfig(paths=4, seed=0, dt=100.0, horizon=100.0)
+        with pytest.raises(OverflowError,
+                           match=r"^the Euler-Maruyama system at dt = 100 overflowed$"):
+            simulate_continuous(spec, u1, u1, cfg)
+
     def test_requires_dt(self):
         spec = demo_system(0.5, 0.7, 2.0)
         cfg = SimulationConfig(paths=100, seed=0, horizon=1.0)
