@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -298,7 +299,17 @@ def _cmd_demo(args, out) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors so that ``main`` maps them like every other failure."""
+    """Raises usage errors so that ``main`` maps them like every other failure.
+
+    A negative number in scientific notation is a value, as a plain one is:
+    argparse's own pattern (Python 3.10, 3.11) has no exponent, so it reads
+    ``--a -1e-3`` as two options.  No option of ``kronspec`` looks like a
+    number, so nothing that matches can be an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

@@ -45,15 +45,21 @@ decides, and records the deciding rung in :attr:`BoundReport.rung`:
 1. ``bounds``: the companion extremes clear the threshold.
 2. ``closed-form`` (m = 0): rho(D) = rho(A)**2 and alpha(C) = 2 max Re lambda(A)
    from one d-by-d eigensolve.
-3. ``refined``: a lean, thick-restarted Arnoldi on Phi* or L* over d-by-d
-   matrices, started from V = I, narrows the bracket with the Ritz matrix of
-   the rightmost Ritz value as V.  Each restart keeps the span of the
-   rightmost Ritz vectors.  A cycle takes its bracket only when the Arnoldi
-   residual of that Ritz pair is within ``1e-7`` of max(1, |theta|), or when
-   it is the run's last cycle; a bracket never feeds the iteration, so a
-   skipped one saves its map application and changes nothing else.  It
-   decides once the bracket is narrower than ``1e-7`` relative and clears
-   the threshold by more than :data:`BOUNDARY_TOL`.
+3. ``refined``: an iteration on Phi* or L* over d-by-d matrices, started
+   from V = I, narrows the bracket.  In discrete mode past d**2 = 30 the
+   power method on the positive map Phi* runs first: its brackets nest, and
+   each comes from the image the next step needs, at no map application.
+   It hands over to Arnoldi when it would not narrow within the budget,
+   which the two share.  Arnoldi, lean and thick-restarted, runs alone in
+   continuous mode (L* is not positive) and at d <= 5 (its basis spans all
+   d-by-d matrices); it takes the Ritz matrix of the rightmost Ritz value
+   as V, and each restart keeps the span of the rightmost Ritz vectors.  An
+   Arnoldi cycle takes its bracket only when the residual of that Ritz pair
+   is within ``1e-7`` of max(1, |theta|), or when it is the run's last
+   cycle; a bracket never feeds the iteration, so a skipped one saves its
+   map application and changes nothing else.  The rung decides once the
+   bracket is narrower than ``1e-7`` relative and clears the threshold by
+   more than :data:`BOUNDARY_TOL`.
 4. ``dense``: the d**2-by-d**2 spectrum of R, when rung 3 has not converged within
    its budget or its bracket touches the threshold band (a singular Perron
    matrix, for instance, has no V > 0 to converge to).  Past d = 64 it raises
@@ -80,8 +86,8 @@ CHAIN_TOL = 1e-8
 _MODES = ("discrete", "continuous")
 
 #: Rung 3's Krylov dimension (capped at d**2), the Ritz directions a thick
-#: restart keeps, and its budget: at most 240 Arnoldi steps, each one map
-#: application, plus one application per bracket taken.
+#: restart keeps, and its budget: at most 240 power and Arnoldi steps in all,
+#: each one map application, plus one application per Arnoldi bracket taken.
 _KRYLOV_DIM = 30
 _KEEP = 8
 _MAX_STEPS = 240
@@ -277,8 +283,8 @@ class BoundReport:
     eigenvalues: np.ndarray | None = field(default=None, compare=False, repr=False)
     #: Provenance: the ladder rung behind ``exact`` ("bounds" when there is
     #: none; see the module docstring), the width of rung 3's last valid
-    #: bracket and the map applications rung 3 spent (None and 0 when it did
-    #: not run).
+    #: bracket and the map applications rung 3 spent, power and Arnoldi steps
+    #: together (None and 0 when it did not run).
     rung: str = field(default="bounds", compare=False)
     bracket_width: float | None = field(default=None, compare=False)
     map_applications: int = field(default=0, compare=False)
@@ -404,7 +410,81 @@ def _may_decide(residual: complex, theta: complex) -> bool:
     return abs(residual) <= _BRACKET_RTOL * max(1.0, abs(theta))
 
 
-def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] | None, int]:
+def _bracket_at(apply, v: np.ndarray) -> tuple[tuple[float, float] | None, np.ndarray | None]:
+    """The Collatz-Wielandt bracket at a Hermitian V and the image apply(V) behind it.
+
+    With V = F F* positive definite, [lam_min, lam_max] of F^-1 apply(V) F^-*
+    brackets rho(D) (apply = Phi*) or alpha(C) (apply = L*).  Returns
+    (None, None) when V has no Cholesky factor, before any map application,
+    and (None, image) when the similarity is not finite.
+    """
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(v))
+    except np.linalg.LinAlgError:
+        return None, None
+    image = apply(v)
+    similar = inv @ image @ inv.conj().T
+    if not np.all(np.isfinite(similar)):
+        return None, image
+    ends = np.linalg.eigvalsh((similar + similar.conj().T) / 2.0)
+    return (float(ends[0]), float(ends[-1])), image
+
+
+def _power_bracket(spec: SystemSpec) -> tuple[tuple[float, float] | None, int]:
+    """Discrete rung 3 by the power method: a narrow bracket, or None to hand over, and its cost.
+
+    From V = I each application takes W = Phi*(V), and W scaled by its
+    largest entry modulus is the next V.  Phi* is positive, so
+    Phi*(V) >= lam V implies Phi*(Phi*(V)) >= lam Phi*(V): the bracket at
+    the next V lies inside the one at V, and the brackets close on rho(D) at
+    the rate of the second eigenvalue of Phi* (Krein-Rutman; H. Schneider,
+    Numer. Math. 7, 1965).  A bracket is taken from the W the iteration
+    needs anyway (:func:`_bracket_at`, on the Hermitian part of V), so it
+    costs no map application: at the 8th and 16th applications, then at the
+    one where the geometric rate of the last two widths predicts a width of
+    half :data:`_BRACKET_RTOL`.  The run ends with the first bracket that
+    narrow, and hands over (None) when the predicted application leaves
+    Arnoldi no step of :data:`_MAX_STEPS`, a width stops shrinking, V is not
+    positive definite or W is not finite.
+    """
+    apply = adjoint_moment_map(spec, "discrete")
+    v = np.eye(spec.d, dtype=np.complex128)
+    applications, check, before = 0, 8, None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            if applications + 1 < check:
+                w = apply(v)
+                applications += 1
+            else:
+                bracket, w = _bracket_at(apply, (v + v.conj().T) / 2.0)
+                if w is None:
+                    return None, applications
+                applications += 1
+                if bracket is None:
+                    return None, applications
+                width = _width(*bracket)
+                if width <= _BRACKET_RTOL:
+                    return bracket, applications
+                if before is None:
+                    check = 16
+                else:
+                    shrink = width / before[1]
+                    if not shrink < 1.0:
+                        return None, applications
+                    rate = math.log(shrink) / (applications - before[0])
+                    ahead = math.log(_BRACKET_RTOL / 2.0 / width) / rate
+                    check = applications + max(1, math.ceil(ahead))
+                if check >= _MAX_STEPS:
+                    return None, applications
+                before = applications, width
+            scale = float(np.abs(w).max())
+            if not 0.0 < scale < math.inf:
+                return None, applications
+            v = w / scale
+
+
+def _refined_bracket(spec: SystemSpec, mode: str,
+                     budget: int = _MAX_STEPS) -> tuple[tuple[float, float] | None, int]:
     """Rung 3: the last Collatz-Wielandt bracket taken and the map applications spent.
 
     Thick-restarted Arnoldi on Phi* (discrete) or L* (continuous) from V = I,
@@ -417,7 +497,7 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
     bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or of F^-1 L*(V) F^-*).
     A cycle forms V and takes that bracket, at one map application, only
     when :func:`_may_decide` passes its rightmost Ritz pair or the cycle ends
-    the run (breakdown, the step budget, or no room left to restart), so an
+    the run (breakdown, ``budget`` steps, or no room left to restart), so an
     undecided run still reports its final cycle's bracket.  A bracket more
     than half as wide as the one taken before it (relative to max(1, |ends|))
     has stalled and ends the run too: with a nearly singular Perron matrix
@@ -446,7 +526,7 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
     bracket, steps, brackets, kept, width = None, 0, 0, 0, math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            n, broke = min(dim, kept + _MAX_STEPS - steps), False
+            n, broke = min(dim, kept + budget - steps), False
             for j in range(kept, n):
                 basis[j + 1] = apply(basis[j])
                 row = flat[j + 1]
@@ -472,24 +552,19 @@ def _refined_bracket(spec: SystemSpec, mode: str) -> tuple[tuple[float, float] |
             order = np.argsort(-theta.real, kind="stable")
             ritz = y[:, order[0]]
             # with n <= _KEEP + 1 the kept directions would leave no room to extend
-            last = broke or steps >= _MAX_STEPS or n <= _KEEP + 1
+            last = broke or steps >= budget or n <= _KEEP + 1
             if last or _may_decide(hess[n, n - 1] * ritz[n - 1], theta[order[0]]):
                 ritz = ritz * np.conj(ritz[np.argmax(np.abs(ritz))])  # largest entry real
                 v = np.tensordot(ritz.real, basis[:n], axes=1)
                 v = (v + v.conj().T) / 2.0
                 if np.trace(v).real < 0:
                     v = -v
-                try:
-                    inv = np.linalg.inv(np.linalg.cholesky(v))
-                except np.linalg.LinAlgError:
-                    pass
-                else:
-                    image = inv @ apply(v) @ inv.conj().T
+                ends, image = _bracket_at(apply, v)
+                if image is not None:
                     brackets += 1
-                    if not np.all(np.isfinite(image)):
+                    if ends is None:
                         break
-                    ends = np.linalg.eigvalsh((image + image.conj().T) / 2.0)
-                    bracket = float(ends[0]), float(ends[-1])
+                    bracket = ends
                     width, before = _width(*bracket), width
                     if width <= _BRACKET_RTOL or width > before / 2.0:
                         break
@@ -530,8 +605,10 @@ def classify_stability(
     always tried first.  When they are inconclusive and
     ``allow_exact_fallback`` is set, the rest of the ladder in the module
     docstring settles the spectral value: the closed form (m = 0), the refined
-    bracket, and the dense d**2 eigensolve only when the bracket does not
-    decide (a ``ValueError`` past d = 64).  The report's ``rung``,
+    bracket (the power method first in discrete mode past d = 5, then
+    Arnoldi with the rest of the budget when it hands over), and the dense
+    d**2 eigensolve only when the bracket does not decide (a ``ValueError``
+    past d = 64).  The report's ``rung``,
     ``bracket_width`` and ``map_applications`` record which rung decided and
     what rung 3 cost; ``eigenvalues`` is filled on the dense rung only.
     """
@@ -541,7 +618,14 @@ def classify_stability(
         return verdict
     if not spec.noise_mats:
         return _decide(replace(report, exact=_closed_form(spec, mode), rung="closed-form"))
-    bracket, applications = _refined_bracket(spec, mode)
+    # past d**2 = _KRYLOV_DIM Arnoldi no longer spans the space, and the power
+    # method on the positive map Phi* reaches the same bracket for less
+    bracket, applications = None, 0
+    if mode == "discrete" and spec.d ** 2 > _KRYLOV_DIM:
+        bracket, applications = _power_bracket(spec)
+    if bracket is None:
+        bracket, arnoldi = _refined_bracket(spec, mode, _MAX_STEPS - applications)
+        applications += arnoldi
     report = replace(report, bracket_width=None if bracket is None else bracket[1] - bracket[0],
                      map_applications=applications)
     if (bracket is not None and _width(*bracket) <= _BRACKET_RTOL

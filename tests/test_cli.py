@@ -330,6 +330,17 @@ class TestDemo:
         assert code == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option, value", [("--a", "-1e-3"), ("--sigma", "-2.5e-1")])
+    def test_negative_value_in_scientific_notation(self, option, value, capsys):
+        # argparse's own negative-number pattern (Python 3.10, 3.11) has no
+        # exponent, so a separate value once read as an option and exited 65
+        code = main(["demo", option, value])
+        spaced = capsys.readouterr()
+        assert code == 0 and spaced.err == ""
+        assert main(["demo", f"{option}={value}"]) == 0
+        assert spaced.out == capsys.readouterr().out
+        assert "FAIL" not in spaced.out
+
     def test_prints_the_complex_sums_and_their_spectral_values(self, capsys):
         # the demo system is real, so the real forms it prints are D and C bit
         # for bit: the blocks and the rho(D) and alpha(C) lines are those of

@@ -15,8 +15,11 @@ from kronspec.kronsum import (
     UNSTABLE_STATUSES,
     BoundReport,
     StabilityStatus,
+    _bracket_at,
     _closed_form,
+    _power_bracket,
     _refined_bracket,
+    adjoint_moment_map,
     bound_report,
     build_continuous_gram,
     build_continuous_sum,
@@ -627,6 +630,99 @@ class TestLadder:
         assert verdict.evidence.map_applications > 0
 
 
+def _straddling(rng, d, m, mode, value):
+    """A complex system with spectral value ``value`` whose companion bounds straddle the threshold.
+
+    Discrete systems are scaled (rho(D) scales by c**2), continuous ones
+    shifted (alpha(C) moves by 2s).
+    """
+    while True:
+        spec = _family_block(rng, d, m, mode)
+        exact = _dense_value(spec, mode)
+        if mode == "discrete":
+            c = np.sqrt(value / exact)
+            spec = SystemSpec(c * spec.a, tuple(c * b for b in spec.noise_mats))
+        else:
+            spec = SystemSpec(spec.a + (value - exact) / 2.0 * np.eye(d), spec.noise_mats)
+        report = bound_report(spec, mode)
+        if report.lower < stability_threshold(mode) < report.upper:
+            return spec
+
+
+class TestPowerBracket:
+    """Discrete rung 3 past d**2 = 30: the power method on Phi* from V = I."""
+
+    def test_bracket_contains_dense_value(self):
+        rng = np.random.default_rng(37)
+        for i in range(48):
+            spec = _straddling(rng, 6 + i % 11, 1 + i % 3, "discrete", (0.85, 1.15)[i % 2])
+            (lower, upper), applications = _power_bracket(spec)
+            exact = _dense_value(spec, "discrete")
+            slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
+            assert lower - slack <= exact <= upper + slack
+            assert upper - lower <= 1e-7 * max(1.0, abs(lower), abs(upper))
+            verdict = classify_stability(spec, "discrete", allow_exact_fallback=True)
+            dense = verdict_from_report(replace(verdict.evidence, exact=exact))
+            assert verdict.status is dense.status
+            assert verdict.evidence.rung == "refined"
+            assert verdict.evidence.exact == (lower + upper) / 2.0
+            assert verdict.evidence.map_applications == applications <= 248
+
+    def test_brackets_nest(self):
+        # Phi* is positive, so Phi*(V) >= lam V gives Phi*(Phi*(V)) >= lam Phi*(V):
+        # each end of the bracket moves inward, up to roundoff
+        rng = np.random.default_rng(38)
+        for i in range(40):
+            spec = _straddling(rng, 6 + i % 11, 1 + i % 3, "discrete", (0.85, 1.15)[i % 2])
+            apply = adjoint_moment_map(spec, "discrete")
+            v = np.eye(spec.d, dtype=np.complex128)
+            before = None
+            for _ in range(60):
+                bracket, image = _bracket_at(apply, (v + v.conj().T) / 2.0)
+                if before is not None:
+                    slack = 1e-14 * max(1.0, abs(bracket[0]), abs(bracket[1]))
+                    assert before[0] - slack <= bracket[0] <= bracket[1] <= before[1] + slack
+                before = bracket
+                v = image / np.abs(image).max()
+
+    def test_small_budget_hands_arnoldi_the_rest(self, monkeypatch):
+        # with 12 applications the power method brackets at the 8th, cannot
+        # reach the 16th, and leaves Arnoldi the other 4
+        spec = _straddling(np.random.default_rng(39), 10, 2, "discrete", 0.85)
+        monkeypatch.setattr(kronsum, "_MAX_STEPS", 12)
+        assert _power_bracket(spec) == (None, 8)
+        bracket, applications = _refined_bracket(spec, "discrete", 4)
+        report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
+        assert report.bracket_width == bracket[1] - bracket[0]
+        assert report.map_applications == 8 + applications == 12 + 1
+        assert report.rung == "dense"
+
+    def test_stalled_power_method_hands_over_to_arnoldi(self):
+        # test_stalled_bracket_ends_the_run's d = 12 system: from the 8th to the
+        # 16th application the width shrinks too slowly to narrow within the
+        # budget, and Arnoldi then takes the bracket it takes on its own
+        d = 12
+        rng = np.random.default_rng(d)
+        spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d),
+                          (0.01 * rng.standard_normal((d, d)) / np.sqrt(d),))
+        assert _power_bracket(spec) == (None, 16)
+        bracket, applications = _refined_bracket(spec, "discrete")
+        report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
+        assert report.bracket_width == bracket[1] - bracket[0]
+        assert report.map_applications == 16 + applications
+
+    def test_arnoldi_alone_at_small_d_and_in_continuous_mode(self, monkeypatch):
+        # at d = 5 Arnoldi spans the whole space of d-by-d matrices, and L* is
+        # not a positive map
+        rng = np.random.default_rng(40)
+        monkeypatch.setattr(kronsum, "_power_bracket", _fail)
+        for d, mode, value in ((5, "discrete", 0.85), (8, "continuous", -0.1)):
+            spec = _straddling(rng, d, 2, mode, value)
+            verdict = classify_stability(spec, mode, allow_exact_fallback=True)
+            assert verdict.evidence.rung == "refined"
+            assert verdict.status is StabilityStatus.EXACT_STABLE
+
+
 def _always(residual, theta):
     """Rung 3's bracket gate opened: a bracket on every cycle."""
     return True
@@ -756,6 +852,47 @@ class TestMixedDirectSums:
         assert spec.d == 128
         verdict = classify_stability(spec, "continuous", allow_exact_fallback=True)
         assert verdict.status in UNSTABLE_STATUSES
+
+
+class TestRefinedInvariances:
+    """Identities of the refined value on both rung-3 engines, every scale near 1.
+
+    Discrete d = 4, 5 take Arnoldi and d = 6..8 the power method; continuous
+    mode takes Arnoldi.  Values agree within 1e-7 of max(1, |value|), the
+    width rung 3 narrows to.
+    """
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+    def test_discrete_scaling_and_unitary_similarity(self, d):
+        # (cA, cB_k) multiplies rho(D) by c**2; U A U*, U B_k U* leaves it
+        rng = np.random.default_rng(100 + d)
+        spec = _straddling(rng, d, 1 + d % 3, "discrete", (0.85, 1.15)[d % 2])
+        c = rng.uniform(0.98, 1.02)
+        u = unitary_group.rvs(d, random_state=d)
+        scaled = SystemSpec(c * spec.a, tuple(c * b for b in spec.noise_mats))
+        turned = SystemSpec(u @ spec.a @ u.conj().T,
+                            tuple(u @ b @ u.conj().T for b in spec.noise_mats))
+        base = classify_stability(spec, "discrete", allow_exact_fallback=True)
+        assert base.evidence.rung == "refined"
+        for other, want in ((scaled, c * c * base.evidence.exact), (turned, base.evidence.exact)):
+            verdict = classify_stability(other, "discrete", allow_exact_fallback=True)
+            assert verdict.evidence.rung == "refined"
+            assert verdict.status is base.status
+            assert abs(verdict.evidence.exact - want) <= 1e-7 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    def test_continuous_shift(self, d):
+        # A + sI adds 2 Re s to alpha(C)
+        rng = np.random.default_rng(200 + d)
+        spec = _straddling(rng, d, 1 + d % 3, "continuous", (-0.15, 0.15)[d % 2])
+        s = complex(rng.uniform(-0.02, 0.02), rng.uniform(-0.5, 0.5))
+        shifted = SystemSpec(spec.a + s * np.eye(d), spec.noise_mats)
+        base = classify_stability(spec, "continuous", allow_exact_fallback=True)
+        verdict = classify_stability(shifted, "continuous", allow_exact_fallback=True)
+        assert base.evidence.rung == verdict.evidence.rung == "refined"
+        assert verdict.status is base.status
+        want = base.evidence.exact + 2.0 * s.real
+        assert abs(verdict.evidence.exact - want) <= 1e-7 * max(1.0, abs(want))
 
 
 class TestDemoFamilyInvariants:
