@@ -195,6 +195,8 @@ def _cmd_evolve(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     spec = load_system(args.file)
     u, v = _vectors(args, spec.d)
+    if args.mode == "continuous" and args.dt is None:
+        raise ValueError("continuous mode requires --dt")
     cfg = SimulationConfig(
         paths=args.paths, seed=args.seed, noise=args.noise, dt=args.dt, horizon=args.horizon
     )

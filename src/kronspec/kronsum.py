@@ -42,7 +42,9 @@ and those of F^-1 L*(V) F^-* bracket alpha(C).  :func:`classify_stability` with
 ``allow_exact_fallback`` climbs a ladder of rungs, stopping at the first that
 decides, and records the deciding rung in :attr:`BoundReport.rung`:
 
-1. ``bounds``: the companion extremes clear the threshold.
+1. ``bounds``: the companion extremes clear the threshold.  They are the
+   V = I bracket of the map that rung 3 iterates: Phi* or L* is formed once
+   per verdict, N or M is its image of I, and both rung-3 engines take it.
 2. ``closed-form`` (m = 0): rho(D) = rho(A)**2 and alpha(C) = 2 max Re lambda(A)
    from one d-by-d eigensolve.
 3. ``refined``: an iteration on Phi* or L* over d-by-d matrices, started
@@ -237,12 +239,19 @@ def _finite(out: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def _companion(spec: SystemSpec, mode: str, name: str) -> np.ndarray:
+def _companion(spec: SystemSpec, mode: str):
+    """N = Phi*(I) (discrete) or M = L*(I) (continuous), and the map Phi* or L* behind it.
+
+    The dense ceiling, which the companion's eigensolve would enforce, is
+    checked before the map is built; rung 3 iterates the returned map.
+    """
+    name = "N" if _check_mode(mode) == "discrete" else "M"
     check_dense_rows(spec.d, f"Hermitian companion {name}")
+    apply = adjoint_moment_map(spec, mode)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = adjoint_moment_map(spec, mode)(np.eye(spec.d, dtype=np.complex128))
+        out = apply(np.eye(spec.d, dtype=np.complex128))
         # symmetrize away matmul roundoff so structural predicates pass exactly
-        return _finite((out + out.conj().T) / 2.0, f"Hermitian companion {name}")
+        return _finite((out + out.conj().T) / 2.0, f"Hermitian companion {name}"), apply
 
 
 def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
@@ -252,7 +261,7 @@ def build_discrete_gram(spec: SystemSpec) -> np.ndarray:
     would refuse, before any work, and ``OverflowError`` when N leaves
     double-precision range.
     """
-    return _companion(spec, "discrete", "N")
+    return _companion(spec, "discrete")[0]
 
 
 def build_continuous_gram(spec: SystemSpec) -> np.ndarray:
@@ -262,7 +271,7 @@ def build_continuous_gram(spec: SystemSpec) -> np.ndarray:
     would refuse, before any work, and ``OverflowError`` when M leaves
     double-precision range.
     """
-    return _companion(spec, "continuous", "M")
+    return _companion(spec, "continuous")[0]
 
 
 @dataclass(frozen=True)
@@ -308,21 +317,6 @@ def check_bound_chain(report: BoundReport) -> None:
             f"{report.mode} bound chain violated: "
             f"{report.lower!r} <= {report.exact!r} <= {report.upper!r} fails at slack {slack:g}"
         )
-
-
-def bound_report(spec: SystemSpec, mode: str) -> BoundReport:
-    """The companion bounds: extreme eigenvalues of N (discrete) or M (continuous).
-
-    A d-by-d Hermitian eigensolve; the rungs that compute the spectral value
-    itself live in :func:`classify_stability`.
-    """
-    discrete = _check_mode(mode) == "discrete"
-    lower, upper = hermitian_extremes(
-        build_discrete_gram(spec) if discrete else build_continuous_gram(spec)
-    )
-    report = BoundReport(lower=lower, upper=upper, exact=None, mode=mode)
-    check_bound_chain(report)
-    return report
 
 
 class StabilityStatus(str, Enum):
@@ -411,13 +405,17 @@ def _may_decide(residual: complex, theta: complex) -> bool:
 
 
 def _bracket_at(apply, v: np.ndarray) -> tuple[tuple[float, float] | None, np.ndarray | None]:
-    """The Collatz-Wielandt bracket at a Hermitian V and the image apply(V) behind it.
+    """The Collatz-Wielandt bracket at V and the image apply(V) behind it.
 
-    With V = F F* positive definite, [lam_min, lam_max] of F^-1 apply(V) F^-*
+    V is replaced by its Hermitian part, signed to positive trace.  With
+    V = F F* positive definite, [lam_min, lam_max] of F^-1 apply(V) F^-*
     brackets rho(D) (apply = Phi*) or alpha(C) (apply = L*).  Returns
     (None, None) when V has no Cholesky factor, before any map application,
     and (None, image) when the similarity is not finite.
     """
+    v = (v + v.conj().T) / 2.0
+    if np.trace(v).real < 0:
+        v = -v
     try:
         inv = np.linalg.inv(np.linalg.cholesky(v))
     except np.linalg.LinAlgError:
@@ -430,71 +428,68 @@ def _bracket_at(apply, v: np.ndarray) -> tuple[tuple[float, float] | None, np.nd
     return (float(ends[0]), float(ends[-1])), image
 
 
-def _power_bracket(spec: SystemSpec) -> tuple[tuple[float, float] | None, int]:
+def _power_bracket(apply, d: int) -> tuple[tuple[float, float] | None, int]:
     """Discrete rung 3 by the power method: a narrow bracket, or None to hand over, and its cost.
 
-    From V = I each application takes W = Phi*(V), and W scaled by its
-    largest entry modulus is the next V.  Phi* is positive, so
-    Phi*(V) >= lam V implies Phi*(Phi*(V)) >= lam Phi*(V): the bracket at
-    the next V lies inside the one at V, and the brackets close on rho(D) at
-    the rate of the second eigenvalue of Phi* (Krein-Rutman; H. Schneider,
-    Numer. Math. 7, 1965).  A bracket is taken from the W the iteration
-    needs anyway (:func:`_bracket_at`, on the Hermitian part of V), so it
-    costs no map application: at the 8th and 16th applications, then at the
-    one where the geometric rate of the last two widths predicts a width of
-    half :data:`_BRACKET_RTOL`.  The run ends with the first bracket that
-    narrow, and hands over (None) when the predicted application leaves
-    Arnoldi no step of :data:`_MAX_STEPS`, a width stops shrinking, V is not
-    positive definite or W is not finite.
+    ``apply`` is Phi* on d-by-d matrices.  From V = I each application takes
+    W = Phi*(V), and W scaled by its largest entry modulus is the next V.
+    Phi* is positive, so Phi*(V) >= lam V implies Phi*(Phi*(V)) >= lam Phi*(V):
+    the bracket at the next V lies inside the one at V, and the brackets
+    close on rho(D) at the rate of the second eigenvalue of Phi*
+    (Krein-Rutman; H. Schneider, Numer. Math. 7, 1965).  A bracket is taken
+    from the W the iteration needs anyway (:func:`_bracket_at`), so it costs
+    no map application: at the 8th and 16th applications, then at the one
+    where the geometric rate of the last two widths predicts a width of half
+    :data:`_BRACKET_RTOL`.  The run ends with the first bracket that narrow,
+    and hands over (None) when the predicted application leaves Arnoldi no
+    step of :data:`_MAX_STEPS`, a width stops shrinking, V is not positive
+    definite or W is not finite.
     """
-    apply = adjoint_moment_map(spec, "discrete")
-    v = np.eye(spec.d, dtype=np.complex128)
+    v = np.eye(d, dtype=np.complex128)
     applications, check, before = 0, 8, None
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            if applications + 1 < check:
-                w = apply(v)
-                applications += 1
-            else:
-                bracket, w = _bracket_at(apply, (v + v.conj().T) / 2.0)
-                if w is None:
-                    return None, applications
-                applications += 1
-                if bracket is None:
-                    return None, applications
-                width = _width(*bracket)
-                if width <= _BRACKET_RTOL:
-                    return bracket, applications
-                if before is None:
-                    check = 16
-                else:
-                    shrink = width / before[1]
-                    if not shrink < 1.0:
-                        return None, applications
-                    rate = math.log(shrink) / (applications - before[0])
-                    ahead = math.log(_BRACKET_RTOL / 2.0 / width) / rate
-                    check = applications + max(1, math.ceil(ahead))
-                if check >= _MAX_STEPS:
-                    return None, applications
-                before = applications, width
-            scale = float(np.abs(w).max())
-            if not 0.0 < scale < math.inf:
+    while True:
+        if applications + 1 < check:
+            w = apply(v)
+            applications += 1
+        else:
+            bracket, w = _bracket_at(apply, v)
+            if w is None:
                 return None, applications
-            v = w / scale
+            applications += 1
+            if bracket is None:
+                return None, applications
+            width = _width(*bracket)
+            if width <= _BRACKET_RTOL:
+                return bracket, applications
+            if before is None:
+                check = 16
+            else:
+                shrink = width / before[1]
+                if not shrink < 1.0:
+                    return None, applications
+                rate = math.log(shrink) / (applications - before[0])
+                ahead = math.log(_BRACKET_RTOL / 2.0 / width) / rate
+                check = applications + max(1, math.ceil(ahead))
+            if check >= _MAX_STEPS:
+                return None, applications
+            before = applications, width
+        scale = float(np.abs(w).max())
+        if not 0.0 < scale < math.inf:
+            return None, applications
+        v = w / scale
 
 
-def _refined_bracket(spec: SystemSpec, mode: str,
-                     budget: int = _MAX_STEPS) -> tuple[tuple[float, float] | None, int]:
+def _refined_bracket(apply, d: int, budget: int) -> tuple[tuple[float, float] | None, int]:
     """Rung 3: the last Collatz-Wielandt bracket taken and the map applications spent.
 
-    Thick-restarted Arnoldi on Phi* (discrete) or L* (continuous) from V = I,
-    over d-by-d matrices under the real inner product Re tr(X* Y).  A step
-    takes no Hermitian part: the basis stays Hermitian up to roundoff, and
-    its second Gram-Schmidt pass runs only when the first leaves less than
-    1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart, 1976).  After
-    each cycle the Hermitian part of the rightmost Ritz matrix, signed to
-    positive trace, is V; when it is positive definite, V = F F* gives the
-    bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or of F^-1 L*(V) F^-*).
+    Thick-restarted Arnoldi on ``apply``, Phi* (discrete) or L* (continuous)
+    on d-by-d matrices, from V = I under the real inner product Re tr(X* Y).
+    A step takes no Hermitian part: the basis stays Hermitian up to roundoff,
+    and its second Gram-Schmidt pass runs only when the first leaves less
+    than 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman and Stewart, 1976).
+    After each cycle the rightmost Ritz matrix is V, and :func:`_bracket_at`
+    gives the bracket [lam_min, lam_max] of F^-1 Phi*(V) F^-* (or of
+    F^-1 L*(V) F^-*) when its Hermitian part is positive definite.
     A cycle forms V and takes that bracket, at one map application, only
     when :func:`_may_decide` passes its rightmost Ritz pair or the cycle ends
     the run (breakdown, ``budget`` steps, or no room left to restart), so an
@@ -515,8 +510,6 @@ def _refined_bracket(spec: SystemSpec, mode: str,
     slow convergence: each bracket comes from an explicit V.  The bracket is
     None when no bracket was taken from a positive definite V.
     """
-    apply = adjoint_moment_map(spec, mode)
-    d = spec.d
     dim = min(_KRYLOV_DIM, d * d)
     basis = np.empty((dim + 1, d, d), dtype=np.complex128)
     # Re tr(X* Y) is the dot product of the float views
@@ -524,70 +517,66 @@ def _refined_bracket(spec: SystemSpec, mode: str,
     hess = np.zeros((dim + 1, dim))
     basis[0] = np.eye(d) / math.sqrt(d)
     bracket, steps, brackets, kept, width = None, 0, 0, 0, math.inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            n, broke = min(dim, kept + budget - steps), False
-            for j in range(kept, n):
-                basis[j + 1] = apply(basis[j])
-                row = flat[j + 1]
-                scale = math.sqrt(row @ row)
-                coef = flat[: j + 1] @ row
-                row -= coef @ flat[: j + 1]
+    while True:
+        n, broke = min(dim, kept + budget - steps), False
+        for j in range(kept, n):
+            basis[j + 1] = apply(basis[j])
+            row = flat[j + 1]
+            scale = math.sqrt(row @ row)
+            coef = flat[: j + 1] @ row
+            row -= coef @ flat[: j + 1]
+            norm = math.sqrt(row @ row)
+            if norm < math.sqrt(0.5) * scale:
+                again = flat[: j + 1] @ row
+                row -= again @ flat[: j + 1]
+                coef += again
                 norm = math.sqrt(row @ row)
-                if norm < math.sqrt(0.5) * scale:
-                    again = flat[: j + 1] @ row
-                    row -= again @ flat[: j + 1]
-                    coef += again
-                    norm = math.sqrt(row @ row)
-                hess[: j + 1, j] = coef
-                hess[j + 1, j] = norm
-                if not norm > 1e-12 * scale:  # also ends the run on a non-finite image
-                    n, broke = j + 1, True
+            hess[: j + 1, j] = coef
+            hess[j + 1, j] = norm
+            if not norm > 1e-12 * scale:  # also ends the run on a non-finite image
+                n, broke = j + 1, True
+                break
+            row /= norm
+        steps += n - kept
+        if not np.all(np.isfinite(hess[:n, :n])):
+            break
+        theta, y = np.linalg.eig(hess[:n, :n])
+        order = np.argsort(-theta.real, kind="stable")
+        ritz = y[:, order[0]]
+        # with n <= _KEEP + 1 the kept directions would leave no room to extend
+        last = broke or steps >= budget or n <= _KEEP + 1
+        if last or _may_decide(hess[n, n - 1] * ritz[n - 1], theta[order[0]]):
+            ritz = ritz * np.conj(ritz[np.argmax(np.abs(ritz))])  # largest entry real
+            v = np.tensordot(ritz.real, basis[:n], axes=1)
+            ends, image = _bracket_at(apply, v)
+            if image is not None:
+                brackets += 1
+                if ends is None:
                     break
-                row /= norm
-            steps += n - kept
-            if not np.all(np.isfinite(hess[:n, :n])):
-                break
-            theta, y = np.linalg.eig(hess[:n, :n])
-            order = np.argsort(-theta.real, kind="stable")
-            ritz = y[:, order[0]]
-            # with n <= _KEEP + 1 the kept directions would leave no room to extend
-            last = broke or steps >= budget or n <= _KEEP + 1
-            if last or _may_decide(hess[n, n - 1] * ritz[n - 1], theta[order[0]]):
-                ritz = ritz * np.conj(ritz[np.argmax(np.abs(ritz))])  # largest entry real
-                v = np.tensordot(ritz.real, basis[:n], axes=1)
-                v = (v + v.conj().T) / 2.0
-                if np.trace(v).real < 0:
-                    v = -v
-                ends, image = _bracket_at(apply, v)
-                if image is not None:
-                    brackets += 1
-                    if ends is None:
-                        break
-                    bracket = ends
-                    width, before = _width(*bracket), width
-                    if width <= _BRACKET_RTOL or width > before / 2.0:
-                        break
-            if last:
-                break
-            # thick restart: q spans an invariant subspace of H, so with
-            # Q_k = basis q the map's Krylov relation becomes
-            # apply(Q_k) = Q_k (q^T H q) + basis[n] h_(n+1,n) q[n-1]
-            cols = []
-            for i in order[:_KEEP]:
-                if theta[i].imag >= 0:  # a conjugate pair lists +imag first
-                    cols.append(y[:, i].real)
-                if theta[i].imag > 0:
-                    cols.append(y[:, i].imag)
-            q = np.linalg.qr(np.array(cols).T)[0]
-            kept = q.shape[1]
-            basis[:kept] = np.tensordot(q.T, basis[:n], axes=1)
-            basis[kept] = basis[n]
-            head = q.T @ hess[:n, :n] @ q
-            residual = hess[n, n - 1] * q[n - 1]
-            hess[:] = 0.0
-            hess[:kept, :kept] = head
-            hess[kept, :kept] = residual
+                bracket = ends
+                width, before = _width(*bracket), width
+                if width <= _BRACKET_RTOL or width > before / 2.0:
+                    break
+        if last:
+            break
+        # thick restart: q spans an invariant subspace of H, so with
+        # Q_k = basis q the map's Krylov relation becomes
+        # apply(Q_k) = Q_k (q^T H q) + basis[n] h_(n+1,n) q[n-1]
+        cols = []
+        for i in order[:_KEEP]:
+            if theta[i].imag >= 0:  # a conjugate pair lists +imag first
+                cols.append(y[:, i].real)
+            if theta[i].imag > 0:
+                cols.append(y[:, i].imag)
+        q = np.linalg.qr(np.array(cols).T)[0]
+        kept = q.shape[1]
+        basis[:kept] = np.tensordot(q.T, basis[:n], axes=1)
+        basis[kept] = basis[n]
+        head = q.T @ hess[:n, :n] @ q
+        residual = hess[n, n - 1] * q[n - 1]
+        hess[:] = 0.0
+        hess[:kept, :kept] = head
+        hess[kept, :kept] = residual
     return bracket, steps + brackets
 
 
@@ -608,12 +597,16 @@ def classify_stability(
     bracket (the power method first in discrete mode past d = 5, then
     Arnoldi with the rest of the budget when it hands over), and the dense
     d**2 eigensolve only when the bracket does not decide (a ``ValueError``
-    past d = 64).  The report's ``rung``,
-    ``bracket_width`` and ``map_applications`` record which rung decided and
-    what rung 3 cost; ``eigenvalues`` is filled on the dense rung only.
+    past d = 64).  Phi* or L* is formed once (:func:`_companion`): the
+    companion is its image of I, and rung 3 iterates it.  The report's
+    ``rung``, ``bracket_width`` and ``map_applications`` record which rung
+    decided and what rung 3 cost; ``eigenvalues`` is filled on the dense rung
+    only.
     """
-    report = bound_report(spec, mode)
-    verdict = verdict_from_report(report)
+    companion, apply = _companion(spec, mode)
+    lower, upper = hermitian_extremes(companion)
+    report = BoundReport(lower=lower, upper=upper, exact=None, mode=mode)
+    verdict = _decide(report)
     if verdict.status is not StabilityStatus.INDETERMINATE or not allow_exact_fallback:
         return verdict
     if not spec.noise_mats:
@@ -621,11 +614,12 @@ def classify_stability(
     # past d**2 = _KRYLOV_DIM Arnoldi no longer spans the space, and the power
     # method on the positive map Phi* reaches the same bracket for less
     bracket, applications = None, 0
-    if mode == "discrete" and spec.d ** 2 > _KRYLOV_DIM:
-        bracket, applications = _power_bracket(spec)
-    if bracket is None:
-        bracket, arnoldi = _refined_bracket(spec, mode, _MAX_STEPS - applications)
-        applications += arnoldi
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if mode == "discrete" and spec.d ** 2 > _KRYLOV_DIM:
+            bracket, applications = _power_bracket(apply, spec.d)
+        if bracket is None:
+            bracket, arnoldi = _refined_bracket(apply, spec.d, _MAX_STEPS - applications)
+            applications += arnoldi
     report = replace(report, bracket_width=None if bracket is None else bracket[1] - bracket[0],
                      map_applications=applications)
     if (bracket is not None and _width(*bracket) <= _BRACKET_RTOL

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 from scipy.stats import unitary_group
 
 from kronspec.evolution import exact_covariance
-from kronspec.kronsum import bound_report
+from kronspec.kronsum import classify_stability
 from kronspec.matrices import ConsistencyError, SystemSpec, as_complex_vector
 from kronspec.sysio import matrix_pairs
 
@@ -132,7 +132,7 @@ def second_moment_bounds(
     """
     actual = float(np.trace(exact_covariance(spec, mode, u, u, horizon)).real)
     u = as_complex_vector(u, "initial vector u")
-    report = bound_report(spec, mode)
+    report = classify_stability(spec, mode).evidence
     u2 = float(np.sum(np.abs(u) ** 2))
     if mode == "discrete":
         lower = u2 * report.lower ** horizon

@@ -20,7 +20,6 @@ from kronspec.evolution import (
 from kronspec.kronsum import (
     UNSTABLE_STATUSES,
     StabilityStatus,
-    bound_report,
     build_continuous_gram,
     build_continuous_sum,
     build_discrete_gram,
@@ -114,8 +113,8 @@ def test_criterion_3_bound_chain_property_suite():
     violations = 0
     for i in range(1000):
         spec = random_system(rng, 2 + i % 4, i % 4)
-        rd = bound_report(spec, "discrete")
-        rc = bound_report(spec, "continuous")
+        rd = classify_stability(spec, "discrete").evidence
+        rc = classify_stability(spec, "continuous").evidence
         rho = summarize(kron_sum(spec, "discrete")).radius
         alpha = summarize(kron_sum(spec, "continuous")).abscissa
         if not (rd.lower - slack <= rho <= rd.upper + slack):

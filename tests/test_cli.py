@@ -468,6 +468,13 @@ def test_simulate_bad_horizon_or_dt_exits_65(extra, reason, demo_file, capsys):
     assert reason in captured.err
 
 
+def test_continuous_simulate_without_dt_names_the_flag(demo_file, capsys):
+    code = main(["simulate", demo_file, "--mode", "continuous", "--u", U, "--horizon", "1"])
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, code, 65)
+    assert "continuous mode requires --dt" in captured.err
+
+
 @pytest.mark.parametrize("route", ["ode", "kronecker", "both"])
 @pytest.mark.parametrize("times", ["inf", "nan", "0.5,inf"])
 def test_evolve_non_finite_times_exit_65(times, route, demo_file, capsys):

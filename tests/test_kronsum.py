@@ -1,4 +1,7 @@
+import itertools
+import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +23,6 @@ from kronspec.kronsum import (
     _power_bracket,
     _refined_bracket,
     adjoint_moment_map,
-    bound_report,
     build_continuous_gram,
     build_continuous_sum,
     build_discrete_gram,
@@ -53,6 +55,22 @@ def _dense_value(spec, mode):
     """The dense oracle: rho(D) or alpha(C) from the full d**2 spectrum of the np.kron formula."""
     summary = summarize(kron_sum(spec, mode))
     return summary.radius if mode == "discrete" else summary.abscissa
+
+
+def _rung3(engine, *args):
+    """A rung-3 function called under the error state ``classify_stability`` gives it."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return engine(*args)
+
+
+def _power(spec):
+    """Rung 3's power method on the system's Phi*."""
+    return _rung3(_power_bracket, adjoint_moment_map(spec, "discrete"), spec.d)
+
+
+def _arnoldi(spec, mode, budget=kronsum._MAX_STEPS):
+    """Rung 3's Arnoldi on the system's Phi* or L*."""
+    return _rung3(_refined_bracket, adjoint_moment_map(spec, mode), spec.d, budget)
 
 
 def _assert_multiset_close(got, want, tol):
@@ -276,7 +294,7 @@ class TestRealSum:
 class TestBoundReport:
     def test_demo_discrete(self):
         spec = demo_system(0.5, 0.7, 2.0)
-        rep = bound_report(spec, "discrete")
+        rep = classify_stability(spec, "discrete").evidence
         assert rep.lower == pytest.approx(0.49, abs=1e-10)
         assert rep.upper == pytest.approx(4.25, abs=1e-10)
         assert rep.exact is None and rep.rung == "bounds"
@@ -284,21 +302,21 @@ class TestBoundReport:
 
     def test_demo_continuous(self):
         spec = demo_system(0.5, 0.7, 2.0)
-        rep = bound_report(spec, "continuous")
+        rep = classify_stability(spec, "continuous").evidence
         assert rep.lower == pytest.approx(1.4, abs=1e-10)
         assert rep.upper == pytest.approx(5.0, abs=1e-10)
         assert _dense_value(spec, "continuous") == pytest.approx(1.4, abs=1e-10)
 
     def test_identity_plus_rotation_is_tight(self):
         spec = SystemSpec(np.eye(2), (_rotation(0.3),))
-        rep = bound_report(spec, "discrete")
+        rep = classify_stability(spec, "discrete").evidence
         assert rep.lower == pytest.approx(2.0, abs=1e-10)
         assert rep.upper == pytest.approx(2.0, abs=1e-10)
         assert _dense_value(spec, "discrete") == pytest.approx(2.0, abs=1e-8)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            bound_report(demo_system(0.5, 0.7, 2.0), "sideways")
+            classify_stability(demo_system(0.5, 0.7, 2.0), "sideways")
 
     def test_chain_checker_raises_on_violation(self):
         with pytest.raises(ConsistencyError):
@@ -311,8 +329,8 @@ class TestBoundChains:
     def test_random_systems_respect_both_chains(self, rng):
         for i in range(200):
             spec = random_system(rng, 2 + i % 4, i % 4)
-            rd = bound_report(spec, "discrete")
-            rc = bound_report(spec, "continuous")
+            rd = classify_stability(spec, "discrete").evidence
+            rc = classify_stability(spec, "continuous").evidence
             slack_d = 1e-8 * max(1.0, abs(rd.upper))
             slack_c = 1e-8 * max(1.0, abs(rc.upper))
             assert rd.lower - slack_d <= _dense_value(spec, "discrete") <= rd.upper + slack_d
@@ -526,7 +544,7 @@ class TestLadder:
         for spec in _criterion3_systems():
             if spec.m == 0:
                 continue
-            (lower, upper), applications = _refined_bracket(spec, mode)
+            (lower, upper), applications = _arnoldi(spec, mode)
             exact = _dense_value(spec, mode)
             slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
             assert lower - slack <= exact <= upper + slack
@@ -540,10 +558,10 @@ class TestLadder:
         counts, skipped = [], []
         for i in range(48):
             spec = random_system(rng, (8, 10, 12)[i % 3], 1 + i % 3)
-            (lower, upper), applications = _refined_bracket(spec, mode)
+            (lower, upper), applications = _arnoldi(spec, mode)
             with monkeypatch.context() as patch:
                 patch.setattr(kronsum, "_may_decide", _always)
-                every, every_applications = _refined_bracket(spec, mode)
+                every, every_applications = _arnoldi(spec, mode)
             # a bracket never feeds the iteration: skipping one saves its
             # application and moves neither the bracket nor its midpoint
             assert every == (lower, upper)
@@ -599,7 +617,7 @@ class TestLadder:
     def test_ladder_status_matches_dense_verdict(self, mode):
         rungs = set()
         for spec in _criterion3_systems():
-            dense = verdict_from_report(replace(bound_report(spec, mode),
+            dense = verdict_from_report(replace(classify_stability(spec, mode).evidence,
                                                 exact=_dense_value(spec, mode)))
             verdict = classify_stability(spec, mode, allow_exact_fallback=True)
             assert verdict.status is dense.status
@@ -644,7 +662,7 @@ def _straddling(rng, d, m, mode, value):
             spec = SystemSpec(c * spec.a, tuple(c * b for b in spec.noise_mats))
         else:
             spec = SystemSpec(spec.a + (value - exact) / 2.0 * np.eye(d), spec.noise_mats)
-        report = bound_report(spec, mode)
+        report = classify_stability(spec, mode).evidence
         if report.lower < stability_threshold(mode) < report.upper:
             return spec
 
@@ -656,7 +674,7 @@ class TestPowerBracket:
         rng = np.random.default_rng(37)
         for i in range(48):
             spec = _straddling(rng, 6 + i % 11, 1 + i % 3, "discrete", (0.85, 1.15)[i % 2])
-            (lower, upper), applications = _power_bracket(spec)
+            (lower, upper), applications = _power(spec)
             exact = _dense_value(spec, "discrete")
             slack = CHAIN_TOL * max(1.0, abs(lower), abs(upper))
             assert lower - slack <= exact <= upper + slack
@@ -678,7 +696,7 @@ class TestPowerBracket:
             v = np.eye(spec.d, dtype=np.complex128)
             before = None
             for _ in range(60):
-                bracket, image = _bracket_at(apply, (v + v.conj().T) / 2.0)
+                bracket, image = _bracket_at(apply, v)
                 if before is not None:
                     slack = 1e-14 * max(1.0, abs(bracket[0]), abs(bracket[1]))
                     assert before[0] - slack <= bracket[0] <= bracket[1] <= before[1] + slack
@@ -690,8 +708,8 @@ class TestPowerBracket:
         # reach the 16th, and leaves Arnoldi the other 4
         spec = _straddling(np.random.default_rng(39), 10, 2, "discrete", 0.85)
         monkeypatch.setattr(kronsum, "_MAX_STEPS", 12)
-        assert _power_bracket(spec) == (None, 8)
-        bracket, applications = _refined_bracket(spec, "discrete", 4)
+        assert _power(spec) == (None, 8)
+        bracket, applications = _arnoldi(spec, "discrete", 4)
         report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
         assert report.bracket_width == bracket[1] - bracket[0]
         assert report.map_applications == 8 + applications == 12 + 1
@@ -705,8 +723,8 @@ class TestPowerBracket:
         rng = np.random.default_rng(d)
         spec = SystemSpec(rng.standard_normal((d, d)) / np.sqrt(d),
                           (0.01 * rng.standard_normal((d, d)) / np.sqrt(d),))
-        assert _power_bracket(spec) == (None, 16)
-        bracket, applications = _refined_bracket(spec, "discrete")
+        assert _power(spec) == (None, 16)
+        bracket, applications = _arnoldi(spec, "discrete")
         report = classify_stability(spec, "discrete", allow_exact_fallback=True).evidence
         assert report.bracket_width == bracket[1] - bracket[0]
         assert report.map_applications == 16 + applications
@@ -721,6 +739,97 @@ class TestPowerBracket:
             verdict = classify_stability(spec, mode, allow_exact_fallback=True)
             assert verdict.evidence.rung == "refined"
             assert verdict.status is StabilityStatus.EXACT_STABLE
+
+
+def _broken(apply, call):
+    """``apply`` whose ``call``-th application returns infinities."""
+    calls = itertools.count(1)
+    return lambda v: np.full_like(v, np.inf) if next(calls) == call else apply(v)
+
+
+def _phi_star(d):
+    """Phi* of a straddling discrete system at d, with d."""
+    spec = _straddling(np.random.default_rng(39), d, 2, "discrete", 0.85)
+    return adjoint_moment_map(spec, "discrete"), d
+
+
+class TestRung3Exits:
+    """Rung 3's exits without a narrow bracket, each with the applications it spent.
+
+    Two come from systems; the others take Phi* with one application turned
+    infinite.
+    """
+
+    def test_bracket_at_a_non_finite_similarity(self):
+        bracket, image = _rung3(_bracket_at, lambda v: np.full_like(v, np.inf), np.eye(3))
+        assert bracket is None and np.isinf(image).all()
+
+    def test_power_method_hands_over_on_a_non_finite_similarity(self):
+        # the 8th application is the first bracket's
+        apply, d = _phi_star(10)
+        assert _rung3(_power_bracket, _broken(apply, 8), d) == (None, 8)
+
+    def test_power_method_hands_over_when_the_width_stops_shrinking(self):
+        # rho(D) = 1 has the singular Perron matrix e_1 e_1*: the width is
+        # 0.75 at the 8th and 16th applications, and rho(D) sits on the threshold
+        spec = SystemSpec(np.diag([1.0] + [0.5] * 5), (np.zeros((6, 6)),))
+        assert _power(spec) == (None, 16)
+        verdict = classify_stability(spec, "discrete", allow_exact_fallback=True)
+        assert verdict.status is StabilityStatus.INDETERMINATE
+        assert verdict.evidence.rung == "dense" and verdict.evidence.exact == 1.0
+        assert verdict.evidence.map_applications == 18
+
+    def test_power_method_hands_over_on_a_zero_image(self):
+        # B_1 the nilpotent shift: Phi*^6(I) = (B_1^6)* B_1^6 = 0
+        spec = SystemSpec(np.zeros((6, 6)), (np.eye(6, k=-1),))
+        assert _power(spec) == (None, 6)
+
+    def test_power_method_hands_over_on_a_non_finite_image(self):
+        apply, d = _phi_star(10)
+        assert _rung3(_power_bracket, _broken(apply, 3), d) == (None, 3)
+
+    def test_arnoldi_ends_on_a_non_finite_hessenberg_matrix(self):
+        apply, d = _phi_star(10)
+        assert _rung3(_refined_bracket, _broken(apply, 2), d, kronsum._MAX_STEPS) == (None, 2)
+
+    def test_arnoldi_ends_on_a_non_finite_similarity(self):
+        # at d = 2 four steps span every 2-by-2 matrix and end the run; the
+        # 5th application is its one bracket's
+        apply, d = _phi_star(2)
+        assert _rung3(_refined_bracket, apply, d, kronsum._MAX_STEPS)[1] == 5
+        assert _rung3(_refined_bracket, _broken(apply, 5), d, kronsum._MAX_STEPS) == (None, 5)
+
+
+def _counting(fn, counts):
+    def counted(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("case", ["bounds", "power", "arnoldi", "handover"])
+def test_one_adjoint_map_per_verdict(case, monkeypatch):
+    # the companion and whichever rung-3 engines run share one Phi* or L*
+    if case == "bounds":
+        spec, mode, rung, engines = demo_system(1.0, 1.2, 1.0), "discrete", "bounds", []
+    elif case == "power":
+        spec = _straddling(np.random.default_rng(39), 10, 2, "discrete", 0.85)
+        mode, rung, engines = "discrete", "refined", ["_power_bracket"]
+    elif case == "arnoldi":
+        spec = _straddling(np.random.default_rng(40), 8, 2, "continuous", -0.1)
+        mode, rung, engines = "continuous", "refined", ["_refined_bracket"]
+    else:
+        # TestPowerBracket's stalled d = 12 system
+        rng = np.random.default_rng(12)
+        spec = SystemSpec(rng.standard_normal((12, 12)) / np.sqrt(12),
+                          (0.01 * rng.standard_normal((12, 12)) / np.sqrt(12),))
+        mode, rung, engines = "discrete", "dense", ["_power_bracket", "_refined_bracket"]
+    counts = Counter()
+    for name in ("adjoint_moment_map", "_power_bracket", "_refined_bracket"):
+        monkeypatch.setattr(kronsum, name, _counting(getattr(kronsum, name), counts))
+    verdict = classify_stability(spec, mode, allow_exact_fallback=True)
+    assert verdict.evidence.rung == rung
+    assert counts == Counter(["adjoint_moment_map", *engines])
 
 
 def _always(residual, theta):
@@ -791,7 +900,7 @@ class TestDenseCeiling:
         spec = SystemSpec(0.5 * np.eye(5), (0.1 * np.eye(5),))
         with pytest.raises(ValueError, match=f"^Hermitian companion {name} has 5 rows, "
                            "over the dense ceiling of 4$"):
-            bound_report(spec, mode)
+            classify_stability(spec, mode)
 
 
 def _complex_gaussian(rng, d):
@@ -855,10 +964,11 @@ class TestMixedDirectSums:
 
 
 class TestRefinedInvariances:
-    """Identities of the refined value on both rung-3 engines, every scale near 1.
+    """Identities of the refined value on both rung-3 engines.
 
     Discrete d = 4, 5 take Arnoldi and d = 6..8 the power method; continuous
-    mode takes Arnoldi.  Values agree within 1e-7 of max(1, |value|), the
+    mode takes Arnoldi.  Scales stay near 1, but for the continuous time
+    scaling by 4, 1/4 and 3.  Values agree within 1e-7 of max(1, |value|), the
     width rung 3 narrows to.
     """
 
@@ -893,6 +1003,26 @@ class TestRefinedInvariances:
         assert verdict.status is base.status
         want = base.evidence.exact + 2.0 * s.real
         assert abs(verdict.evidence.exact - want) <= 1e-7 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    def test_continuous_time_scaling(self, d):
+        # (cA, sqrt(c) B_k) multiplies alpha(C) by c, and M by c: with c a
+        # power of two every product forming M scales exactly, so its extremes do
+        rng = np.random.default_rng(41)
+        for i in range(4):
+            spec = _straddling(rng, d, 1 + i % 3, "continuous", (-0.15, 0.15)[i % 2])
+            base = classify_stability(spec, "continuous", allow_exact_fallback=True)
+            assert base.evidence.rung == "refined"
+            for c in (4.0, 0.25, 3.0):
+                scaled = SystemSpec(c * spec.a, tuple(math.sqrt(c) * b for b in spec.noise_mats))
+                verdict = classify_stability(scaled, "continuous", allow_exact_fallback=True)
+                assert verdict.evidence.rung == "refined"
+                assert verdict.status is base.status
+                want = c * base.evidence.exact
+                assert abs(verdict.evidence.exact - want) <= 1e-7 * max(1.0, abs(want))
+                if c != 3.0:
+                    assert verdict.evidence.lower == c * base.evidence.lower
+                    assert verdict.evidence.upper == c * base.evidence.upper
 
 
 class TestDemoFamilyInvariants:
